@@ -4,16 +4,18 @@ Each agent owns one `InequalitySystem`. Half-spaces a.x <= b accumulate from
 the last reset onward; feasibility is decided by minimizing a single shared
 slack s over
 
-    a_t . x - s <= b_t    for every stored constraint t,
+    a_t . x - |a_t| s <= b_t    for every stored constraint t,    lo <= x <= hi,
 
-solved by a dense two-phase simplex with Bland's anti-cycling rule. The system
-is feasible iff the optimal slack is <= EPS_FEAS. A cached witness point gives
-an LP-free fast path while new constraints keep it satisfied.
+solved by a bounded-variable primal simplex with Bland's anti-cycling rule.
+The optional coordinate box (`bounds`) enters as bounds on x, not as rows; a
+system without one passes infinite bounds, so its free x runs through the same
+loop. The system is feasible iff the LP's end point violates no stored
+constraint by more than EPS_FEAS.
 
-A system may optionally be confined to a coordinate box (`bounds`); the box
-enters the LP as ordinary inequality rows and gives an O(dim) per-constraint
-infeasibility certificate (a single half-space whose best value over the box
-still exceeds its right-hand side dooms the whole system).
+Two fast paths skip the LP: a cached witness point, kept while new constraints
+leave it satisfied, and inside a box an O(dim) per-constraint infeasibility
+certificate (a single half-space whose best value over the box still exceeds
+its right-hand side dooms the whole system).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ EPS_FEAS = 1e-9
 MIN_NORMAL = 1e-12
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
+_PIVOT_CAP_FACTOR = 10_000  # iteration cap per row and column of the LP
 
 
 class SolverStallError(RuntimeError):
@@ -113,18 +116,6 @@ class InequalitySystem:
 
     # -- feasibility ---------------------------------------------------------
 
-    def _bound_rows(self) -> list[tuple[np.ndarray, float]]:
-        rows = []
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            eye = np.eye(self.dim)
-            for j in range(self.dim):
-                if np.isfinite(hi[j]):
-                    rows.append((eye[j], float(hi[j])))
-                if np.isfinite(lo[j]):
-                    rows.append((-eye[j], float(-lo[j])))
-        return rows
-
     def _box_certificate(self) -> FeasibilityVerdict | None:
         """If any single constraint is unsatisfiable inside the box, that settles it."""
         if self.bounds is None:
@@ -146,11 +137,13 @@ class InequalitySystem:
         certificate = self._box_certificate()
         if certificate is not None:
             return certificate
-        rows = self._bound_rows() + [(h.a, h.b) for h in self.constraints]
-        s_value, x = _phase1_lp(rows, self.dim)
+        A = np.array([h.a for h in self.constraints])
+        b = np.array([h.b for h in self.constraints])
+        lo, hi = self.bounds or (np.full(self.dim, -np.inf), np.full(self.dim, np.inf))
+        s_value, x = _phase1_lp(A, b, lo, hi)
         if s_value <= EPS_FEAS:
             self.witness = x.copy()
-            self._witness_worst = max(h.violation(x) for h in self.constraints)
+            self._witness_worst = s_value
             return FeasibilityVerdict(feasible=True, point=x, phase1_value=s_value)
         return FeasibilityVerdict(feasible=False, point=None, phase1_value=s_value)
 
@@ -158,159 +151,90 @@ class InequalitySystem:
 # -- Phase-I linear program ----------------------------------------------------
 
 
-def _phase1_lp(rows: list[tuple[np.ndarray, float]], dim: int) -> tuple[float, np.ndarray]:
-    """Minimize s subject to a_t.x - s <= b_t.
+def _phase1_lp(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimize s subject to u_t.x - s <= c_t and lo <= x <= hi (bounds may be infinite).
 
-    Free variables are handled by positive/negative splitting:
-    v = [x+ (dim), x- (dim), s+, s-, slack (one per row)], all >= 0.
-    Returns (achieved slack value, the corresponding x). When the LP is
-    unbounded below the point is pushed far enough along the improving ray
-    that the achieved slack is decisively negative.
+    (u_t, c_t) is row t of (A, b) divided by |a_t|, so s is a distance and the
+    absolute simplex tolerances mean the same at every gradient scale.
+    Bounded-variable primal simplex with Bland's rule over v = [x, s, slack]:
+    every variable carries its own bounds, slack >= 0, and s is floored at
+    -10 * (1 + max |c|, |finite bound|), which keeps the LP bounded without
+    changing a verdict. The start puts x at lo (0 where lo is infinite), s at
+    the largest violation and the slacks in the basis; pivoting s into the
+    most violated row makes that basis feasible. The loop ends at the optimum
+    or when s reaches its floor. Returns (max_t a_t.x - b_t, x) for the final
+    x, clipped into the box.
+
+    The tableau is condensed: row t reads v[basis[t]] + T[t] . v[nonbasic] = const,
+    so it has one column per nonbasic variable (dim + 1), not one per variable.
     """
-    t_rows = len(rows)
-    n_struct = 2 * dim + 2
-    n_cols = n_struct + t_rows
-    M = np.zeros((t_rows, n_cols))
-    rhs = np.zeros(t_rows)
-    for t, (a, b) in enumerate(rows):
-        M[t, :dim] = a
-        M[t, dim:2 * dim] = -a
-        M[t, 2 * dim] = -1.0
-        M[t, 2 * dim + 1] = 1.0
-        M[t, n_struct + t] = 1.0
-        rhs[t] = b
-    c = np.zeros(n_cols)
-    c[2 * dim] = 1.0
-    c[2 * dim + 1] = -1.0
-    cap = int(1e4 * (t_rows + dim))
-    scale = 1.0 + float(np.max(np.abs(rhs))) if t_rows else 1.0
-    v = _two_phase_simplex(M, rhs, c, cap, push_target=-10.0 * scale)
-    x = v[:dim] - v[dim:2 * dim]
-    s = float(v[2 * dim] - v[2 * dim + 1])
-    return s, x
-
-
-def _two_phase_simplex(M: np.ndarray, rhs: np.ndarray, c: np.ndarray,
-                       cap: int, push_target: float) -> np.ndarray:
-    """Dense two-phase primal simplex (Bland's rule) for min c.v, M v = rhs, v >= 0.
-
-    The LP fed to this routine is feasible by construction, so a positive
-    phase-1 optimum indicates numerical failure and raises. An unbounded
-    phase 2 returns a point on the improving ray with objective <= push_target.
-    """
-    m, n = M.shape
-    T = np.hstack([M, rhs.reshape(-1, 1)]).astype(float)
-    # make all right-hand sides nonnegative
-    for i in range(m):
-        if T[i, -1] < 0:
-            T[i] *= -1.0
-    # starting basis: slack columns that survived the sign fix, artificials elsewhere
-    basis = [-1] * m
-    art_cols: list[int] = []
-    for i in range(m):
-        slack_col = None
-        for j in range(n - m, n):  # slack block is the trailing identity in M
-            if T[i, j] == 1.0 and np.count_nonzero(T[:, j]) == 1:
-                slack_col = j
-                break
-        if slack_col is not None:
-            basis[i] = slack_col
-    need_art = [i for i in range(m) if basis[i] < 0]
-    if need_art:
-        A_ext = np.zeros((m, len(need_art)))
-        for k, i in enumerate(need_art):
-            A_ext[i, k] = 1.0
-            basis[i] = n + k
-            art_cols.append(n + k)
-        T = np.hstack([T[:, :-1], A_ext, T[:, -1].reshape(-1, 1)])
-    total = T.shape[1] - 1
-    blocked = np.zeros(total, dtype=bool)
-
-    if art_cols:
-        cost1 = np.zeros(total + 1)
-        for j in art_cols:
-            cost1[j] = 1.0
-        for i, bv in enumerate(basis):
-            if cost1[bv] != 0.0:
-                cost1 -= cost1[bv] * T[i]
-        status, _ = _simplex_loop(T, cost1, basis, blocked, cap)
-        if status != "optimal":
-            raise SolverStallError("phase 1 did not terminate at an optimum")
-        if -cost1[-1] > 1e-7:
-            raise SolverStallError("phase 1 optimum is positive for a feasible system")
-        _drive_out_artificials(T, basis, art_cols, blocked)
-        for j in art_cols:
-            blocked[j] = True
-
-    cost2 = np.zeros(total + 1)
-    cost2[:n] = c
-    for i, bv in enumerate(basis):
-        if cost2[bv] != 0.0:
-            cost2 -= cost2[bv] * T[i]
-    status, ray_col = _simplex_loop(T, cost2, basis, blocked, cap, stop_below=push_target)
-    v = np.zeros(total)
-    for i, bv in enumerate(basis):
-        v[bv] = T[i, -1]
-    if status == "unbounded":
-        # push along the improving ray until the objective clears push_target
-        obj = float(-cost2[-1])
-        rate = float(cost2[ray_col])  # < 0
-        lam = max(0.0, (obj - push_target) / (-rate))
-        direction = np.zeros(total)
-        direction[ray_col] = 1.0
-        for i, bv in enumerate(basis):
-            direction[bv] = -T[i, ray_col]
-        v = v + lam * direction
-    return v[:n]
-
-
-def _simplex_loop(T, cost, basis, blocked, cap, stop_below=None):
-    """Run Bland-rule pivots until optimal, unbounded, or the objective clears stop_below."""
+    m, dim = A.shape
+    norms = np.linalg.norm(A, axis=1)
+    U, c = A / norms[:, None], b / norms
+    finite = np.concatenate([c, lo[np.isfinite(lo)], hi[np.isfinite(hi)]])
+    s_floor = -10.0 * (1.0 + float(np.max(np.abs(finite))))
+    x0 = np.where(np.isfinite(lo), lo, 0.0)
+    viol = U @ x0 - c
+    s_row = int(np.argmax(viol))
+    s0 = max(float(viol[s_row]), s_floor)
+    T = np.hstack([U, -np.ones((m, 1))])
+    v = np.concatenate([x0, [s0], s0 - viol])
+    lower = np.concatenate([lo, [s_floor], np.zeros(m)])
+    upper = np.concatenate([hi, np.full(m + 1, np.inf)])
+    basis = np.arange(dim + 1, dim + 1 + m)
+    nonbasic = np.arange(dim + 1)
+    if s0 > s_floor:
+        _pivot(T, s_row, dim)
+        basis[s_row], nonbasic[dim] = dim, basis[s_row]
+    cap = _PIVOT_CAP_FACTOR * (m + dim)
     for _ in range(cap):
-        if stop_below is not None and -cost[-1] <= stop_below:
-            return "optimal", None
-        enter = -1
-        for j in range(T.shape[1] - 1):
-            if not blocked[j] and cost[j] < -_COST_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal", None
-        ratios = []
-        col = T[:, enter]
-        for i in range(T.shape[0]):
-            if col[i] > _PIVOT_TOL:
-                ratios.append((T[i, -1] / col[i], basis[i], i))
-        if not ratios:
-            return "unbounded", enter
-        best = min(r for r, _, _ in ratios)
+        if basis[s_row] != dim:  # s left the basis at its floor
+            break
+        d = -T[s_row]  # reduced costs of the nonbasic variables
+        vn = v[nonbasic]
+        movable = ((d < -_COST_TOL) & (vn < upper[nonbasic])) | \
+            ((d > _COST_TOL) & (vn > lower[nonbasic]))
+        if not movable.any():
+            break
+        eligible = np.flatnonzero(movable)
+        k = int(eligible[np.argmin(nonbasic[eligible])])  # Bland: lowest variable index
+        enter = nonbasic[k]
+        sign = 1.0 if d[k] < 0 else -1.0
+        col = sign * T[:, k]
+        vb, lb, ub = v[basis], lower[basis], upper[basis]
+        ratio = np.full(m, np.inf)
+        down, up = col > _PIVOT_TOL, col < -_PIVOT_TOL
+        ratio[down] = (vb[down] - lb[down]) / col[down]
+        ratio[up] = (ub[up] - vb[up]) / -col[up]
+        np.maximum(ratio, 0.0, out=ratio)
+        step = float(ratio.min())  # finite: s is basic and bounds the move
+        flip = upper[enter] - lower[enter]
+        if flip <= step:  # the entering variable reaches its other bound first
+            v[basis] -= flip * col
+            v[enter] = upper[enter] if sign > 0 else lower[enter]
+            continue
         # Bland tie-break: smallest basic variable index among minimum-ratio rows
-        tied = [(bv, i) for r, bv, i in ratios if r <= best + 1e-12 * (1 + abs(best))]
-        leave_row = min(tied)[1]
-        _pivot(T, cost, leave_row, enter)
-        basis[leave_row] = enter
-    raise SolverStallError(f"simplex exceeded {cap} pivots")
+        tied = np.flatnonzero(ratio <= step + 1e-12 * (1.0 + step))
+        leave = int(tied[np.argmin(basis[tied])])
+        v[basis] -= step * col
+        v[enter] += sign * step
+        out = basis[leave]
+        v[out] = lower[out] if col[leave] > 0 else upper[out]
+        _pivot(T, leave, k)
+        basis[leave], nonbasic[k] = enter, out
+    else:
+        raise SolverStallError(f"simplex exceeded {cap} pivots")
+    x = np.clip(v[:dim], lo, hi)
+    return float(np.max(A @ x - b)), x
 
 
-def _pivot(T, cost, row, col):
-    T[row] /= T[row, col]
-    piv_row = T[row]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, piv_row)
-    if cost[col] != 0.0:
-        cost -= cost[col] * piv_row
-
-
-def _drive_out_artificials(T, basis, art_cols, blocked):
-    """Pivot zero-level artificial variables out of the basis where possible."""
-    art = set(art_cols)
-    for i in range(T.shape[0]):
-        if basis[i] in art:
-            for j in range(T.shape[1] - 1):
-                if j not in art and not blocked[j] and abs(T[i, j]) > _PIVOT_TOL:
-                    _pivot(T, np.zeros(T.shape[1]), i, j)
-                    basis[i] = j
-                    break
-            # a row whose only support is artificial is redundant; its basic
-            # variable stays at zero and never re-enters once blocked
+def _pivot(T, row, col):
+    """Exchange the basic variable of `row` with the nonbasic variable of `col`."""
+    p = T[row, col]
+    ratios = T[:, col] / p
+    pivot_row = T[row].copy()
+    T -= np.outer(ratios, pivot_row)
+    T[row] = pivot_row / p
+    T[:, col] = -ratios
+    T[row, col] = 1.0 / p

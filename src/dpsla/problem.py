@@ -240,15 +240,10 @@ class ProblemInstance:
         return self.objectives[0].dim
 
     def sum_value(self, x) -> float:
-        x = as_vec(x, dim=self.dim)
-        return sum(o._eval(x) for o in self.objectives)
+        return self._sum_value(as_vec(x, dim=self.dim))
 
     def sum_grad(self, x) -> np.ndarray:
-        x = as_vec(x, dim=self.dim)
-        g = np.zeros(self.dim)
-        for o in self.objectives:
-            g += o._grad(x)
-        return g
+        return self._sum_grad(as_vec(x, dim=self.dim))
 
     def _sum_value(self, x: np.ndarray) -> float:
         return sum(o._eval(x) for o in self.objectives)

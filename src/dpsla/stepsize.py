@@ -114,13 +114,11 @@ class StepsizeState:
     recomputing the product, which makes the corridor bounds bitwise tight.
     """
 
-    prev_alpha: float
-    prev_c: float
     cap: float
 
     @classmethod
     def fresh(cls, cfg: StepsizeConfig) -> "StepsizeState":
-        return cls(prev_alpha=cfg.alpha0, prev_c=cfg.c0, cap=cfg.c0 * cfg.alpha0)
+        return cls(cap=cfg.c0 * cfg.alpha0)
 
 
 def decide_alpha(cfg: StepsizeConfig, st: StepsizeState, beta: float | None, k: int) -> float:
@@ -131,12 +129,8 @@ def decide_alpha(cfg: StepsizeConfig, st: StepsizeState, beta: float | None, k: 
     floor = cfg.beta_floor
     inner = floor if beta is None else max(beta, floor)
     m = min(inner, st.cap)
-    ck = cfg.c_value(k)
-    alpha = m / ck
     st.cap = m
-    st.prev_alpha = alpha
-    st.prev_c = ck
-    return alpha
+    return m / cfg.c_value(k)
 
 
 @dataclass
@@ -147,7 +141,6 @@ class LevelState:
     system: InequalitySystem
     window_min_f: float = math.inf
     window_fvals: deque = field(default_factory=deque)
-    window_start: int = 0
     update_count: int = 0
     eta_cap: int | None = None
 
@@ -192,6 +185,5 @@ def record_step(ls: LevelState, cfg: StepsizeConfig, z: np.ndarray, f_val: float
     ls.system.reset()
     ls.window_fvals.clear()
     ls.window_min_f = math.inf
-    ls.window_start = k + 1
     ls.update_count += 1
     return new_level

@@ -56,10 +56,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return sum(1 for (a, b) in self.edges if a == i or b == i)
 
-    def neighbors(self, i: int) -> list[int]:
-        out = [b if a == i else a for (a, b) in self.edges if a == i or b == i]
-        return sorted(out)
-
     def to_edge_list_text(self) -> str:
         """Debug export: one "i j" pair per line, sorted."""
         return "\n".join(f"{i} {j}" for (i, j) in sorted(self.edges)) + "\n"

@@ -145,6 +145,11 @@ class TestReproduce:
         gaps = parse_csv(tmp_path / "level_gap.csv")
         assert gaps["gap_0"][-1] < gaps["gap_0"][0]
 
+    def test_main_nearly_parallel_window(self, tmp_path):
+        # this seed's window holds six nearly parallel rows in dim 6 at round 98;
+        # the solver once stalled there and the command exited 1
+        assert main(["reproduce", "main", "--seed", "3020090", "--out", str(tmp_path)]) == 0
+
     def test_speedup_outputs(self, tmp_path, monkeypatch):
         # stub the sweep itself; the full grid is exercised by the acceptance suite
         from dpsla.engine import SweepResult

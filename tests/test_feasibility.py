@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dpsla.feasibility import (EPS_FEAS, HalfSpace, InequalitySystem,
-                               SolverStallError, _phase1_lp, _simplex_loop)
+from dpsla import feasibility
+from dpsla.feasibility import EPS_FEAS, HalfSpace, InequalitySystem, SolverStallError
 
 from .util import brute_force_margin, random_halfspace_system
 
@@ -86,6 +86,17 @@ class TestCheckFeasible:
             if v.feasible:
                 assert max(h.violation(v.point) for h in sys.constraints) <= EPS_FEAS
 
+    def test_tiny_normals_feasible(self):
+        # a slack slope of |a| per unit of x sits below the simplex tolerances
+        # unless rows are scaled first; the verdict must not depend on |a|
+        for scale in (1e-11, 1e-6, 1.0, 1e3):
+            sys = InequalitySystem(2)
+            sys.add_constraint(hs([scale, 0.0], -1000.0 * scale))  # x1 <= -1000
+            sys.add_constraint(hs([0.0, -scale], -1000.0 * scale))  # x2 >= 1000
+            v = sys.check_feasible()
+            assert v.feasible, scale
+            assert v.point[0] <= -1000.0 and v.point[1] >= 1000.0
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             InequalitySystem(2).check_feasible()
@@ -108,6 +119,61 @@ class TestOracleAgreement:
                 f"margin={margin}, lp={verdict.phase1_value}"
             checked += 1
         assert checked > 150
+
+
+def random_window(gen):
+    """A random window in dim 2-32 with 1-500 rows, row norms from 1e-6 to 1e3
+    and up to half its rows nearly parallel to another row; half the windows
+    come with a box. The rows before scaling are returned for the reference."""
+    dim = int(gen.integers(2, 33))
+    m = int(gen.integers(1, 501))
+    center = gen.normal(scale=3.0, size=dim)
+    A = gen.normal(size=(m, dim))
+    A /= np.linalg.norm(A, axis=1, keepdims=True)
+    pairs = int(gen.integers(0, m // 2 + 1))
+    A[:pairs] = A[m - pairs:] + gen.normal(scale=1e-7, size=(pairs, dim))
+    b = A @ center + gen.uniform(-gen.choice([0.0, 0.05, 1.0]), 1.0, size=m)
+    row_scale = 10.0 ** gen.uniform(-1.0, 1.0, size=m)
+    A *= row_scale[:, None]
+    b *= row_scale
+    bounds = None
+    if gen.random() < 0.5:
+        half = gen.uniform(0.5, 5.0, size=dim)
+        mid = center + gen.uniform(-1.0, 1.0, size=dim) * half
+        bounds = (mid - half, mid + half)
+    return A, b, bounds, 10.0 ** gen.uniform(-5.0, 2.0)
+
+
+class TestHighsAgreement:
+    def test_random_windows_match_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        gen = np.random.default_rng(11)
+        checked = feasible = 0
+        for _ in range(60):
+            A, b, bounds, scale = random_window(gen)
+            m, dim = A.shape
+            # reference: min s s.t. A x - s <= b on the unscaled rows, s >= -1
+            box = [(None, None)] * dim if bounds is None else list(zip(*bounds))
+            ref = linprog(np.r_[np.zeros(dim), 1.0], A_ub=np.hstack([A, -np.ones((m, 1))]),
+                          b_ub=b, bounds=box + [(-1.0, None)], method="highs")
+            assert ref.status == 0, ref.message
+            A, b = scale * A, scale * b
+            sys = InequalitySystem(dim, bounds=bounds)
+            for a, b_t in zip(A, b):
+                sys.add_constraint(HalfSpace(a=a, b=float(b_t)))
+            verdict = sys.check_feasible(force_lp=True)
+            if verdict.feasible:
+                assert np.max(A @ verdict.point - b) <= EPS_FEAS
+                if bounds is not None:
+                    assert np.all(verdict.point >= bounds[0] - EPS_FEAS)
+                    assert np.all(verdict.point <= bounds[1] + EPS_FEAS)
+            if abs(ref.fun) < 1e-6 or abs(scale * ref.fun) < 10 * EPS_FEAS:
+                continue  # marginal
+            assert verdict.feasible == (ref.fun < 0), \
+                f"highs={ref.fun}, scale={scale}, lp={verdict.phase1_value}, shape={A.shape}"
+            checked += 1
+            feasible += verdict.feasible
+        assert checked >= 50 and 10 <= feasible <= checked - 10
 
 
 class TestMonotonicity:
@@ -196,11 +262,13 @@ class TestReset:
 
 
 class TestStall:
-    def test_iteration_cap_raises(self):
-        M = np.array([[1.0, 1.0]])
-        cost = np.array([-1.0, 0.0, 0.0])
-        with pytest.raises(SolverStallError):
-            _simplex_loop(M.copy(), cost.copy(), [1], np.zeros(2, dtype=bool), cap=0)
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(feasibility, "_PIVOT_CAP_FACTOR", 0)
+        for bounds in (None, (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))):
+            sys = InequalitySystem(2, bounds=bounds)
+            sys.add_constraint(hs([1.0, 1.0], 0.5))
+            with pytest.raises(SolverStallError, match="exceeded 0 pivots"):
+                sys.check_feasible()
 
 
 class TestDump:

@@ -98,8 +98,7 @@ class TestDecideAlpha:
         cfg = cfg_unit()
         for k, cap, beta in [(0, 1.0, 0.2), (0, 1.0, 0.7), (0, 1.0, 5.0),
                              (3, 0.8, 0.2), (3, 0.8, 0.6), (3, 0.8, 2.0)]:
-            st_ = StepsizeState(prev_alpha=cap / cfg.c_value(max(k - 1, 0)),
-                                prev_c=cfg.c_value(max(k - 1, 0)), cap=cap)
+            st_ = StepsizeState(cap=cap)
             got = decide_alpha(cfg, st_, beta, k)
             h = cfg.c0 * cfg.alpha0 / 2
             if beta <= h:
