@@ -1,0 +1,66 @@
+"""Byte-for-byte regression against the golden traces in `data/`.
+
+The goldens pin the simulator's observable behaviour for fixed configs and
+seeds: the CSVs and manifests of `dpsla reproduce main --seed 0` and
+`dpsla reproduce divergence --seed 0`, and the trace of one uncapped DPS-LA
+run whose windows grow long. A refactor must leave every byte unchanged.
+
+Regenerate only for an intended change of behaviour, and say so in the change:
+
+    PYTHONPATH=src python -m tests.golden.test_golden
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from dpsla.cli import main
+from dpsla.engine import Dpsla, run
+from dpsla.metrics import write_csv
+from dpsla.numerics import Rng
+from dpsla.problem import gen_paper_instance
+from dpsla.stepsize import StepsizeConfig
+
+DATA = Path(__file__).resolve().parent / "data"
+REPRODUCE = ("main", "divergence")
+
+
+def write_uncapped(out: Path) -> None:
+    """DPS-LA with no window cap, n=4, dim=16, T=200, seed 0."""
+    inst = gen_paper_instance(n=4, dim=16, rng=Rng(0))
+    inst.ensure_optimum()
+    alg = Dpsla(stepsize=StepsizeConfig(alpha0=0.05), eta_cap=None)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(run(inst, alg, 200, seed=0), out / "trace.csv")
+
+
+def produce(root: Path) -> None:
+    for which in REPRODUCE:
+        assert main(["reproduce", which, "--out", str(root / which), "--seed", "0"]) == 0
+    write_uncapped(root / "uncapped")
+
+
+def _files(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+@pytest.fixture(scope="module")
+def produced(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("golden")
+    produce(root)
+    return root
+
+
+def test_same_files(produced):
+    assert _files(produced) == _files(DATA)
+
+
+@pytest.mark.parametrize("name", _files(DATA))
+def test_bytes_identical(produced, name):
+    assert (produced / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
+if __name__ == "__main__":
+    produce(DATA)
