@@ -5,23 +5,23 @@ from .engine import Dgd, Dpsla, NaivePolyak, RunTrace, run, run_speedup_sweep
 from .feasibility import (EPS_FEAS, FeasibilityVerdict, HalfSpace,
                           InequalitySystem, SolverStallError)
 from .metrics import consensus_error, residual, write_csv
-from .numerics import Rng, SingularMatrixError, dot, matvec, solve_spd
+from .numerics import Rng, SingularMatrixError, solve_spd
 from .problem import (ConstraintSet, OracleResult, ProblemInstance,
                       QuadraticObjective, gen_paper_instance,
                       gen_triangle_demo, solve_reference)
-from .stepsize import (CSchedule, LevelState, StepsizeConfig, StepsizeState,
-                       decide_alpha, raw_beta, record_step)
+from .stepsize import (CSchedule, LevelState, StepsizeConfig, decide_alpha,
+                       raw_beta, record_step)
 from .topology import Graph, MixingMatrix, build_graph, metropolis_weights, mix
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rng", "dot", "matvec", "solve_spd", "SingularMatrixError",
+    "Rng", "solve_spd", "SingularMatrixError",
     "Graph", "MixingMatrix", "build_graph", "metropolis_weights", "mix",
     "QuadraticObjective", "ConstraintSet", "ProblemInstance", "OracleResult",
     "gen_paper_instance", "gen_triangle_demo", "solve_reference",
     "HalfSpace", "InequalitySystem", "FeasibilityVerdict", "SolverStallError", "EPS_FEAS",
-    "CSchedule", "StepsizeConfig", "StepsizeState", "LevelState",
+    "CSchedule", "StepsizeConfig", "LevelState",
     "raw_beta", "decide_alpha", "record_step",
     "Dpsla", "Dgd", "NaivePolyak", "RunTrace", "run", "run_speedup_sweep",
     "residual", "consensus_error", "write_csv",

@@ -22,7 +22,8 @@ import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .engine import Dgd, Dpsla, NaivePolyak, run, run_speedup_sweep, sweep_algorithm
+from .engine import (Dgd, Dpsla, NaivePolyak, first_violations, run, run_speedup_sweep,
+                     sweep_algorithm)
 from .metrics import write_csv, write_level_gap_csv, write_sweep_csv
 from .numerics import Rng
 from .problem import ProblemInstance, gen_paper_instance, gen_triangle_demo
@@ -209,23 +210,11 @@ def _out_dir(cfg_dir: str, override: str | None) -> Path:
 
 def _trace_invariants(trace) -> dict:
     """Post-run invariant summary recorded in the manifest."""
-    recs = trace.records
-    levels_ok = True
-    has_levels = any(l is not None for l in recs[0].level)
-    if has_levels:
-        for i in range(trace.n_agents):
-            seq = [r.level[i] for r in recs]
-            levels_ok &= all(a <= b for a, b in zip(seq, seq[1:]))
-    alphas_ok = True
-    alpha_rows = [r.alpha for r in recs[1:]]
-    if alpha_rows and all(a is not None for a in alpha_rows[0]):
-        for i in range(trace.n_agents):
-            seq = [row[i] for row in alpha_rows]
-            alphas_ok &= all(a >= b for a, b in zip(seq, seq[1:]))
+    found = first_violations(trace.records)
     return {
-        "level_monotone": bool(levels_ok) if has_levels else None,
-        "alpha_monotone": bool(alphas_ok) if alpha_rows else None,
-        "diverged": bool(recs[-1].diverged),
+        "level_monotone": found["level_monotone"] is None if "level_monotone" in found else None,
+        "alpha_monotone": found["alpha_monotone"] is None,
+        "diverged": bool(trace.records[-1].diverged),
     }
 
 

@@ -1,27 +1,29 @@
 """Round-synchronous multi-agent simulator.
 
-Every algorithm runs through the same template per round: mix neighbor states,
-pick a per-agent stepsize, take a projected gradient step at the aggregated
-state, then do any post-step bookkeeping. Algorithms differ only in the
-stepsize controller, so the consensus and projection paths are shared by
-construction. Within a round each agent's update depends only on the previous
-round's states; the implementation is single threaded and deterministic for a
-fixed (instance, algorithm, seed).
+A round is a few numpy calls on one (n, dim) state array X: mix it into the
+aggregated states Z = W X, evaluate every f_i and its gradient at its row of Z
+(`ProblemInstance._values_grads`), pick all stepsizes with one array
+expression, take the projected gradient steps Z - alpha G in one call, and
+write one trace record. Algorithms differ only in the stepsize rule, so the
+consensus and projection paths are shared by construction. DPS-LA also keeps
+one level window per agent; that loop over agents is the only per-agent Python
+in a round. A row whose step is not finite holds its z and marks the run as
+diverged. Every agent's update depends only on the previous round's states;
+the run is single threaded and deterministic for a fixed (instance, algorithm,
+seed).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .metrics import consensus_error, residual
-from .numerics import Rng
-from .problem import ProblemInstance, gen_paper_instance, minimize_local
-from .stepsize import (LevelState, StepsizeConfig, StepsizeState, decide_alpha,
-                       raw_beta, record_step)
+from .numerics import Rng, row_dots
+from .problem import ConstraintSet, ProblemInstance, gen_paper_instance, minimize_local
+from .stepsize import LevelState, StepsizeConfig, decide_alpha, raw_beta, record_step
 from .topology import metropolis_weights, mix
 
 
@@ -105,109 +107,132 @@ class RunTrace:
     n_agents: int
     records: list[TraceRecord]
     meta: dict
-    states: list | None = None  # populated only when keep_states=True
+    states: list | None = None  # (n, dim) state arrays, only when keep_states=True
 
 
-# -- controllers -----------------------------------------------------------------
+# -- invariants ------------------------------------------------------------------
 
 
-class DpslaController:
-    def __init__(self, alg: Dpsla, inst: ProblemInstance):
-        self.cfg = alg.stepsize
-        n = inst.n_agents
-        if isinstance(alg.level_init, (tuple, list)):
-            if len(alg.level_init) != n:
-                raise ValueError("per-agent level_init needs one value per agent")
-            levels = [float(v) for v in alg.level_init]
-        else:
-            levels = [float(alg.level_init)] * n
-        bounds = inst.constraint.bounding_box()
-        self.levels = [LevelState.fresh(levels[i], inst.dim, bounds=bounds, eta_cap=alg.eta_cap)
-                       for i in range(n)]
-        self.steps = [StepsizeState.fresh(self.cfg) for _ in range(n)]
+def first_violations(records: Sequence[TraceRecord], cfg: StepsizeConfig | None = None,
+                     constraint: ConstraintSet | None = None,
+                     states: Sequence[np.ndarray] | None = None) -> dict:
+    """First (round k, agent) breaking each invariant of a run, None where it holds.
 
-    def initial_alpha(self, i: int) -> float | None:
-        return self.cfg.alpha0
+    Round k fills record k + 1; record 0 holds the initial states and
+    placeholder stepsizes. Checked:
 
-    def step(self, i: int, k: int, z, f_val: float, g, grad_sq: float):
-        cfg = self.cfg
-        zero_grad = grad_sq <= cfg.eps_grad ** 2
-        beta = None if zero_grad else raw_beta(cfg, f_val, self.levels[i].level, grad_sq)
-        alpha = decide_alpha(cfg, self.steps[i], beta, k)
-        if zero_grad:
-            updated = record_step(self.levels[i], cfg, z, f_val, g, 0.0, k)
-        else:
-            beta_used = beta if cfg.constraint_beta == "raw" else max(beta, cfg.beta_floor)
-            updated = record_step(self.levels[i], cfg, z, f_val, g, beta_used, k)
-        return alpha, updated is not None
-
-    def level(self, i: int) -> float | None:
-        return self.levels[i].level
+    * `alpha_monotone`: alpha_{i,k} <= alpha_{i,k-1};
+    * `level_monotone`, only when the run has levels: levels never decrease;
+    * `corridor`, with `cfg`: c0 alpha0 / (2 c_k) <= alpha_{i,k} <= c0 alpha0 / c_k;
+    * `feasible`, with `constraint` and `states` (one (n, dim) array per
+      record): every iterate lies in the set within 1e-12.
+    """
+    alphas = np.array([r.alpha for r in records[1:]], dtype=float)
+    bad = {"alpha_monotone": np.vstack([np.zeros((1, alphas.shape[1]), dtype=bool),
+                                        ~(alphas[1:] <= alphas[:-1])])}
+    if records[0].level[0] is not None:
+        levels = np.array([r.level for r in records], dtype=float)
+        bad["level_monotone"] = ~(levels[1:] >= levels[:-1])
+    if cfg is not None:
+        ck = np.array([cfg.c_value(k) for k in range(len(alphas))])[:, None]
+        bad["corridor"] = ~(((cfg.c0 * cfg.alpha0 / 2.0) / ck <= alphas)
+                            & (alphas <= (cfg.c0 * cfg.alpha0) / ck))
+    if constraint is not None and states is not None:
+        S = np.array(states[1:])
+        bad["feasible"] = ~constraint._contains_rows(S.reshape(-1, S.shape[-1])).reshape(S.shape[:2])
+    return {name: (divmod(int(np.argmax(m)), m.shape[1]) if m.any() else None)
+            for name, m in bad.items()}
 
 
-class DgdController:
-    def __init__(self, alg: Dgd, inst: ProblemInstance):
-        self.alg = alg
-
-    def initial_alpha(self, i: int) -> float | None:
-        return None
-
-    def step(self, i, k, z, f_val, g, grad_sq):
-        return self.alg.alpha(k), False
-
-    def level(self, i) -> float | None:
-        return None
+_VALIDATE_MESSAGES = {
+    "corridor": "alpha corridor violated",
+    "alpha_monotone": "alpha monotonicity violated",
+    "level_monotone": "level decreased",
+    "feasible": "iterate left the feasible set",
+}
 
 
-class NaivePolyakController:
-    def __init__(self, alg: NaivePolyak, inst: ProblemInstance):
-        self.eps_grad = alg.eps_grad
-        if alg.target == "local_min":
-            self.targets = [minimize_local(o, inst.constraint)[1] for o in inst.objectives]
-        else:
-            if inst.optimum is None:
-                raise ValueError("naive_polyak(oracle_fi_star) needs the instance optimum solved")
-            self.targets = list(inst.optimum.local_values)
-
-    def initial_alpha(self, i: int) -> float | None:
-        return None
-
-    def step(self, i, k, z, f_val, g, grad_sq):
-        if grad_sq <= self.eps_grad ** 2 or not math.isfinite(grad_sq):
-            return 0.0, False
-        return (f_val - self.targets[i]) / grad_sq, False
-
-    def level(self, i) -> float | None:
-        return None
+# -- stepsize rules --------------------------------------------------------------
+#
+# A rule maps one round's arrays to the stepsizes of all agents:
+# rule(k, Z, F, G, grad_sq) -> (alpha (n,), level_updated (n,) bool or None).
 
 
-def _make_controller(alg, inst: ProblemInstance):
+def _dpsla_rule(alg: Dpsla, inst: ProblemInstance):
+    cfg, n = alg.stepsize, inst.n_agents
+    if isinstance(alg.level_init, (tuple, list)):
+        if len(alg.level_init) != n:
+            raise ValueError("per-agent level_init needs one value per agent")
+        level = np.array([float(v) for v in alg.level_init])
+    else:
+        level = np.full(n, float(alg.level_init))
+    bounds = inst.constraint.bounding_box()
+    windows = [LevelState.fresh(float(level[i]), inst.dim, bounds=bounds, eta_cap=alg.eta_cap)
+               for i in range(n)]
+    cap = np.full(n, cfg.c0 * cfg.alpha0)
+    floor = cfg.beta_floor
+
+    def rule(k, Z, F, G, grad_sq):
+        beta = raw_beta(cfg, F, level, grad_sq)
+        alpha = decide_alpha(cfg, cap, beta, k)
+        if cfg.constraint_beta == "clamped":
+            beta = np.where(floor > beta, floor, beta)
+        with np.errstate(invalid="ignore"):  # -inf * 0 on zero-gradient rows, unused
+            b = (row_dots(G, Z) - beta * grad_sq / cfg.gamma_bar).tolist()
+        f = F.tolist()
+        updated = np.zeros(n, dtype=bool)
+        for i in np.flatnonzero(grad_sq > cfg.eps_grad ** 2).tolist():
+            new_level = record_step(windows[i], cfg, G[i], b[i], f[i])
+            if new_level is not None:
+                level[i] = new_level
+                updated[i] = True
+        return alpha, updated
+
+    return (cfg.alpha0,) * n, level, rule
+
+
+def _stepsize_rule(alg, inst: ProblemInstance):
+    """(initial alphas, level array or None, rule) for an algorithm spec.
+
+    Besides Dpsla, Dgd and NaivePolyak, any object with a method
+    `stepsizes(k, F, G, grad_sq) -> (n,) alphas` runs as a level-free rule.
+    """
+    n = inst.n_agents
     if isinstance(alg, Dpsla):
-        return DpslaController(alg, inst)
+        return _dpsla_rule(alg, inst)
     if isinstance(alg, Dgd):
-        return DgdController(alg, inst)
+        return (None,) * n, None, lambda k, Z, F, G, grad_sq: (np.full(n, alg.alpha(k)), None)
     if isinstance(alg, NaivePolyak):
-        return NaivePolyakController(alg, inst)
-    if hasattr(alg, "step") and hasattr(alg, "level"):
-        return alg  # duck-typed controller, used by structural tests
+        if alg.target == "local_min":
+            targets = np.array([minimize_local(o, inst.constraint)[1] for o in inst.objectives])
+        elif inst.optimum is None:
+            raise ValueError("naive_polyak(oracle_fi_star) needs the instance optimum solved")
+        else:
+            targets = np.array(inst.optimum.local_values)
+
+        def naive(k, Z, F, G, grad_sq):
+            ok = (grad_sq > alg.eps_grad ** 2) & np.isfinite(grad_sq)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(ok, (F - targets) / grad_sq, 0.0), None
+
+        return (None,) * n, None, naive
+    if hasattr(alg, "stepsizes"):
+        return (None,) * n, None, \
+            lambda k, Z, F, G, grad_sq: (np.asarray(alg.stepsizes(k, F, G, grad_sq), dtype=float), None)
     raise TypeError(f"unknown algorithm spec {alg!r}")
 
 
 # -- run loop --------------------------------------------------------------------
 
 
-def _initial_states(inst: ProblemInstance, policy: str, rng: Rng) -> list[np.ndarray]:
+def _initial_states(inst: ProblemInstance, policy: str, rng: Rng) -> np.ndarray:
     n, dim = inst.n_agents, inst.dim
     if policy == "center":
-        c = inst.constraint.center()
-        return [c.copy() for _ in range(n)]
+        return np.tile(inst.constraint.center(), (n, 1))
     if policy == "uniform":
         lo, hi = inst.constraint.bounding_box()
-        states = []
-        for _ in range(n):
-            x = np.array([rng.uniform(lo[j], hi[j]) for j in range(dim)])
-            states.append(inst.constraint.project(x))
-        return states
+        Y = np.array([[rng.uniform(lo[j], hi[j]) for j in range(dim)] for _ in range(n)])
+        return inst.constraint._project_rows(Y)
     raise ValueError(f"unknown x0 policy {policy!r}")
 
 
@@ -217,79 +242,70 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
 
     Row 0 holds the initial iterates; row k >= 1 holds the states after round
     k-1 together with the stepsizes applied and any level updates made during
-    that round. With `validate=True` the stepsize corridor, level monotonicity
-    and iterate feasibility are asserted every round.
+    that round. With `validate=True` the run raises AssertionError naming the
+    first round and agent that breaks iterate feasibility or, for DPS-LA, the
+    stepsize corridor or alpha or level monotonicity (`first_violations`).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     n = inst.n_agents
     W = metropolis_weights(inst.graph)
-    rng = Rng(seed)
-    xs = _initial_states(inst, x0, rng)
-    for x in xs:
-        if not inst.constraint.contains(x, tol=1e-12):
-            raise ValueError("initial states must be feasible")
-    controller = _make_controller(alg, inst)
+    X = _initial_states(inst, x0, Rng(seed))
+    if not inst.constraint._contains_rows(X).all():
+        raise ValueError("initial states must be feasible")
+    alpha0, level, rule = _stepsize_rule(alg, inst)
+    # rows whose levels did not change share one tuple
+    level_row = (None,) * n if level is None else tuple(level.tolist())
+    not_updated = (False,) * n
     oracle = inst.optimum
     diverged = False
 
-    def snapshot(k: int, alphas, updated) -> TraceRecord:
-        res = residual(inst, xs) if oracle is not None else None
+    def snapshot(k: int, alphas: tuple, updated: tuple) -> TraceRecord:
         return TraceRecord(
             k=k,
-            residual=res,
-            consensus_error=consensus_error(xs),
-            alpha=tuple(alphas),
-            level=tuple(controller.level(i) for i in range(n)),
-            level_updated=tuple(updated),
+            residual=residual(inst, X) if oracle is not None else None,
+            consensus_error=consensus_error(X),
+            alpha=alphas,
+            level=level_row,
+            level_updated=updated,
             diverged=diverged,
         )
 
-    records = [snapshot(0, [controller.initial_alpha(i) for i in range(n)], [False] * n)]
-    states = [[x.copy() for x in xs]] if keep_states else None
+    records = [snapshot(0, alpha0, not_updated)]
+    states = [X] if keep_states or validate else None
     describe = alg.describe() if hasattr(alg, "describe") else {"name": type(alg).__name__}
-    cfg = controller.cfg if isinstance(controller, DpslaController) else None
-    prev_alphas = None
 
     for k in range(iterations):
-        zs = mix(W, xs)
-        alphas = []
-        updated = []
-        for i in range(n):
-            z = zs[i]
-            obj = inst.objectives[i]
-            f_val = obj._eval(z)
-            g = obj._grad(z)
-            grad_sq = float(g @ g)
-            alpha, upd = controller.step(i, k, z, f_val, g, grad_sq)
-            alphas.append(alpha)
-            updated.append(upd)
-            step_vec = z - alpha * g
-            if np.all(np.isfinite(step_vec)):
-                xs[i] = inst.constraint._project(step_vec)
-            else:
-                diverged = True
-                xs[i] = z  # hold position; the trace keeps the divergence flag
-        if validate and cfg is not None:
-            ck = cfg.c_value(k)
-            lower = (cfg.c0 * cfg.alpha0 / 2.0) / ck
-            upper = (cfg.c0 * cfg.alpha0) / ck
-            for i, a in enumerate(alphas):
-                assert lower <= a <= upper, f"alpha corridor violated at k={k}, agent {i}"
-                if prev_alphas is not None:
-                    assert a <= prev_alphas[i], f"alpha monotonicity violated at k={k}, agent {i}"
-            for i in range(n):
-                lvl = controller.level(i)
-                prev_lvl = records[-1].level[i]
-                assert lvl >= prev_lvl, f"level decreased at k={k}, agent {i}"
-        if validate:
-            for i in range(n):
-                assert inst.constraint.contains(xs[i], tol=1e-12), \
-                    f"iterate left the feasible set at k={k}, agent {i}"
-        prev_alphas = alphas
-        records.append(snapshot(k + 1, alphas, updated))
-        if keep_states:
-            states.append([x.copy() for x in xs])
+        Z = mix(W, X)
+        F, G = inst._values_grads(Z)
+        grad_sq = row_dots(G, G)
+        alpha, updated = rule(k, Z, F, G, grad_sq)
+        step = Z - alpha[:, None] * G
+        finite = np.isfinite(step).all(axis=1)
+        if finite.all():
+            X = inst.constraint._project_rows(step)
+        else:  # hold position on non-finite rows; the trace keeps the divergence flag
+            diverged = True
+            X = inst.constraint._project_rows(np.where(finite[:, None], step, Z))
+            X[~finite] = Z[~finite]
+        if updated is not None and updated.any():
+            level_row = tuple(level.tolist())
+            updated = tuple(updated.tolist())
+        else:
+            updated = not_updated
+        records.append(snapshot(k + 1, tuple(alpha.tolist()), updated))
+        if states is not None:
+            states.append(X)
+
+    if validate:
+        cfg = alg.stepsize if isinstance(alg, Dpsla) else None
+        found = first_violations(records, cfg, inst.constraint, states)
+        checked = _VALIDATE_MESSAGES if cfg is not None else ("feasible",)
+        hits = [(found[name][0], order, found[name][1], name)
+                for order, name in enumerate(checked) if found[name] is not None]
+        if hits:
+            k, _, i, name = min(hits)
+            raise AssertionError(f"{_VALIDATE_MESSAGES[name]} at k={k}, agent {i}")
 
     meta = {
         "seed": seed,
@@ -300,7 +316,8 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
         "x0": x0,
         "oracle": oracle.to_dict() if oracle is not None else None,
     }
-    return RunTrace(n_agents=n, records=records, meta=meta, states=states)
+    return RunTrace(n_agents=n, records=records, meta=meta,
+                    states=states if keep_states else None)
 
 
 # -- speedup sweep -----------------------------------------------------------------

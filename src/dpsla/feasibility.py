@@ -16,6 +16,10 @@ Two fast paths skip the LP: a cached witness point, kept while new constraints
 leave it satisfied, and inside a box an O(dim) per-constraint infeasibility
 certificate (a single half-space whose best value over the box still exceeds
 its right-hand side dooms the whole system).
+
+Rows are stored as bare (a, b) pairs. `add_constraint` is the validating entry
+point. The level window calls `_append` instead, which skips the `HalfSpace`
+checks: its rows are gradients with norm above eps_grad at finite iterates.
 """
 
 from __future__ import annotations
@@ -39,11 +43,10 @@ class SolverStallError(RuntimeError):
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """One constraint a.x <= b, tagged with the iteration that produced it."""
+    """One constraint a.x <= b."""
 
     a: np.ndarray
     b: float
-    iter: int = -1
 
     def __post_init__(self):
         a = as_vec(self.a)
@@ -71,7 +74,8 @@ class InequalitySystem:
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
-        self.constraints: list[HalfSpace] = []
+        self._a: list[np.ndarray] = []  # row normals
+        self._b: list[float] = []  # right-hand sides
         self.witness: np.ndarray | None = None
         self._witness_worst = -np.inf  # max violation of the witness, kept incrementally
         if bounds is not None:
@@ -84,15 +88,26 @@ class InequalitySystem:
 
     @property
     def size(self) -> int:
-        return len(self.constraints)
+        return len(self._b)
+
+    @property
+    def constraints(self) -> list[HalfSpace]:
+        """The stored rows, oldest first, as half-spaces."""
+        return [HalfSpace(a=a, b=b) for a, b in zip(self._a, self._b)]
 
     def add_constraint(self, h: HalfSpace) -> None:
         """Append a constraint; drop the witness if the new row violates it."""
         if h.a.size != self.dim:
             raise ValueError(f"dimension mismatch: system dim {self.dim}, normal dim {h.a.size}")
-        self.constraints.append(h)
+        self._append(h.a, h.b)
+
+    def _append(self, a: np.ndarray, b: float) -> None:
+        """`add_constraint` for a row the caller has validated: `a` a finite
+        float64 vector of length dim with norm above MIN_NORMAL, `b` finite."""
+        self._a.append(a)
+        self._b.append(b)
         if self.witness is not None:
-            v = h.violation(self.witness)
+            v = float(a @ self.witness) - b
             if v > EPS_FEAS:
                 self.witness = None
                 self._witness_worst = -np.inf
@@ -100,18 +115,18 @@ class InequalitySystem:
                 self._witness_worst = max(self._witness_worst, v)
 
     def drop_oldest(self) -> None:
-        if self.constraints:
-            self.constraints.pop(0)
+        if self._b:
+            del self._a[0], self._b[0]
 
     def reset(self) -> None:
         """Remove every stored constraint (bounds persist) and clear the witness."""
-        self.constraints = []
+        self._a, self._b = [], []
         self.witness = None
         self._witness_worst = -np.inf
 
     def dump(self) -> str:
         """Debug text: one row "a_1 ... a_m | b" per constraint."""
-        rows = [" ".join(f"{v:.12g}" for v in h.a) + f" | {h.b:.12g}" for h in self.constraints]
+        rows = [" ".join(f"{v:.12g}" for v in a) + f" | {b:.12g}" for a, b in zip(self._a, self._b)]
         return "\n".join(rows) + ("\n" if rows else "")
 
     # -- feasibility ---------------------------------------------------------
@@ -121,15 +136,15 @@ class InequalitySystem:
         if self.bounds is None:
             return None
         lo, hi = self.bounds
-        for h in self.constraints:
-            box_min = float(np.sum(np.minimum(h.a * lo, h.a * hi)))
-            if box_min - h.b > EPS_FEAS:
-                return FeasibilityVerdict(feasible=False, point=None, phase1_value=box_min - h.b)
+        for a, b in zip(self._a, self._b):
+            box_min = float(np.sum(np.minimum(a * lo, a * hi)))
+            if box_min - b > EPS_FEAS:
+                return FeasibilityVerdict(feasible=False, point=None, phase1_value=box_min - b)
         return None
 
     def check_feasible(self, force_lp: bool = False) -> FeasibilityVerdict:
         """Decide feasibility of the stored system (within bounds when present)."""
-        if not self.constraints:
+        if not self._b:
             raise ValueError("check_feasible on an empty system")
         if self.witness is not None and not force_lp:
             return FeasibilityVerdict(feasible=True, point=self.witness.copy(),
@@ -137,8 +152,8 @@ class InequalitySystem:
         certificate = self._box_certificate()
         if certificate is not None:
             return certificate
-        A = np.array([h.a for h in self.constraints])
-        b = np.array([h.b for h in self.constraints])
+        A = np.array(self._a)
+        b = np.array(self._b)
         lo, hi = self.bounds or (np.full(self.dim, -np.inf), np.full(self.dim, np.inf))
         s_value, x = _phase1_lp(A, b, lo, hi)
         if s_value <= EPS_FEAS:

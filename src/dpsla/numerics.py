@@ -42,18 +42,14 @@ def as_mat(x, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     return m
 
 
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    va = as_vec(a)
-    vb = as_vec(b, dim=va.size)
-    return float(va @ vb)
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise inner products of two (m, d) arrays.
 
-
-def matvec(A, x) -> np.ndarray:
-    """Matrix-vector product A @ x."""
-    M = as_mat(A)
-    v = as_vec(x, dim=M.shape[1])
-    return M @ v
+    One stacked `matmul` of (1, d) by (d, 1) slices: each slice runs the same
+    BLAS dot as the 1-D `a @ b`, so every entry is bitwise equal to it
+    (`np.einsum` and `np.sum(A * B, axis=1)` are not).
+    """
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:

@@ -5,6 +5,12 @@ solver for the constrained optimum.
 Every agent holds a convex quadratic, either in least-squares form
 f(x) = 0.5 ||A x - b||^2 or as a general convex quadratic x'Qx + q'x + c.
 The shared set is a box or a Euclidean ball; both are compact and convex.
+
+The simulator evaluates all agents at once: an instance stacks its objectives
+into groups of one kind and shape (`ObjectiveGroup`), and the constraint set
+projects every row of an (n, dim) array in one call. Each batched product is a
+stacked `matmul` whose slices run the same BLAS call as the single-agent
+`_eval`/`_grad`/`_project`, so the batched rows are bitwise equal to them.
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import Rng, as_mat, as_vec, solve_spd
+from .numerics import Rng, as_mat, as_vec, row_dots, solve_spd
 from .topology import Graph, build_graph
 
 PSD_EIG_TOL = -1e-10
@@ -104,6 +111,58 @@ class QuadraticObjective:
         raise ValueError(f"unknown objective kind {d.get('kind')!r}")
 
 
+@dataclass(frozen=True)
+class ObjectiveGroup:
+    """Objectives of one kind and shape, stacked along a leading agent axis.
+
+    Least squares keeps A (g, r, dim), its transpose as a *view* (a contiguous
+    copy or `einsum` would change the BLAS call and the last bits) and
+    b (g, r); general quadratics keep Q, H = Q + Q' (g, dim, dim), q (g, dim)
+    and c (g,).
+    """
+
+    agents: np.ndarray  # positions of the group's objectives in the instance
+    kind: str
+    M: np.ndarray  # A or Q
+    MT: np.ndarray  # A' or H
+    v: np.ndarray  # b or q
+    c: np.ndarray | None = None
+
+    @classmethod
+    def stack(cls, objectives: list[QuadraticObjective]) -> list["ObjectiveGroup"]:
+        """Group the objectives by (kind, shape), in order of first appearance."""
+        members: dict[tuple, list[int]] = {}
+        for i, o in enumerate(objectives):
+            shape = o.A.shape if o.kind == "least_squares" else o.Q.shape
+            members.setdefault((o.kind, shape), []).append(i)
+        groups = []
+        for (kind, _), idx in members.items():
+            objs = [objectives[i] for i in idx]
+            if kind == "least_squares":
+                A = np.stack([o.A for o in objs])
+                groups.append(cls(np.array(idx), kind, A, A.transpose(0, 2, 1),
+                                  np.stack([o.b for o in objs])))
+            else:
+                groups.append(cls(np.array(idx), kind, np.stack([o.Q for o in objs]),
+                                  np.stack([o._H for o in objs]), np.stack([o.q for o in objs]),
+                                  np.array([o.c for o in objs])))
+        return groups
+
+    def values(self, Z: np.ndarray) -> np.ndarray:
+        """f_j(z_j) for each row z_j of Z (g, dim)."""
+        if self.kind == "least_squares":
+            R = (self.M @ Z[:, :, None])[:, :, 0] - self.v
+            return 0.5 * row_dots(R, R)
+        return row_dots((Z[:, None, :] @ self.M)[:, 0, :], Z) + row_dots(self.v, Z) + self.c
+
+    def values_grads(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f_j(z_j) and grad f_j(z_j) for each row z_j of Z (g, dim)."""
+        if self.kind == "least_squares":
+            R = (self.M @ Z[:, :, None])[:, :, 0] - self.v
+            return 0.5 * row_dots(R, R), (self.MT @ R[:, :, None])[:, :, 0]
+        return self.values(Z), (self.MT @ Z[:, :, None])[:, :, 0] + self.v
+
+
 # -- constraint sets --------------------------------------------------------------
 
 
@@ -147,6 +206,24 @@ class ConstraintSet:
         if norm <= self.radius:
             return y.copy()
         return self.ball_center + (self.radius / norm) * d
+
+    def _project_rows(self, Y: np.ndarray) -> np.ndarray:
+        """`_project` applied to every row of Y (m, dim)."""
+        if self.kind == "box":
+            return np.clip(Y, self.lower, self.upper)
+        D = Y - self.ball_center
+        norms = np.sqrt(row_dots(D, D))
+        out = Y.copy()
+        far = ~(norms <= self.radius)
+        out[far] = self.ball_center + (self.radius / norms[far])[:, None] * D[far]
+        return out
+
+    def _contains_rows(self, X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """`contains` for every row of X (m, dim), as a boolean array."""
+        if self.kind == "box":
+            return np.all((X >= self.lower - tol) & (X <= self.upper + tol), axis=1)
+        D = X - self.ball_center
+        return np.sqrt(row_dots(D, D)) <= self.radius + tol
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         x = as_vec(x, dim=self.dim)
@@ -245,8 +322,28 @@ class ProblemInstance:
     def sum_grad(self, x) -> np.ndarray:
         return self._sum_grad(as_vec(x, dim=self.dim))
 
+    @cached_property
+    def _groups(self) -> list[ObjectiveGroup]:
+        return ObjectiveGroup.stack(self.objectives)
+
+    def _values_grads(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f_i(z_i) (n,) and grad f_i(z_i) (n, dim) for the rows z_i of Z (n, dim)."""
+        F = np.empty(self.n_agents)
+        G = np.empty((self.n_agents, self.dim))
+        for grp in self._groups:
+            F[grp.agents], G[grp.agents] = grp.values_grads(Z[grp.agents])
+        return F, G
+
+    def _values(self, Z: np.ndarray) -> np.ndarray:
+        """f_i(z_i) (n,) for the rows z_i of Z (n, dim)."""
+        F = np.empty(self.n_agents)
+        for grp in self._groups:
+            F[grp.agents] = grp.values(Z[grp.agents])
+        return F
+
     def _sum_value(self, x: np.ndarray) -> float:
-        return sum(o._eval(x) for o in self.objectives)
+        F = self._values(x[None, :].repeat(self.n_agents, axis=0))
+        return sum(F.tolist())  # in agent order, as sum(o._eval(x) for o in objectives)
 
     def _sum_grad(self, x: np.ndarray) -> np.ndarray:
         g = np.zeros(self.dim)

@@ -23,6 +23,9 @@ soundness is unaffected because the network optimum always lies in the box.
 When the window turns infeasible the level is raised to a convex combination
 of itself and the smallest objective value seen in the window, and the window
 is cleared.
+
+`raw_beta` and `decide_alpha` act on the (n,) arrays of all agents at once;
+each agent's window (`LevelState`, `record_step`) stays a Python object.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feasibility import HalfSpace, InequalitySystem
+from .feasibility import InequalitySystem
 
 
 @dataclass(frozen=True)
@@ -99,38 +102,27 @@ class StepsizeConfig:
         return self.c0 * self.alpha0 / 2.0
 
 
-def raw_beta(cfg: StepsizeConfig, f_val: float, level: float, grad_sq: float) -> float:
-    """Unclamped Polyak value gamma * (f - level) / ||g||^2; may be negative."""
-    if grad_sq <= cfg.eps_grad ** 2:
-        raise ValueError("gradient below the zero-gradient threshold; no Polyak value")
-    return cfg.gamma * (f_val - level) / grad_sq
+def raw_beta(cfg: StepsizeConfig, f_val, level, grad_sq):
+    """Unclamped Polyak value gamma * (f - level) / ||g||^2, elementwise; may be
+    negative. A zero gradient (||g|| <= eps_grad) has no Polyak value and gets
+    -inf, which `decide_alpha` treats as the lower clamp."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(grad_sq > cfg.eps_grad ** 2, cfg.gamma * (f_val - level) / grad_sq, -np.inf)
 
 
-@dataclass
-class StepsizeState:
-    """Stepsize memory for one agent.
+def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, beta: np.ndarray, k: int) -> np.ndarray:
+    """Clamped, decaying stepsizes of every agent for round k.
 
-    `cap` carries the min(...) value c_{k-1} * alpha_{i,k-1} exactly instead of
-    recomputing the product, which makes the corridor bounds bitwise tight.
+    `cap` (n,) carries each agent's min(...) value c_{k-1} * alpha_{i,k-1} and
+    is updated in place; it starts at c0 * alpha0. The max/min keep Python's
+    argument order, so a NaN beta propagates exactly as in the scalar rule.
     """
-
-    cap: float
-
-    @classmethod
-    def fresh(cls, cfg: StepsizeConfig) -> "StepsizeState":
-        return cls(cap=cfg.c0 * cfg.alpha0)
-
-
-def decide_alpha(cfg: StepsizeConfig, st: StepsizeState, beta: float | None, k: int) -> float:
-    """Clamped, decaying stepsize for round k; `beta=None` signals a zero gradient
-    and is treated as the lower clamp."""
     if k < 0:
         raise ValueError("k must be >= 0")
     floor = cfg.beta_floor
-    inner = floor if beta is None else max(beta, floor)
-    m = min(inner, st.cap)
-    st.cap = m
-    return m / cfg.c_value(k)
+    inner = np.where(floor > beta, floor, beta)  # max(beta, floor)
+    cap[...] = np.where(cap < inner, cap, inner)  # min(inner, cap)
+    return cap / cfg.c_value(k)
 
 
 @dataclass
@@ -153,25 +145,23 @@ class LevelState:
         return cls(level=level0, system=InequalitySystem(dim, bounds=bounds), eta_cap=eta_cap)
 
 
-def record_step(ls: LevelState, cfg: StepsizeConfig, z: np.ndarray, f_val: float,
-                g: np.ndarray, beta_used: float, k: int) -> float | None:
-    """Append round k's half-space, run the feasibility check, update the level.
+def record_step(ls: LevelState, cfg: StepsizeConfig, g: np.ndarray, b: float,
+                f_val: float) -> float | None:
+    """Append one round's half-space g.x <= b, run the feasibility check, update the level.
 
-    Returns the new level when the window turned infeasible, else None.
-    `beta_used` is the Polyak value written into the constraint (raw or
-    lower-clamped per config). Zero-gradient rounds contribute nothing.
+    Returns the new level when the window turned infeasible, else None. `g` is
+    the agent's gradient, nonzero (zero-gradient rounds contribute nothing, so
+    the caller skips them), and b = g.z - (beta / gamma_bar) ||g||^2 with beta
+    the Polyak value written into the constraint (raw or lower-clamped per
+    config).
     """
-    grad_sq = float(g @ g)
-    if grad_sq <= cfg.eps_grad ** 2:
-        return None
-    b = float(g @ z) - beta_used * grad_sq / cfg.gamma_bar
-    ls.system.add_constraint(HalfSpace(a=g, b=b, iter=k))
+    ls.system._append(g, b)
     ls.window_fvals.append(f_val)
     ls.window_min_f = min(ls.window_min_f, f_val)
     if ls.eta_cap is not None and ls.system.size > ls.eta_cap:
         ls.system.drop_oldest()
-        ls.window_fvals.popleft()
-        ls.window_min_f = min(ls.window_fvals)
+        if ls.window_fvals.popleft() == ls.window_min_f:
+            ls.window_min_f = min(ls.window_fvals)
     verdict = ls.system.check_feasible()
     if verdict.feasible:
         return None

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Rng, as_vec
+from .numerics import Rng, as_mat
 
 STOCHASTIC_TOL = 1e-12
 
@@ -173,12 +173,12 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     return MixingMatrix(W=W, source_graph=g)
 
 
-def mix(W: MixingMatrix, states: list[np.ndarray]) -> list[np.ndarray]:
-    """One consensus step: z_i = sum_j w_ij x_j for every agent."""
-    n = W.n_agents
-    if len(states) != n:
-        raise ValueError(f"expected {n} states, got {len(states)}")
-    dim = states[0].shape[0] if np.ndim(states[0]) == 1 else None
-    X = np.stack([as_vec(s, dim=dim) for s in states])
-    Z = W.W @ X
-    return [Z[i] for i in range(n)]
+def mix(W: MixingMatrix, states) -> np.ndarray:
+    """One consensus step z_i = sum_j w_ij x_j for every agent.
+
+    `states` is an (n, dim) array or a list of n vectors; returns the (n, dim)
+    array whose rows are the z_i.
+    """
+    if len(states) != W.n_agents:
+        raise ValueError(f"expected {W.n_agents} states, got {len(states)}")
+    return W.W @ as_mat(states)

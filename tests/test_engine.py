@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from dpsla.engine import (Dgd, Dpsla, NaivePolyak, run, run_speedup_sweep,
-                          sweep_algorithm)
+from dpsla import engine
+from dpsla.engine import (Dgd, Dpsla, NaivePolyak, first_violations, run,
+                          run_speedup_sweep, sweep_algorithm)
 from dpsla.numerics import Rng
-from dpsla.problem import gen_paper_instance, gen_triangle_demo
+from dpsla.problem import (ConstraintSet, ProblemInstance, QuadraticObjective,
+                           gen_paper_instance, gen_triangle_demo)
 from dpsla.stepsize import StepsizeConfig
+from dpsla.topology import build_graph, metropolis_weights
 
 
 @pytest.fixture(scope="module")
@@ -101,19 +105,13 @@ class TestBaselines:
 
 
 class _ReplayController:
-    """Stub controller replaying a fixed per-agent stepsize table."""
+    """Stub stepsize rule replaying a fixed (round, agent) stepsize table."""
 
     def __init__(self, table):
         self.table = table
 
-    def initial_alpha(self, i):
-        return None
-
-    def step(self, i, k, z, f_val, g, grad_sq):
-        return self.table[k][i], False
-
-    def level(self, i):
-        return None
+    def stepsizes(self, k, F, G, grad_sq):
+        return self.table[k]
 
 
 class TestSharedTemplate:
@@ -184,3 +182,128 @@ class TestValidateMode:
     def test_bad_iterations(self, triangle):
         with pytest.raises(ValueError):
             run(triangle, Dgd(), 0)
+
+
+def _mixed_instance(constraint) -> ProblemInstance:
+    """Least squares with 1 and 3 rows and general quadratics, interleaved, dim 3."""
+    gen = np.random.default_rng(4)
+
+    def ls(rows):
+        return QuadraticObjective.least_squares(gen.uniform(-1, 1, (rows, 3)), gen.uniform(-2, 2, rows))
+
+    def quad():
+        M = gen.normal(size=(3, 3))
+        return QuadraticObjective.quadratic(M @ M.T, gen.normal(size=3), float(gen.normal()))
+
+    objectives = [ls(1), quad(), ls(3), ls(1), quad(), ls(3)]
+    return ProblemInstance(objectives=objectives, constraint=constraint,
+                           graph=build_graph("ring", len(objectives)))
+
+
+def _reference_round(inst, W, xs, alphas):
+    """One round agent by agent through the single-vector paths."""
+    zs = list(W.W @ np.stack(xs))
+    out = []
+    for i, z in enumerate(zs):
+        step = z - alphas[i] * inst.objectives[i]._grad(z)
+        out.append(inst.constraint._project(step) if np.all(np.isfinite(step)) else z)
+    return out
+
+
+class TestBatchedRound:
+    """The array paths of a round are bitwise equal to the per-agent paths."""
+
+    def test_mixed_objective_groups(self):
+        inst = _mixed_instance(ConstraintSet.box(-np.ones(3), np.ones(3)))
+        assert [g.agents.tolist() for g in inst._groups] == [[0, 3], [1, 4], [2, 5]]
+        gen = np.random.default_rng(9)
+        for _ in range(50):
+            Z = gen.normal(scale=10.0 ** gen.uniform(-3, 3), size=(6, 3))
+            F, G = inst._values_grads(Z)
+            for i, (o, z) in enumerate(zip(inst.objectives, Z)):
+                assert F[i] == o._eval(z)
+                assert np.array_equal(G[i], o._grad(z))
+            x = Z[0]
+            assert inst._sum_value(x) == sum(o._eval(x) for o in inst.objectives)
+
+    def test_ball_run_matches_per_agent_rounds(self):
+        inst = _mixed_instance(ConstraintSet.ball([0.5, 0.0, -0.5], 1.5))
+        tr = run(inst, Dgd(scale=1.0), 40, seed=0, x0="uniform", keep_states=True)
+        W = metropolis_weights(inst.graph)
+        projected = kept = 0
+        for k in range(40):
+            xs = list(tr.states[k])
+            ref = _reference_round(inst, W, xs, tr.records[k + 1].alpha)
+            for i, (x_new, x_ref) in enumerate(zip(tr.states[k + 1], ref)):
+                assert np.array_equal(x_new, x_ref), (k, i)
+                z = (W.W @ np.stack(xs))[i]
+                step = z - tr.records[k + 1].alpha[i] * inst.objectives[i]._grad(z)
+                if np.linalg.norm(step - inst.constraint.ball_center) > inst.constraint.radius:
+                    projected += 1
+                else:
+                    kept += 1
+        assert projected > 0 and kept > 0
+
+    def test_projection_rows(self):
+        for cs in (ConstraintSet.ball([1.0, -2.0], 2.0),
+                   ConstraintSet.box([-1.0, 0.0], [2.0, 0.5])):
+            gen = np.random.default_rng(5)
+            Y = np.vstack([gen.normal(scale=3.0, size=(60, 2)), cs.center()])
+            P = cs._project_rows(Y)
+            for y, p in zip(Y, P):
+                assert np.array_equal(p, cs._project(y))
+            assert np.array_equal(cs._contains_rows(Y), [cs.contains(y) for y in Y])
+
+    def test_infinite_step_holds_one_agent(self, triangle):
+        class OneInfinite:
+            def stepsizes(self, k, F, G, grad_sq):
+                return [0.1, math.inf, 0.1]
+
+        tr = run(triangle, OneInfinite(), 3, seed=0, x0="uniform", keep_states=True)
+        W = metropolis_weights(triangle.graph)
+        assert not tr.records[0].diverged
+        assert all(r.diverged for r in tr.records[1:])
+        for k in range(3):
+            Z = W.W @ tr.states[k]
+            assert np.array_equal(tr.states[k + 1][1], Z[1])  # held at z
+            ref = _reference_round(triangle, W, list(tr.states[k]), [0.1, math.inf, 0.1])
+            for i in (0, 2):
+                assert np.array_equal(tr.states[k + 1][i], ref[i])
+                assert not np.array_equal(tr.states[k + 1][i], Z[i])
+
+
+class TestInvariantChecker:
+    def test_validate_names_round_and_agent(self, paper0, monkeypatch):
+        decide = engine.decide_alpha
+
+        def broken(cfg, cap, beta, k):
+            alpha = decide(cfg, cap, beta, k)
+            if k == 7:
+                alpha[2] *= 10.0
+            return alpha
+
+        monkeypatch.setattr(engine, "decide_alpha", broken)
+        with pytest.raises(AssertionError, match="alpha corridor violated at k=7, agent 2"):
+            run(paper0, Dpsla(), 20, seed=0, validate=True)
+
+    def test_first_violations_on_edited_trace(self, triangle):
+        tr = run(triangle, Dpsla(), 30, seed=0, keep_states=True)
+        cfg = Dpsla().stepsize
+        clean = first_violations(tr.records, cfg, triangle.constraint, tr.states)
+        assert clean == {"alpha_monotone": None, "level_monotone": None,
+                         "corridor": None, "feasible": None}
+        recs = list(tr.records)
+        recs[12] = dataclasses.replace(recs[12], level=(recs[12].level[0] - 1.0,) + recs[12].level[1:])
+        recs[20] = dataclasses.replace(recs[20], alpha=recs[20].alpha[:1] + (1e3,) + recs[20].alpha[2:])
+        states = list(tr.states)
+        states[5] = states[5].copy()
+        states[5][2] = [10.0, 10.0]
+        found = first_violations(recs, cfg, triangle.constraint, states)
+        assert found["level_monotone"] == (11, 0)  # record 12 is filled by round 11
+        assert found["alpha_monotone"] == (19, 1)
+        assert found["corridor"] == (19, 1)
+        assert found["feasible"] == (4, 2)
+
+    def test_baselines_have_no_level_check(self, triangle):
+        tr = run(triangle, Dgd(), 10, seed=0)
+        assert set(first_violations(tr.records)) == {"alpha_monotone"}

@@ -3,47 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpsla.numerics import Rng, SingularMatrixError, dot, matvec, solve_spd
-
-
-class TestDot:
-    def test_basic(self):
-        assert dot([1, 2], [3, 4]) == 11.0
-
-    def test_orthogonal(self):
-        assert dot([1, 0], [0, 1]) == 0.0
-
-    def test_self_dot_nonnegative(self):
-        gen = np.random.default_rng(7)
-        for _ in range(50):
-            x = gen.normal(size=gen.integers(1, 12))
-            assert dot(x, x) >= 0.0
-            assert math.isclose(dot(x, x), float(np.linalg.norm(x)) ** 2, rel_tol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dot([1, 2], [1, 2, 3])
-
-    def test_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError):
-            dot([1, float("nan")], [1, 2])
-        with pytest.raises(ValueError):
-            dot([1, 2], [1, float("inf")])
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.allclose(matvec(np.eye(2), [3, -1]), [3, -1])
-
-    def test_zero_matrix(self):
-        assert np.allclose(matvec(np.zeros((3, 2)), [5, 7]), np.zeros(3))
-
-    def test_direct(self):
-        assert np.allclose(matvec([[1, 2], [3, 4]], [1, 1]), [3, 7])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec([[1, 2], [3, 4]], [1, 2, 3])
+from dpsla.numerics import Rng, SingularMatrixError, solve_spd
 
 
 class TestSolveSpd:

@@ -5,14 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsla.stepsize import (CSchedule, LevelState, StepsizeConfig,
-                            StepsizeState, decide_alpha, raw_beta, record_step)
+from dpsla.engine import Dpsla, run
+from dpsla.problem import ConstraintSet, ProblemInstance, QuadraticObjective
+from dpsla.stepsize import (CSchedule, LevelState, StepsizeConfig, decide_alpha,
+                            raw_beta, record_step)
+from dpsla.topology import build_graph
 
 
 def cfg_unit():
     # c0 = 1, alpha0 = 1 makes the base-case arithmetic transparent
     return StepsizeConfig(gamma=1.0, gamma_bar=1.5, alpha0=1.0,
                           c_schedule=CSchedule.sqrt(1.0))
+
+
+def fresh_cap(cfg, n=1):
+    return np.full(n, cfg.c0 * cfg.alpha0)
+
+
+def step(ls, cfg, z, f_val, g, beta):
+    """One round of an agent's window, with the half-space built as the engine
+    builds it: g.x <= g.z - (beta / gamma_bar) ||g||^2."""
+    z, g = np.asarray(z, dtype=float), np.asarray(g, dtype=float)
+    grad_sq = float(g @ g)
+    return record_step(ls, cfg, g, float(g @ z) - float(beta) * grad_sq / cfg.gamma_bar, f_val)
 
 
 class TestCSchedule:
@@ -73,33 +88,33 @@ class TestRawBeta:
         assert raw_beta(cfg_unit(), 0.0, 1.0, 4.0) < 0.0
 
     def test_zero_gradient_signals(self):
-        with pytest.raises(ValueError):
-            raw_beta(cfg_unit(), 1.0, 0.0, 1e-30)
+        assert raw_beta(cfg_unit(), 1.0, 0.0, 1e-30) == -math.inf
+
+    def test_elementwise(self):
+        beta = raw_beta(cfg_unit(), np.array([3.0, 1.0, 5.0]), np.array([1.0, 1.0, 0.0]),
+                        np.array([4.0, 4.0, 0.0]))
+        assert beta.tolist() == [0.5, 0.0, -math.inf]
 
 
 class TestDecideAlpha:
     def test_base_case_large_beta(self):
         cfg = cfg_unit()
-        st_ = StepsizeState.fresh(cfg)
-        assert decide_alpha(cfg, st_, 10.0, 0) == 1.0  # hits the c0*alpha0 cap
+        assert decide_alpha(cfg, fresh_cap(cfg), np.array([10.0]), 0) == 1.0  # hits the c0*alpha0 cap
 
     def test_base_case_small_beta(self):
         cfg = cfg_unit()
-        st_ = StepsizeState.fresh(cfg)
-        assert decide_alpha(cfg, st_, 0.1, 0) == 0.5  # lower clamp c0*alpha0/2
+        assert decide_alpha(cfg, fresh_cap(cfg), np.array([0.1]), 0) == 0.5  # lower clamp c0*alpha0/2
 
     def test_zero_gradient_is_lower_clamp(self):
         cfg = cfg_unit()
-        st_ = StepsizeState.fresh(cfg)
-        assert decide_alpha(cfg, st_, None, 0) == 0.5
+        assert decide_alpha(cfg, fresh_cap(cfg), np.array([-math.inf]), 0) == 0.5
 
     def test_three_way_case_split(self):
         # closed-form case analysis of min{max{beta, h}, cap} / c_k
         cfg = cfg_unit()
         for k, cap, beta in [(0, 1.0, 0.2), (0, 1.0, 0.7), (0, 1.0, 5.0),
                              (3, 0.8, 0.2), (3, 0.8, 0.6), (3, 0.8, 2.0)]:
-            st_ = StepsizeState(cap=cap)
-            got = decide_alpha(cfg, st_, beta, k)
+            got = decide_alpha(cfg, np.array([cap]), np.array([beta]), k)[0]
             h = cfg.c0 * cfg.alpha0 / 2
             if beta <= h:
                 expected = min(h, cap) / cfg.c_value(k)
@@ -114,10 +129,10 @@ class TestDecideAlpha:
     @settings(max_examples=200, deadline=None)
     def test_corridor_bounds_exact(self, betas):
         cfg = StepsizeConfig()  # benchmark defaults, c = 0.5 sqrt(k+1)
-        st_ = StepsizeState.fresh(cfg)
+        cap = fresh_cap(cfg)
         prev = None
         for k, beta in enumerate(betas):
-            a = decide_alpha(cfg, st_, beta, k)
+            a = decide_alpha(cfg, cap, np.array([beta]), k)[0]
             ck = cfg.c_value(k)
             assert (cfg.c0 * cfg.alpha0 / 2) / ck <= a <= (cfg.c0 * cfg.alpha0) / ck
             if prev is not None:
@@ -132,7 +147,7 @@ class TestRecordStep:
     def test_first_constraint_kept(self):
         cfg = cfg_unit()
         ls = self._fresh()
-        out = record_step(ls, cfg, np.array([0.0]), 10.0, np.array([1.0]), 1.5, 0)
+        out = step(ls, cfg, np.array([0.0]), 10.0, np.array([1.0]), 1.5)
         assert out is None
         assert ls.system.size == 1
 
@@ -140,8 +155,8 @@ class TestRecordStep:
         # force infeasibility with x <= -1 then -x <= -1 (beta/gamma_bar = 1)
         cfg = cfg_unit()
         ls = self._fresh(level=-500.0)
-        assert record_step(ls, cfg, np.array([0.0]), 10.0, np.array([1.0]), 1.5, 0) is None
-        new = record_step(ls, cfg, np.array([0.0]), 12.0, np.array([-1.0]), 1.5, 1)
+        assert step(ls, cfg, np.array([0.0]), 10.0, np.array([1.0]), 1.5) is None
+        new = step(ls, cfg, np.array([0.0]), 12.0, np.array([-1.0]), 1.5)
         assert new == pytest.approx(-330.0, abs=1e-12)  # (2/3)(-500) + (1/3)(10)
         assert ls.level == new
         assert ls.system.size == 0 and ls.update_count == 1
@@ -150,40 +165,49 @@ class TestRecordStep:
     def test_strict_increase_when_window_above_level(self):
         cfg = cfg_unit()
         ls = self._fresh(level=-5.0)
-        record_step(ls, cfg, np.array([0.0]), 3.0, np.array([1.0]), 1.5, 0)
-        new = record_step(ls, cfg, np.array([0.0]), 4.0, np.array([-1.0]), 1.5, 1)
+        step(ls, cfg, np.array([0.0]), 3.0, np.array([1.0]), 1.5)
+        new = step(ls, cfg, np.array([0.0]), 4.0, np.array([-1.0]), 1.5)
         assert new is not None and new > -5.0
 
     def test_monotone_guard_on_low_window(self):
         # window minimum below the level: the update must not lower the level
         cfg = cfg_unit()
         ls = self._fresh(level=100.0)
-        record_step(ls, cfg, np.array([0.0]), -50.0, np.array([1.0]), 1.5, 0)
-        new = record_step(ls, cfg, np.array([0.0]), -60.0, np.array([-1.0]), 1.5, 1)
+        step(ls, cfg, np.array([0.0]), -50.0, np.array([1.0]), 1.5)
+        new = step(ls, cfg, np.array([0.0]), -60.0, np.array([-1.0]), 1.5)
         assert new == 100.0
 
     def test_zero_gradient_contributes_nothing(self):
+        # agent 0 has f = 0 everywhere, so its gradient is zero in every round:
+        # its window stays empty, its level never moves and its stepsize takes
+        # the lower clamp of the corridor
+        flat = QuadraticObjective.least_squares(np.zeros((1, 2)), [0.0])
+        others = [QuadraticObjective.quadratic([[2.0, 0.5], [0.5, 3.0]], [-4.0, -2.0]),
+                  QuadraticObjective.quadratic([[3.0, 0.0], [0.0, 2.0]], [1.0, -3.0], 2.0)]
+        inst = ProblemInstance(objectives=[flat] + others,
+                               constraint=ConstraintSet.ball([0.0, 0.0], 4.0),
+                               graph=build_graph("triangle", 3))
         cfg = cfg_unit()
-        ls = self._fresh()
-        out = record_step(ls, cfg, np.array([0.0]), 5.0, np.array([0.0]), 0.0, 0)
-        assert out is None
-        assert ls.system.size == 0
-        assert ls.window_min_f == math.inf
+        tr = run(inst, Dpsla(stepsize=cfg), 40, seed=0)
+        assert all(r.level[0] == -500.0 and not r.level_updated[0] for r in tr.records)
+        assert any(any(r.level_updated[1:]) for r in tr.records)
+        for k, r in enumerate(tr.records[1:]):
+            assert r.alpha[0] == cfg.beta_floor / cfg.c_value(k)
 
     def test_window_min_tracks(self):
         cfg = cfg_unit()
         ls = self._fresh()
-        record_step(ls, cfg, np.array([0.0]), 7.0, np.array([1.0]), 0.1, 0)
-        record_step(ls, cfg, np.array([0.1]), 3.0, np.array([1.0]), 0.1, 1)
-        record_step(ls, cfg, np.array([0.2]), 9.0, np.array([1.0]), 0.1, 2)
+        step(ls, cfg, np.array([0.0]), 7.0, np.array([1.0]), 0.1)
+        step(ls, cfg, np.array([0.1]), 3.0, np.array([1.0]), 0.1)
+        step(ls, cfg, np.array([0.2]), 9.0, np.array([1.0]), 0.1)
         assert ls.window_min_f == 3.0
 
     def test_eta_cap_drops_oldest_and_recomputes_min(self):
         cfg = cfg_unit()
         ls = LevelState.fresh(-500.0, 1, eta_cap=2)
-        record_step(ls, cfg, np.array([0.0]), 1.0, np.array([1.0]), 0.01, 0)
-        record_step(ls, cfg, np.array([0.0]), 5.0, np.array([1.0]), 0.01, 1)
-        record_step(ls, cfg, np.array([0.0]), 6.0, np.array([1.0]), 0.01, 2)
+        step(ls, cfg, np.array([0.0]), 1.0, np.array([1.0]), 0.01)
+        step(ls, cfg, np.array([0.0]), 5.0, np.array([1.0]), 0.01)
+        step(ls, cfg, np.array([0.0]), 6.0, np.array([1.0]), 0.01)
         assert ls.system.size == 2
         assert ls.window_min_f == 5.0  # the f=1 row was evicted
 
@@ -200,7 +224,7 @@ class TestRecordStep:
             f_val = float((z[0] + 3.0) ** 2)
             g = np.array([2.0 * (z[0] + 3.0)])
             beta = raw_beta(cfg, f_val, ls.level, float(g @ g))
-            record_step(ls, cfg, z, f_val, g, beta, k)
+            step(ls, cfg, z, f_val, g, beta)
             assert ls.level < f_star
         assert f_star - ls.level < 1e-6
 
@@ -216,7 +240,7 @@ class TestRecordStep:
             f_val = float((z[0] + 3.0) ** 2)
             g = np.array([2.0 * (z[0] + 3.0)])
             beta = raw_beta(cfg, f_val, ls.level, float(g @ g))
-            record_step(ls, cfg, z, f_val, g, beta, k)
+            step(ls, cfg, z, f_val, g, beta)
             levels.append(ls.level)
         assert levels[-1] == levels[50]  # stalled
         assert levels[-1] < 1.0  # still a sound lower bound on the box optimum
