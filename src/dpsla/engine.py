@@ -163,12 +163,12 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance):
     if isinstance(alg.level_init, (tuple, list)):
         if len(alg.level_init) != n:
             raise ValueError("per-agent level_init needs one value per agent")
-        level = np.array([float(v) for v in alg.level_init])
+        level = np.array(alg.level_init, dtype=float)
     else:
         level = np.full(n, float(alg.level_init))
     bounds = inst.constraint.bounding_box()
-    windows = [LevelState.fresh(float(level[i]), inst.dim, bounds=bounds, eta_cap=alg.eta_cap)
-               for i in range(n)]
+    windows = [LevelState.fresh(lvl, inst.dim, bounds=bounds, eta_cap=alg.eta_cap)
+               for lvl in level.tolist()]
     cap = np.full(n, cfg.c0 * cfg.alpha0)
     floor = cfg.beta_floor
 
@@ -301,10 +301,10 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
         cfg = alg.stepsize if isinstance(alg, Dpsla) else None
         found = first_violations(records, cfg, inst.constraint, states)
         checked = _VALIDATE_MESSAGES if cfg is not None else ("feasible",)
-        hits = [(found[name][0], order, found[name][1], name)
-                for order, name in enumerate(checked) if found[name] is not None]
+        hits = [(found[name], order, name) for order, name in enumerate(checked)
+                if found[name] is not None]
         if hits:
-            k, _, i, name = min(hits)
+            (k, i), _, name = min(hits)
             raise AssertionError(f"{_VALIDATE_MESSAGES[name]} at k={k}, agent {i}")
 
     meta = {
