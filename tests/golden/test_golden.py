@@ -2,8 +2,10 @@
 
 The goldens pin the simulator's observable behaviour for fixed configs and
 seeds: the CSVs and manifests of `dpsla reproduce main --seed 0` and
-`dpsla reproduce divergence --seed 0`, and the trace of one uncapped DPS-LA
-run whose windows grow long. A refactor must leave every byte unchanged.
+`dpsla reproduce divergence --seed 0`, the trace of one uncapped DPS-LA run
+whose windows grow long, and the trace of one run whose windows are capped at 8
+rows, so the oldest row is evicted thousands of times. A refactor must leave
+every byte unchanged.
 
 Regenerate only for an intended change of behaviour, and say so in the change:
 
@@ -27,19 +29,20 @@ DATA = Path(__file__).resolve().parent / "data"
 REPRODUCE = ("main", "divergence")
 
 
-def write_uncapped(out: Path) -> None:
-    """DPS-LA with no window cap, n=4, dim=16, T=200, seed 0."""
-    inst = gen_paper_instance(n=4, dim=16, rng=Rng(0))
+def write_trace(out: Path, n: int, dim: int, eta_cap: int | None, T: int) -> None:
+    """Trace of DPS-LA (alpha0 = 0.05) on the paper instance Rng(0), seed 0."""
+    inst = gen_paper_instance(n=n, dim=dim, rng=Rng(0))
     inst.ensure_optimum()
-    alg = Dpsla(stepsize=StepsizeConfig(alpha0=0.05), eta_cap=None)
+    alg = Dpsla(stepsize=StepsizeConfig(alpha0=0.05), eta_cap=eta_cap)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(run(inst, alg, 200, seed=0), out / "trace.csv")
+    write_csv(run(inst, alg, T, seed=0), out / "trace.csv")
 
 
 def produce(root: Path) -> None:
     for which in REPRODUCE:
         assert main(["reproduce", which, "--out", str(root / which), "--seed", "0"]) == 0
-    write_uncapped(root / "uncapped")
+    write_trace(root / "uncapped", n=4, dim=16, eta_cap=None, T=200)
+    write_trace(root / "capped", n=8, dim=6, eta_cap=8, T=300)
 
 
 def _files(root: Path) -> list[str]:
