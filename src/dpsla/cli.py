@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .engine import (Dgd, Dpsla, NaivePolyak, first_violations, run, run_speedup_sweep,
@@ -28,6 +28,7 @@ from .metrics import write_csv, write_level_gap_csv, write_sweep_csv
 from .numerics import Rng
 from .problem import ProblemInstance, gen_paper_instance, gen_triangle_demo
 from .stepsize import CSchedule, StepsizeConfig
+from .topology import GRAPH_KINDS
 
 OUT_ENV = "DPSLA_OUT"
 
@@ -93,15 +94,8 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
-_SECTION_FIELDS = {
-    "problem": {"type", "path", "n_agents", "dim", "rows_per_agent", "seed",
-                "graph_kind", "edge_prob", "x0"},
-    "algorithm": {"name", "gamma", "gamma_bar", "alpha0", "c_kind", "c_scale",
-                  "level_init", "eta_cap", "constraint_beta", "eps_grad",
-                  "dgd_scale", "naive_target"},
-    "run": {"iterations", "record_every"},
-    "output": {"directory"},
-}
+_SECTION_FIELDS = {section.name: {f.name for f in fields(getattr(RunConfig(), section.name))}
+                   for section in fields(RunConfig)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -145,8 +139,7 @@ def _validate(cfg: RunConfig) -> None:
     _require(p.dim >= 1, "problem.dim", "must be >= 1")
     _require(p.rows_per_agent >= 1, "problem.rows_per_agent", "must be >= 1")
     _require(0 <= int(p.seed) < 2 ** 64, "problem.seed", "must be a 64-bit unsigned integer")
-    _require(p.graph_kind in ("triangle", "complete", "ring", "path", "random"),
-             "problem.graph_kind", "unknown graph kind")
+    _require(p.graph_kind in GRAPH_KINDS, "problem.graph_kind", "unknown graph kind")
     _require(0.0 < p.edge_prob <= 1.0, "problem.edge_prob", "must be in (0, 1]")
     _require(p.x0 in ("center", "uniform"), "problem.x0", "must be center or uniform")
 

@@ -5,25 +5,25 @@ aggregated states Z = W X, evaluate every f_i and its gradient at its row of Z
 (`ProblemInstance._values_grads`), pick all stepsizes with one array
 expression, take the projected gradient steps Z - alpha G in one call, and
 write one trace record. Algorithms differ only in the stepsize rule, so the
-consensus and projection paths are shared by construction. DPS-LA also keeps
-one level window per agent; that loop over agents is the only per-agent Python
-in a round. A row whose step is not finite holds its z and marks the run as
-diverged. Every agent's update depends only on the previous round's states;
-the run is single threaded and deterministic for a fixed (instance, algorithm,
-seed).
+consensus and projection paths are shared by construction. DPS-LA also records
+the round's half-spaces in its level windows (`stepsize.record_step`), which
+loop in Python only over the agents whose cached witness fell. A row whose
+step is not finite holds its z and marks the run as diverged. Every agent's
+update depends only on the previous round's states; the run is single threaded
+and deterministic for a fixed (instance, algorithm, seed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .metrics import consensus_error, residual
 from .numerics import Rng, row_dots
 from .problem import ConstraintSet, ProblemInstance, gen_paper_instance, minimize_local
-from .stepsize import LevelState, StepsizeConfig, decide_alpha, raw_beta, record_step
+from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, raw_beta, record_step
 from .topology import metropolis_weights, mix
 
 
@@ -53,21 +53,13 @@ class Dpsla:
 
 @dataclass(frozen=True)
 class Dgd:
-    """Distributed gradient descent with a shared stepsize schedule.
-
-    Default rule is the diminishing schedule alpha_k = scale / (k + 1); tests
-    may inject any callable k -> alpha."""
+    """Distributed gradient descent with the shared diminishing schedule
+    alpha_k = scale / (k + 1)."""
 
     scale: float = 2.0
-    rule: Callable[[int], float] | None = None
 
     def alpha(self, k: int) -> float:
-        if self.rule is not None:
-            return float(self.rule(k))
         return self.scale / (k + 1.0)
-
-    def describe(self) -> dict:
-        return {"name": "dgd", "scale": self.scale, "custom_rule": self.rule is not None}
 
 
 @dataclass(frozen=True)
@@ -84,9 +76,6 @@ class NaivePolyak:
     def __post_init__(self):
         if self.target not in ("local_min", "oracle_fi_star"):
             raise ValueError("target must be 'local_min' or 'oracle_fi_star'")
-
-    def describe(self) -> dict:
-        return {"name": "naive_polyak", "target": self.target}
 
 
 @dataclass
@@ -106,7 +95,6 @@ class TraceRecord:
 class RunTrace:
     n_agents: int
     records: list[TraceRecord]
-    meta: dict
     states: list | None = None  # (n, dim) state arrays, only when keep_states=True
 
 
@@ -160,35 +148,24 @@ _VALIDATE_MESSAGES = {
 
 def _dpsla_rule(alg: Dpsla, inst: ProblemInstance):
     cfg, n = alg.stepsize, inst.n_agents
-    if isinstance(alg.level_init, (tuple, list)):
-        if len(alg.level_init) != n:
-            raise ValueError("per-agent level_init needs one value per agent")
-        level = np.array(alg.level_init, dtype=float)
-    else:
-        level = np.full(n, float(alg.level_init))
-    bounds = inst.constraint.bounding_box()
-    windows = [LevelState.fresh(lvl, inst.dim, bounds=bounds, eta_cap=alg.eta_cap)
-               for lvl in level.tolist()]
+    level = alg.level_init if isinstance(alg.level_init, (tuple, list)) else (alg.level_init,) * n
+    if len(level) != n:
+        raise ValueError("per-agent level_init needs one value per agent")
+    windows = LevelWindows(level, inst.dim, bounds=inst.constraint.bounding_box(),
+                           eta_cap=alg.eta_cap)
     cap = np.full(n, cfg.c0 * cfg.alpha0)
     floor = cfg.beta_floor
 
     def rule(k, Z, F, G, grad_sq):
-        beta = raw_beta(cfg, F, level, grad_sq)
+        beta = raw_beta(cfg, F, windows.level, grad_sq)
         alpha = decide_alpha(cfg, cap, beta, k)
         if cfg.constraint_beta == "clamped":
             beta = np.where(floor > beta, floor, beta)
         with np.errstate(invalid="ignore"):  # -inf * 0 on zero-gradient rows, unused
-            b = (row_dots(G, Z) - beta * grad_sq / cfg.gamma_bar).tolist()
-        f = F.tolist()
-        updated = np.zeros(n, dtype=bool)
-        for i in np.flatnonzero(grad_sq > cfg.eps_grad ** 2).tolist():
-            new_level = record_step(windows[i], cfg, G[i], b[i], f[i])
-            if new_level is not None:
-                level[i] = new_level
-                updated[i] = True
-        return alpha, updated
+            b = row_dots(G, Z) - beta * grad_sq / cfg.gamma_bar
+        return alpha, record_step(windows, cfg, G, b, F, grad_sq > cfg.eps_grad ** 2)
 
-    return (cfg.alpha0,) * n, level, rule
+    return (cfg.alpha0,) * n, windows.level, rule
 
 
 def _stepsize_rule(alg, inst: ProblemInstance):
@@ -273,7 +250,6 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
 
     records = [snapshot(0, alpha0, not_updated)]
     states = [X] if keep_states or validate else None
-    describe = alg.describe() if hasattr(alg, "describe") else {"name": type(alg).__name__}
 
     for k in range(iterations):
         Z = mix(W, X)
@@ -307,17 +283,7 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
             (k, i), _, name = min(hits)
             raise AssertionError(f"{_VALIDATE_MESSAGES[name]} at k={k}, agent {i}")
 
-    meta = {
-        "seed": seed,
-        "algorithm": describe,
-        "n_agents": n,
-        "dim": inst.dim,
-        "iterations": iterations,
-        "x0": x0,
-        "oracle": oracle.to_dict() if oracle is not None else None,
-    }
-    return RunTrace(n_agents=n, records=records, meta=meta,
-                    states=states if keep_states else None)
+    return RunTrace(n_agents=n, records=records, states=states if keep_states else None)
 
 
 # -- speedup sweep -----------------------------------------------------------------

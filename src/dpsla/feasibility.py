@@ -1,8 +1,7 @@
 """Accumulating linear inequality systems and their Phase-I feasibility check.
 
-Each agent owns one `InequalitySystem`. Half-spaces a.x <= b accumulate from
-the last reset onward; feasibility is decided by minimizing a single shared
-slack s over
+An `InequalitySystem` holds half-spaces a.x <= b from its last reset onward;
+feasibility is decided by minimizing a single shared slack s over
 
     a_t . x - |a_t| s <= b_t    for every stored constraint t,    lo <= x <= hi,
 
@@ -18,8 +17,11 @@ certificate (a single half-space whose best value over the box still exceeds
 its right-hand side dooms the whole system).
 
 Rows are stored as bare (a, b) pairs. `add_constraint` is the validating entry
-point. The level window calls `_append` instead, which skips the `HalfSpace`
-checks: its rows are gradients with norm above eps_grad at finite iterates.
+point. The level windows (`stepsize.LevelWindows`) keep their rows in their
+own log, test their witnesses themselves, and load a window into one reused
+system only when its witness fell, through `_append`, which skips the
+`HalfSpace` checks: their rows are gradients with norm above eps_grad at
+finite iterates.
 """
 
 from __future__ import annotations
@@ -113,10 +115,6 @@ class InequalitySystem:
                 self._witness_worst = -np.inf
             else:
                 self._witness_worst = max(self._witness_worst, v)
-
-    def drop_oldest(self) -> None:
-        if self._b:
-            del self._a[0], self._b[0]
 
     def reset(self) -> None:
         """Remove every stored constraint (bounds persist) and clear the witness."""

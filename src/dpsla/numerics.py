@@ -28,17 +28,13 @@ def as_vec(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def as_mat(x, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+def as_mat(x) -> np.ndarray:
     """Validate and convert `x` to a finite 2-D float64 array."""
     m = np.asarray(x, dtype=float)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"row mismatch: expected {rows}, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"column mismatch: expected {cols}, got {m.shape[1]}")
     return m
 
 

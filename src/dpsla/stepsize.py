@@ -11,7 +11,7 @@ the monotonicity alpha_{i,k} <= alpha_{i,k-1} hold exactly in floating point,
 not just up to rounding.
 
 The level is a lower estimate of the agent's objective value at the network
-optimum. Every step contributes the half-space
+optimum. Every step with a nonzero gradient contributes the half-space
 
     g . x  <=  g . z - (beta / gamma_bar) * ||g||^2
 
@@ -24,8 +24,12 @@ When the window turns infeasible the level is raised to a convex combination
 of itself and the smallest objective value seen in the window, and the window
 is cleared.
 
-`raw_beta` and `decide_alpha` act on the (n,) arrays of all agents at once;
-each agent's window (`LevelState`, `record_step`) stays a Python object.
+Everything here acts on all agents at once. `raw_beta` and `decide_alpha` are
+array expressions over (n,) arrays. `LevelWindows` keeps one log of the
+rounds' rows shared by all windows, a row count per agent and an (n, dim)
+array of witness points; `record_step` tests every witness against its new row
+in one call, and only the agents whose witness fell run the feasibility check
+of `InequalitySystem` on their window.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feasibility import InequalitySystem
+from .feasibility import EPS_FEAS, InequalitySystem
+from .numerics import row_dots
 
 
 @dataclass(frozen=True)
@@ -125,55 +130,85 @@ def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, beta: np.ndarray, k: int)
     return cap / cfg.c_value(k)
 
 
-@dataclass
-class LevelState:
-    """Level estimate plus the inequality window backing its violation detector."""
+class LevelWindows:
+    """Every agent's level and the inequality window behind its violation detector.
 
-    level: float
-    system: InequalitySystem
-    window_min_f: float = math.inf
-    window_fvals: deque = field(default_factory=deque)
-    update_count: int = 0
-    eta_cap: int | None = None
+    Each round's arrays (G, b, F, active) go into one shared log. Agent i's
+    window is its last `count[i]` active rows, oldest first; the cap keeps at
+    most `eta_cap` of them, and a level update resets the window to zero rows.
+    While `valid[i]`, `witness[i]` satisfies every row of agent i's window
+    within EPS_FEAS (and lies in the box). Log entries older than the oldest
+    row of every window are dropped, so the log's length is bounded by the
+    windows, not by the run.
+    """
 
-    @classmethod
-    def fresh(cls, level0: float, dim: int,
-              bounds: tuple[np.ndarray, np.ndarray] | None = None,
-              eta_cap: int | None = None) -> "LevelState":
+    def __init__(self, level0, dim: int, bounds: tuple[np.ndarray, np.ndarray] | None = None,
+                 eta_cap: int | None = None):
         if eta_cap is not None and eta_cap < 1:
             raise ValueError("eta_cap must be >= 1 when set")
-        return cls(level=level0, system=InequalitySystem(dim, bounds=bounds), eta_cap=eta_cap)
+        self.level = np.array(level0, dtype=float)
+        n = self.level.size
+        self.eta_cap = eta_cap
+        self.count = np.zeros(n, dtype=np.int64)  # rows in each window
+        self.logged = np.zeros(n, dtype=np.int64)  # active rows each agent ever logged
+        self.witness = np.zeros((n, dim))
+        self.valid = np.zeros(n, dtype=bool)
+        self.log: deque = deque()  # (G, b, F, active, logged after that round)
+        self.system = InequalitySystem(dim, bounds=bounds)  # reused for every check
+
+    def window(self, i: int) -> list[tuple[np.ndarray, float, float]]:
+        """Agent i's window as (g, b, f) rows, oldest first."""
+        need = int(self.count[i])
+        rows = []
+        for G, b, F, active, _ in reversed(self.log):
+            if len(rows) == need:
+                break
+            if active[i]:
+                rows.append((G[i], b[i], F[i]))
+        rows.reverse()
+        return rows
 
 
-def record_step(ls: LevelState, cfg: StepsizeConfig, g: np.ndarray, b: float,
-                f_val: float) -> float | None:
-    """Append one round's half-space g.x <= b, run the feasibility check, update the level.
+def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.ndarray,
+                F: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Append one round's half-spaces G[i].x <= b[i], check the windows, update the levels.
 
-    Returns the new level when the window turned infeasible, else None. `g` is
-    the agent's gradient, nonzero (zero-gradient rounds contribute nothing, so
-    the caller skips them), and b = g.z - (beta / gamma_bar) ||g||^2 with beta
-    the Polyak value written into the constraint (raw or lower-clamped per
-    config).
+    Only the `active` agents (nonzero gradient) add a row; b[i] = g.z -
+    (beta / gamma_bar) ||g||^2 with beta the Polyak value written into the
+    constraint (raw or lower-clamped per config). An agent whose witness
+    survives its new row stays feasible; the others are decided by
+    `InequalitySystem.check_feasible` on their whole window. An infeasible
+    window raises the level to a convex combination of itself and the window's
+    smallest f-value and is cleared. Returns the (n,) mask of updated levels.
     """
-    ls.system._append(g, b)
-    ls.window_fvals.append(f_val)
-    ls.window_min_f = min(ls.window_min_f, f_val)
-    if ls.eta_cap is not None and ls.system.size > ls.eta_cap:
-        ls.system.drop_oldest()
-        if ls.window_fvals.popleft() == ls.window_min_f:
-            ls.window_min_f = min(ls.window_fvals)
-    verdict = ls.system.check_feasible()
-    if verdict.feasible:
-        return None
-    proposed = (cfg.gamma / cfg.gamma_bar) * ls.level \
-        + (1.0 - cfg.gamma / cfg.gamma_bar) * ls.window_min_f
-    # The convex combination is a certified lower bound on the agent's optimal
-    # value, but it only exceeds the old level when the window minimum does;
-    # keep the level monotone in the residual cases.
-    new_level = max(ls.level, proposed)
-    ls.level = new_level
-    ls.system.reset()
-    ls.window_fvals.clear()
-    ls.window_min_f = math.inf
-    ls.update_count += 1
-    return new_level
+    win.logged += active
+    win.count += active
+    if win.eta_cap is not None:
+        np.minimum(win.count, win.eta_cap, out=win.count)
+    win.log.append((G, b, F, active, win.logged.copy()))
+    with np.errstate(invalid="ignore"):  # rows of inactive agents may hold NaN
+        win.valid &= ~(active & (row_dots(G, win.witness) - b > EPS_FEAS))
+    updated = np.zeros(win.level.size, dtype=bool)
+    system, keep = win.system, cfg.gamma / cfg.gamma_bar
+    for i in np.flatnonzero(active & ~win.valid).tolist():
+        rows = win.window(i)
+        system.reset()
+        for g, b_i, _ in rows:
+            system._append(g, b_i)
+        verdict = system.check_feasible()
+        if verdict.feasible:
+            win.witness[i] = verdict.point
+            win.valid[i] = True
+            continue
+        level = float(win.level[i])
+        proposed = keep * level + (1.0 - keep) * float(min(f for _, _, f in rows))
+        # The convex combination is a certified lower bound on the agent's optimal
+        # value, but it only exceeds the old level when the window minimum does;
+        # keep the level monotone in the residual cases.
+        win.level[i] = max(level, proposed)
+        win.count[i] = 0
+        updated[i] = True
+    dropped = win.logged - win.count  # rows that left each window
+    while win.log and (win.log[0][4] <= dropped).all():
+        win.log.popleft()
+    return updated

@@ -100,7 +100,8 @@ class TestBaselines:
         assert len(tr.records) == 201
 
     def test_dgd_custom_rule(self, triangle):
-        tr = run(triangle, Dgd(rule=lambda k: 0.1), 10, seed=0)
+        # a custom shared schedule runs through the `stepsizes` protocol
+        tr = run(triangle, _ReplayController([[0.1] * 3] * 10), 10, seed=0)
         assert tr.records[5].alpha == (0.1, 0.1, 0.1)
 
 

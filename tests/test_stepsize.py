@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsla.engine import Dpsla, run
+from dpsla.feasibility import EPS_FEAS, HalfSpace, InequalitySystem
 from dpsla.problem import ConstraintSet, ProblemInstance, QuadraticObjective
-from dpsla.stepsize import (CSchedule, LevelState, StepsizeConfig, decide_alpha,
+from dpsla.stepsize import (CSchedule, LevelWindows, StepsizeConfig, decide_alpha,
                             raw_beta, record_step)
 from dpsla.topology import build_graph
 
@@ -22,12 +23,21 @@ def fresh_cap(cfg, n=1):
     return np.full(n, cfg.c0 * cfg.alpha0)
 
 
-def step(ls, cfg, z, f_val, g, beta):
-    """One round of an agent's window, with the half-space built as the engine
-    builds it: g.x <= g.z - (beta / gamma_bar) ||g||^2."""
+def step(win, cfg, z, f_val, g, beta):
+    """One round of a one-agent window, with the half-space built as the engine
+    builds it: g.x <= g.z - (beta / gamma_bar) ||g||^2. Returns the new level
+    when the window turned infeasible, else None."""
     z, g = np.asarray(z, dtype=float), np.asarray(g, dtype=float)
     grad_sq = float(g @ g)
-    return record_step(ls, cfg, g, float(g @ z) - float(beta) * grad_sq / cfg.gamma_bar, f_val)
+    b = float(g @ z) - float(beta) * grad_sq / cfg.gamma_bar
+    updated = record_step(win, cfg, g[None, :], np.array([b]), np.array([f_val]),
+                          np.array([True]))
+    return float(win.level[0]) if updated[0] else None
+
+
+def window_min_f(win, i=0):
+    """Smallest f-value in agent i's window, inf when it is empty."""
+    return min((f for _, _, f in win.window(i)), default=math.inf)
 
 
 class TestCSchedule:
@@ -142,39 +152,41 @@ class TestDecideAlpha:
 
 class TestRecordStep:
     def _fresh(self, level=-500.0, dim=1, bounds=None):
-        return LevelState.fresh(level, dim, bounds=bounds)
+        return LevelWindows([level], dim, bounds=bounds)
 
     def test_first_constraint_kept(self):
         cfg = cfg_unit()
-        ls = self._fresh()
-        out = step(ls, cfg, np.array([0.0]), 10.0, np.array([1.0]), 1.5)
+        win = self._fresh()
+        out = step(win, cfg, np.array([0.0]), 10.0, np.array([1.0]), 1.5)
         assert out is None
-        assert ls.system.size == 1
+        assert win.count[0] == 1
 
     def test_level_update_arithmetic(self):
         # force infeasibility with x <= -1 then -x <= -1 (beta/gamma_bar = 1)
         cfg = cfg_unit()
-        ls = self._fresh(level=-500.0)
-        assert step(ls, cfg, np.array([0.0]), 10.0, np.array([1.0]), 1.5) is None
-        new = step(ls, cfg, np.array([0.0]), 12.0, np.array([-1.0]), 1.5)
+        win = self._fresh(level=-500.0)
+        outs = [step(win, cfg, np.array([0.0]), 10.0, np.array([1.0]), 1.5),
+                step(win, cfg, np.array([0.0]), 12.0, np.array([-1.0]), 1.5)]
+        assert outs[0] is None
+        new = outs[1]
         assert new == pytest.approx(-330.0, abs=1e-12)  # (2/3)(-500) + (1/3)(10)
-        assert ls.level == new
-        assert ls.system.size == 0 and ls.update_count == 1
-        assert ls.window_min_f == math.inf
+        assert win.level[0] == new
+        assert win.count[0] == 0 and sum(o is not None for o in outs) == 1
+        assert window_min_f(win) == math.inf
 
     def test_strict_increase_when_window_above_level(self):
         cfg = cfg_unit()
-        ls = self._fresh(level=-5.0)
-        step(ls, cfg, np.array([0.0]), 3.0, np.array([1.0]), 1.5)
-        new = step(ls, cfg, np.array([0.0]), 4.0, np.array([-1.0]), 1.5)
+        win = self._fresh(level=-5.0)
+        step(win, cfg, np.array([0.0]), 3.0, np.array([1.0]), 1.5)
+        new = step(win, cfg, np.array([0.0]), 4.0, np.array([-1.0]), 1.5)
         assert new is not None and new > -5.0
 
     def test_monotone_guard_on_low_window(self):
         # window minimum below the level: the update must not lower the level
         cfg = cfg_unit()
-        ls = self._fresh(level=100.0)
-        step(ls, cfg, np.array([0.0]), -50.0, np.array([1.0]), 1.5)
-        new = step(ls, cfg, np.array([0.0]), -60.0, np.array([-1.0]), 1.5)
+        win = self._fresh(level=100.0)
+        step(win, cfg, np.array([0.0]), -50.0, np.array([1.0]), 1.5)
+        new = step(win, cfg, np.array([0.0]), -60.0, np.array([-1.0]), 1.5)
         assert new == 100.0
 
     def test_zero_gradient_contributes_nothing(self):
@@ -196,20 +208,20 @@ class TestRecordStep:
 
     def test_window_min_tracks(self):
         cfg = cfg_unit()
-        ls = self._fresh()
-        step(ls, cfg, np.array([0.0]), 7.0, np.array([1.0]), 0.1)
-        step(ls, cfg, np.array([0.1]), 3.0, np.array([1.0]), 0.1)
-        step(ls, cfg, np.array([0.2]), 9.0, np.array([1.0]), 0.1)
-        assert ls.window_min_f == 3.0
+        win = self._fresh()
+        step(win, cfg, np.array([0.0]), 7.0, np.array([1.0]), 0.1)
+        step(win, cfg, np.array([0.1]), 3.0, np.array([1.0]), 0.1)
+        step(win, cfg, np.array([0.2]), 9.0, np.array([1.0]), 0.1)
+        assert window_min_f(win) == 3.0
 
     def test_eta_cap_drops_oldest_and_recomputes_min(self):
         cfg = cfg_unit()
-        ls = LevelState.fresh(-500.0, 1, eta_cap=2)
-        step(ls, cfg, np.array([0.0]), 1.0, np.array([1.0]), 0.01)
-        step(ls, cfg, np.array([0.0]), 5.0, np.array([1.0]), 0.01)
-        step(ls, cfg, np.array([0.0]), 6.0, np.array([1.0]), 0.01)
-        assert ls.system.size == 2
-        assert ls.window_min_f == 5.0  # the f=1 row was evicted
+        win = LevelWindows([-500.0], 1, eta_cap=2)
+        step(win, cfg, np.array([0.0]), 1.0, np.array([1.0]), 0.01)
+        step(win, cfg, np.array([0.0]), 5.0, np.array([1.0]), 0.01)
+        step(win, cfg, np.array([0.0]), 6.0, np.array([1.0]), 0.01)
+        assert win.count[0] == 2
+        assert window_min_f(win) == 5.0  # the f=1 row was evicted
 
     def test_level_converges_where_no_descent_room_remains(self):
         # f(x) = (x+3)^2 on the box [-2, 2]: the constrained minimum sits at
@@ -218,29 +230,82 @@ class TestRecordStep:
         # round and the level climbs to the constrained value from below.
         cfg = StepsizeConfig()
         f_star = 1.0
-        ls = LevelState.fresh(-500.0, 1, bounds=(np.array([-2.0]), np.array([2.0])))
+        win = LevelWindows([-500.0], 1, bounds=(np.array([-2.0]), np.array([2.0])))
         z = np.array([-2.0])
         for k in range(200):
             f_val = float((z[0] + 3.0) ** 2)
             g = np.array([2.0 * (z[0] + 3.0)])
-            beta = raw_beta(cfg, f_val, ls.level, float(g @ g))
-            step(ls, cfg, z, f_val, g, beta)
-            assert ls.level < f_star
-        assert f_star - ls.level < 1e-6
+            beta = raw_beta(cfg, f_val, win.level[0], float(g @ g))
+            step(win, cfg, z, f_val, g, beta)
+            assert win.level[0] < f_star
+        assert f_star - win.level[0] < 1e-6
 
     def test_level_stalls_at_certified_bound_with_descent_room(self):
         # same function evaluated at the far boundary: plenty of descent room
         # remains inside the box, so after a burst of early updates the window
         # stays feasible and the level freezes strictly below the optimum.
         cfg = StepsizeConfig()
-        ls = LevelState.fresh(-500.0, 1, bounds=(np.array([-2.0]), np.array([2.0])))
+        win = LevelWindows([-500.0], 1, bounds=(np.array([-2.0]), np.array([2.0])))
         z = np.array([2.0])
         levels = []
         for k in range(100):
             f_val = float((z[0] + 3.0) ** 2)
             g = np.array([2.0 * (z[0] + 3.0)])
-            beta = raw_beta(cfg, f_val, ls.level, float(g @ g))
-            step(ls, cfg, z, f_val, g, beta)
-            levels.append(ls.level)
+            beta = raw_beta(cfg, f_val, win.level[0], float(g @ g))
+            step(win, cfg, z, f_val, g, beta)
+            levels.append(float(win.level[0]))
         assert levels[-1] == levels[50]  # stalled
         assert levels[-1] < 1.0  # still a sound lower bound on the box optimum
+
+    def test_eta_cap_validated(self):
+        with pytest.raises(ValueError):
+            LevelWindows([0.0], 1, eta_cap=0)
+
+
+class TestWindowReplay:
+    """`LevelWindows` against a per-agent reference that keeps its own list of
+    rows and rebuilds an `InequalitySystem` from it in every round."""
+
+    @pytest.mark.parametrize("eta_cap", [None, 1, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_agent_reference(self, eta_cap, seed):
+        rng = np.random.default_rng(seed)
+        n, dim, rounds = 3 + seed % 3, 2 + seed % 2, 60
+        box = (-np.ones(dim), np.ones(dim))
+        cfg = cfg_unit()
+        keep = cfg.gamma / cfg.gamma_bar
+        level = rng.uniform(-5.0, 0.0, n)
+        win = LevelWindows(level, dim, bounds=box, eta_cap=eta_cap)
+        windows = [[] for _ in range(n)]  # (round, g, b, f) rows, oldest first
+        for k in range(rounds):
+            G = rng.normal(size=(n, dim))
+            b = rng.uniform(-2.5, 1.0, n)
+            F = rng.uniform(-1.0, 3.0, n)
+            active = rng.random(n) > 0.2  # zero-gradient rounds land mid-window
+            G[~active], b[~active] = 0.0, np.nan  # as the engine builds them
+            updated = record_step(win, cfg, G, b, F, active)
+            for i in np.flatnonzero(active):
+                rows = windows[i]
+                rows.append((k, G[i].copy(), float(b[i]), float(F[i])))
+                if eta_cap is not None:
+                    del rows[:-eta_cap]
+                system = InequalitySystem(dim, bounds=box)
+                for _, g, b_i, _ in rows:
+                    system.add_constraint(HalfSpace(a=g, b=b_i))
+                infeasible = not system.check_feasible().feasible
+                assert updated[i] == infeasible, (k, i)
+                if infeasible:
+                    proposed = keep * level[i] + (1.0 - keep) * min(f for *_, f in rows)
+                    level[i] = max(level[i], proposed)
+                    rows.clear()
+            assert not updated[~active].any()
+            assert (win.valid | updated | ~active).all()  # feasible windows keep a witness
+            assert win.level.tolist() == level.tolist()
+            for i, rows in enumerate(windows):
+                got = win.window(i)
+                assert [(b_i, f) for _, b_i, f in got] == [(b_i, f) for _, _, b_i, f in rows]
+                assert all(np.array_equal(g, r[1]) for (g, _, _), r in zip(got, rows))
+                if win.valid[i]:
+                    assert all(g @ win.witness[i] - b_i <= EPS_FEAS for _, g, b_i, _ in rows)
+            # the log reaches back to the oldest row of the longest window, no further
+            assert len(win.log) == max((k + 1 - rows[0][0] for rows in windows if rows), default=0)
