@@ -3,9 +3,10 @@
 The goldens pin the simulator's observable behaviour for fixed configs and
 seeds: the CSVs and manifests of `dpsla reproduce main --seed 0` and
 `dpsla reproduce divergence --seed 0`, the trace of one uncapped DPS-LA run
-whose windows grow long, and the trace of one run whose windows are capped at 8
-rows, so the oldest row is evicted thousands of times. A refactor must leave
-every byte unchanged.
+whose windows grow long, the trace of one run whose windows are capped at 8
+rows, so the oldest row is evicted thousands of times, and a wide run (12
+agents, dim 10, windows capped at 64) long enough to span several blocks of
+rounds with a partial last one. A refactor must leave every byte unchanged.
 
 Regenerate only for an intended change of behaviour, and say so in the change:
 
@@ -43,6 +44,7 @@ def produce(root: Path) -> None:
         assert main(["reproduce", which, "--out", str(root / which), "--seed", "0"]) == 0
     write_trace(root / "uncapped", n=4, dim=16, eta_cap=None, T=200)
     write_trace(root / "capped", n=8, dim=6, eta_cap=8, T=300)
+    write_trace(root / "wide", n=12, dim=10, eta_cap=64, T=600)
 
 
 def _files(root: Path) -> list[str]:
