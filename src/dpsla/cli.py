@@ -94,8 +94,10 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
 
-_SECTION_FIELDS = {section.name: {f.name for f in fields(getattr(RunConfig(), section.name))}
-                   for section in fields(RunConfig)}
+# section -> {key: annotation}, e.g. "int" or "int | None"
+_SECTION_FIELDS = {s.name: {f.name: f.type for f in fields(getattr(RunConfig(), s.name))}
+                   for s in fields(RunConfig)}
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -114,11 +116,15 @@ def parse_config(text: str) -> RunConfig:
         sub = doc.get(section, {})
         if not isinstance(sub, dict):
             raise ConfigError(f"{section}: must be an object")
-        extra = set(sub) - allowed
+        extra = set(sub) - set(allowed)
         if extra:
             raise ConfigError(f"{section}: unknown key(s) {sorted(extra)}")
         target = getattr(cfg, section)
         for key, value in sub.items():
+            kind, _, nullable = allowed[key].partition(" | ")
+            _require((value is None and bool(nullable))
+                     or (isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)),
+                     f"{section}.{key}", f"expected {allowed[key]}, got {type(value).__name__}")
             setattr(target, key, value)
     _validate(cfg)
     return cfg
@@ -138,7 +144,7 @@ def _validate(cfg: RunConfig) -> None:
     _require(p.n_agents >= 2, "problem.n_agents", "must be >= 2")
     _require(p.dim >= 1, "problem.dim", "must be >= 1")
     _require(p.rows_per_agent >= 1, "problem.rows_per_agent", "must be >= 1")
-    _require(0 <= int(p.seed) < 2 ** 64, "problem.seed", "must be a 64-bit unsigned integer")
+    _require(0 <= p.seed < 2 ** 64, "problem.seed", "must be a 64-bit unsigned integer")
     _require(p.graph_kind in GRAPH_KINDS, "problem.graph_kind", "unknown graph kind")
     _require(0.0 < p.edge_prob <= 1.0, "problem.edge_prob", "must be in (0, 1]")
     _require(p.x0 in ("center", "uniform"), "problem.x0", "must be center or uniform")
@@ -152,7 +158,7 @@ def _validate(cfg: RunConfig) -> None:
     _require(a.c_kind in ("sqrt", "constant"), "algorithm.c_kind", "must be sqrt or constant")
     _require(a.c_scale > 0, "algorithm.c_scale", "must be positive")
     _require(math.isfinite(a.level_init), "algorithm.level_init", "must be finite")
-    _require(a.eta_cap is None or int(a.eta_cap) >= 1, "algorithm.eta_cap",
+    _require(a.eta_cap is None or a.eta_cap >= 1, "algorithm.eta_cap",
              "must be >= 1 when set")
     _require(a.constraint_beta in ("raw", "clamped"), "algorithm.constraint_beta",
              "must be raw or clamped")
@@ -185,8 +191,7 @@ def build_algorithm(cfg: RunConfig):
             c_schedule=CSchedule(kind=a.c_kind, scale=a.c_scale),
             eps_grad=a.eps_grad, constraint_beta=a.constraint_beta,
         )
-        return Dpsla(stepsize=step, level_init=a.level_init,
-                     eta_cap=None if a.eta_cap is None else int(a.eta_cap))
+        return Dpsla(stepsize=step, level_init=a.level_init, eta_cap=a.eta_cap)
     if a.name == "dgd":
         return Dgd(scale=a.dgd_scale)
     return NaivePolyak(target=a.naive_target)
@@ -203,11 +208,11 @@ def _out_dir(cfg_dir: str, override: str | None) -> Path:
 
 def _trace_invariants(trace) -> dict:
     """Post-run invariant summary recorded in the manifest."""
-    found = first_violations(trace.records)
+    found = first_violations(trace)
     return {
         "level_monotone": found["level_monotone"] is None if "level_monotone" in found else None,
         "alpha_monotone": found["alpha_monotone"] is None,
-        "diverged": bool(trace.records[-1].diverged),
+        "diverged": bool(trace.diverged[-1]),
     }
 
 

@@ -4,19 +4,22 @@ A round is a few numpy calls on one (n, dim) state array X: mix it into the
 aggregated states Z = W X, evaluate every f_i and its gradient at its row of Z
 (`ProblemInstance._values_grads`), pick all stepsizes with one array
 expression, take the projected gradient steps Z - alpha G in one call, and
-write one trace record. Algorithms differ only in the stepsize rule, so the
-consensus and projection paths are shared by construction. DPS-LA also records
-the round's half-spaces in its level windows (`stepsize.record_step`), which
-loop in Python only over the agents whose cached witness fell. A row whose
-step is not finite holds its z and marks the run as diverged. Every agent's
-update depends only on the previous round's states; the run is single threaded
-and deterministic for a fixed (instance, algorithm, seed).
+write the round's row of the trace columns; the residual and consensus columns
+are filled once per chunk of rounds from a stack of their states. Algorithms
+differ only in the stepsize rule, so the consensus and projection paths are
+shared by construction. DPS-LA also records the round's half-spaces in its
+level windows (`stepsize.record_step`), which loop in Python only over the
+agents whose cached witness fell. A row whose step is not finite holds its z
+and marks the run as diverged. Every agent's update depends only on the
+previous round's states; the run is single threaded and deterministic for a
+fixed (instance, algorithm, seed).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -78,55 +81,84 @@ class NaivePolyak:
             raise ValueError("target must be 'local_min' or 'oracle_fi_star'")
 
 
-@dataclass
-class TraceRecord:
-    """One per-iteration row; None marks a value that does not exist for the row."""
-
-    k: int
-    residual: float | None
-    consensus_error: float
-    alpha: tuple
-    level: tuple
-    level_updated: tuple
-    diverged: bool
+# One round's row of a trace; None marks a value that does not exist for the row.
+TraceRecord = namedtuple("TraceRecord",
+                         "k residual consensus_error alpha level level_updated diverged")
 
 
 @dataclass
 class RunTrace:
-    n_agents: int
-    records: list[TraceRecord]
-    states: list | None = None  # (n, dim) state arrays, only when keep_states=True
+    """Per-round columns of a run; rows are laid out as in `run`. Row 0 holds
+    placeholder stepsizes: alpha0 for DPS-LA, nan for the baselines."""
+
+    alpha: np.ndarray  # (T+1, n)
+    level: np.ndarray | None  # (T+1, n); None for the baselines
+    level_updated: np.ndarray  # (T+1, n) bool
+    diverged: np.ndarray  # (T+1,) bool: some round so far produced a non-finite step
+    residual: np.ndarray | None  # (T+1,); None without an oracle
+    consensus_error: np.ndarray  # (T+1,)
+    states: np.ndarray | None = None  # (T+1, n, dim), only when keep_states=True
+
+    @property
+    def n_agents(self) -> int:
+        return self.alpha.shape[1]
+
+    @property
+    def records(self) -> "Records":
+        return Records(self, range(len(self.alpha)))
+
+
+class Records(Sequence):
+    """Read-only view of rows of a trace; a row is built when read, a slice is a view."""
+
+    def __init__(self, trace: RunTrace, rows: range):
+        self._trace, self._rows = trace, rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Records(self._trace, self._rows[i])
+        t, k = self._trace, self._rows[i]
+        none = (None,) * t.n_agents
+        return TraceRecord(
+            k, None if t.residual is None else float(t.residual[k]), float(t.consensus_error[k]),
+            none if k == 0 and t.level is None else tuple(t.alpha[k].tolist()),
+            none if t.level is None else tuple(t.level[k].tolist()),
+            tuple(t.level_updated[k].tolist()), bool(t.diverged[k]))
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 # -- invariants ------------------------------------------------------------------
 
 
-def first_violations(records: Sequence[TraceRecord], cfg: StepsizeConfig | None = None,
-                     constraint: ConstraintSet | None = None,
-                     states: Sequence[np.ndarray] | None = None) -> dict:
+def first_violations(trace: RunTrace, cfg: StepsizeConfig | None = None,
+                     constraint: ConstraintSet | None = None) -> dict:
     """First (round k, agent) breaking each invariant of a run, None where it holds.
 
-    Round k fills record k + 1; record 0 holds the initial states and
-    placeholder stepsizes. Checked:
+    Round k fills row k + 1; row 0 holds the initial states and placeholder
+    stepsizes. Checked:
 
     * `alpha_monotone`: alpha_{i,k} <= alpha_{i,k-1};
     * `level_monotone`, only when the run has levels: levels never decrease;
     * `corridor`, with `cfg`: c0 alpha0 / (2 c_k) <= alpha_{i,k} <= c0 alpha0 / c_k;
-    * `feasible`, with `constraint` and `states` (one (n, dim) array per
-      record): every iterate lies in the set within 1e-12.
+    * `feasible`, with `constraint` and a trace that kept its states: every
+      iterate lies in the set within 1e-12.
     """
-    alphas = np.array([r.alpha for r in records[1:]], dtype=float)
+    alphas = trace.alpha[1:]
     bad = {"alpha_monotone": np.vstack([np.zeros((1, alphas.shape[1]), dtype=bool),
                                         ~(alphas[1:] <= alphas[:-1])])}
-    if records[0].level[0] is not None:
-        levels = np.array([r.level for r in records], dtype=float)
-        bad["level_monotone"] = ~(levels[1:] >= levels[:-1])
+    if trace.level is not None:
+        bad["level_monotone"] = ~(trace.level[1:] >= trace.level[:-1])
     if cfg is not None:
         ck = np.array([cfg.c_value(k) for k in range(len(alphas))])[:, None]
         bad["corridor"] = ~(((cfg.c0 * cfg.alpha0 / 2.0) / ck <= alphas)
                             & (alphas <= (cfg.c0 * cfg.alpha0) / ck))
-    if constraint is not None and states is not None:
-        S = np.array(states[1:])
+    if constraint is not None and trace.states is not None:
+        S = trace.states[1:]
         bad["feasible"] = ~constraint._contains_rows(S.reshape(-1, S.shape[-1])).reshape(S.shape[:2])
     return {name: (divmod(int(np.argmax(m)), m.shape[1]) if m.any() else None)
             for name, m in bad.items()}
@@ -165,11 +197,11 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance):
             b = row_dots(G, Z) - beta * grad_sq / cfg.gamma_bar
         return alpha, record_step(windows, cfg, G, b, F, grad_sq > cfg.eps_grad ** 2)
 
-    return (cfg.alpha0,) * n, windows.level, rule
+    return windows.level, rule
 
 
 def _stepsize_rule(alg, inst: ProblemInstance):
-    """(initial alphas, level array or None, rule) for an algorithm spec.
+    """(level array or None, rule) for an algorithm spec.
 
     Besides Dpsla, Dgd and NaivePolyak, any object with a method
     `stepsizes(k, F, G, grad_sq) -> (n,) alphas` runs as a level-free rule.
@@ -178,7 +210,7 @@ def _stepsize_rule(alg, inst: ProblemInstance):
     if isinstance(alg, Dpsla):
         return _dpsla_rule(alg, inst)
     if isinstance(alg, Dgd):
-        return (None,) * n, None, lambda k, Z, F, G, grad_sq: (np.full(n, alg.alpha(k)), None)
+        return None, lambda k, Z, F, G, grad_sq: (np.full(n, alg.alpha(k)), None)
     if isinstance(alg, NaivePolyak):
         if alg.target == "local_min":
             targets = np.array([minimize_local(o, inst.constraint)[1] for o in inst.objectives])
@@ -192,14 +224,16 @@ def _stepsize_rule(alg, inst: ProblemInstance):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(ok, (F - targets) / grad_sq, 0.0), None
 
-        return (None,) * n, None, naive
+        return None, naive
     if hasattr(alg, "stepsizes"):
-        return (None,) * n, None, \
-            lambda k, Z, F, G, grad_sq: (np.asarray(alg.stepsizes(k, F, G, grad_sq), dtype=float), None)
+        return None, lambda k, Z, F, G, grad_sq: (
+            np.asarray(alg.stepsizes(k, F, G, grad_sq), dtype=float), None)
     raise TypeError(f"unknown algorithm spec {alg!r}")
 
 
 # -- run loop --------------------------------------------------------------------
+
+_CHUNK = 256  # rounds whose states are buffered before their metrics are computed
 
 
 def _initial_states(inst: ProblemInstance, policy: str, rng: Rng) -> np.ndarray:
@@ -219,71 +253,66 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
 
     Row 0 holds the initial iterates; row k >= 1 holds the states after round
     k-1 together with the stepsizes applied and any level updates made during
-    that round. With `validate=True` the run raises AssertionError naming the
-    first round and agent that breaks iterate feasibility or, for DPS-LA, the
-    stepsize corridor or alpha or level monotonicity (`first_violations`).
+    that round. The metric columns are computed once per `_CHUNK` rounds from
+    a buffer of their states; only `keep_states` and `validate` keep them all.
+    With `validate=True` the run raises AssertionError naming the first round
+    and agent that breaks iterate feasibility or, for DPS-LA, the stepsize
+    corridor or alpha or level monotonicity (`first_violations`).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    n = inst.n_agents
+    n, rows, keep = inst.n_agents, iterations + 1, keep_states or validate
     W = metropolis_weights(inst.graph)
     X = _initial_states(inst, x0, Rng(seed))
     if not inst.constraint._contains_rows(X).all():
         raise ValueError("initial states must be feasible")
-    alpha0, level, rule = _stepsize_rule(alg, inst)
-    # rows whose levels did not change share one tuple
-    level_row = (None,) * n if level is None else tuple(level.tolist())
-    not_updated = (False,) * n
-    oracle = inst.optimum
-    diverged = False
+    level, rule = _stepsize_rule(alg, inst)
+    S = np.empty((rows if keep else min(rows, _CHUNK), n, inst.dim))
+    trace = RunTrace(alpha=np.full((rows, n), np.nan if level is None else alg.stepsize.alpha0),
+                     level=None if level is None else np.tile(level, (rows, 1)),
+                     level_updated=np.zeros((rows, n), dtype=bool),
+                     diverged=np.zeros(rows, dtype=bool),
+                     residual=None if inst.optimum is None else np.empty(rows),
+                     consensus_error=np.empty(rows),
+                     states=S if keep else None)
+    S[0] = X
 
-    def snapshot(k: int, alphas: tuple, updated: tuple) -> TraceRecord:
-        return TraceRecord(
-            k=k,
-            residual=residual(inst, X) if oracle is not None else None,
-            consensus_error=consensus_error(X),
-            alpha=alphas,
-            level=level_row,
-            level_updated=updated,
-            diverged=diverged,
-        )
-
-    records = [snapshot(0, alpha0, not_updated)]
-    states = [X] if keep_states or validate else None
-
-    for k in range(iterations):
+    for r in range(1, rows):  # row r is filled by round r - 1
         Z = mix(W, X)
         F, G = inst._values_grads(Z)
         grad_sq = row_dots(G, G)
-        alpha, updated = rule(k, Z, F, G, grad_sq)
+        alpha, updated = rule(r - 1, Z, F, G, grad_sq)
         step = Z - alpha[:, None] * G
         finite = np.isfinite(step).all(axis=1)
         if finite.all():
             X = inst.constraint._project_rows(step)
         else:  # hold position on non-finite rows; the trace keeps the divergence flag
-            diverged = True
+            trace.diverged[r:] = True
             X = inst.constraint._project_rows(np.where(finite[:, None], step, Z))
             X[~finite] = Z[~finite]
-        if updated is not None and updated.any():
-            level_row = tuple(level.tolist())
-            updated = tuple(updated.tolist())
-        else:
-            updated = not_updated
-        records.append(snapshot(k + 1, tuple(alpha.tolist()), updated))
-        if states is not None:
-            states.append(X)
+        trace.alpha[r] = alpha
+        if level is not None:
+            trace.level[r], trace.level_updated[r] = level, updated
+        S[r if keep else r % _CHUNK] = X
+        if r % _CHUNK == _CHUNK - 1 or r == iterations:  # the chunk's metrics
+            lo = r - r % _CHUNK
+            block = S[lo:r + 1] if keep else S[:r + 1 - lo]
+            trace.consensus_error[lo:r + 1] = consensus_error(block)
+            if trace.residual is not None:
+                trace.residual[lo:r + 1] = residual(inst, block)
 
     if validate:
         cfg = alg.stepsize if isinstance(alg, Dpsla) else None
-        found = first_violations(records, cfg, inst.constraint, states)
+        found = first_violations(trace, cfg, inst.constraint)
         checked = _VALIDATE_MESSAGES if cfg is not None else ("feasible",)
         hits = [(found[name], order, name) for order, name in enumerate(checked)
                 if found[name] is not None]
         if hits:
             (k, i), _, name = min(hits)
             raise AssertionError(f"{_VALIDATE_MESSAGES[name]} at k={k}, agent {i}")
-
-    return RunTrace(n_agents=n, records=records, states=states if keep_states else None)
+    if not keep_states:
+        trace.states = None
+    return trace
 
 
 # -- speedup sweep -----------------------------------------------------------------
@@ -329,8 +358,7 @@ def run_speedup_sweep(agent_counts: Sequence[int], T: int, seeds: Sequence[int],
                                       graph_kind="random", edge_prob=edge_prob)
             inst.ensure_optimum(oracle_tol)
             trace = run(inst, alg, T, seed=int(seed))
-            window = [r.residual for r in trace.records[M:T + 1]]
-            gap = max(min(window), 0.0) / n  # average-form gap
+            gap = max(min(trace.residual[M:].tolist()), 0.0) / n  # average-form gap
             rows.append((n, int(seed), gap))
             gaps.append(gap)
         means[n] = sum(gaps) / len(gaps)

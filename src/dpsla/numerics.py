@@ -39,13 +39,13 @@ def as_mat(x) -> np.ndarray:
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise inner products of two (m, d) arrays.
+    """Row-wise inner products of two (..., m, d) arrays (leading axes broadcast).
 
     One stacked `matmul` of (1, d) by (d, 1) slices: each slice runs the same
     BLAS dot as the 1-D `a @ b`, so every entry is bitwise equal to it
     (`np.einsum` and `np.sum(A * B, axis=1)` are not).
     """
-    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:

@@ -149,11 +149,11 @@ class ObjectiveGroup:
         return groups
 
     def values(self, Z: np.ndarray) -> np.ndarray:
-        """f_j(z_j) for each row z_j of Z (g, dim)."""
+        """f_j(z_j) for each row z_j of Z (g, dim) or of each slice of Z (K, g, dim)."""
         if self.kind == "least_squares":
-            R = (self.M @ Z[:, :, None])[:, :, 0] - self.v
+            R = (self.M @ Z[..., None])[..., 0] - self.v
             return 0.5 * row_dots(R, R)
-        return row_dots((Z[:, None, :] @ self.M)[:, 0, :], Z) + row_dots(self.v, Z) + self.c
+        return row_dots((Z[..., None, :] @ self.M)[..., 0, :], Z) + row_dots(self.v, Z) + self.c
 
     def values_grads(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f_j(z_j) and grad f_j(z_j) for each row z_j of Z (g, dim)."""
@@ -334,16 +334,16 @@ class ProblemInstance:
             F[grp.agents], G[grp.agents] = grp.values_grads(Z[grp.agents])
         return F, G
 
-    def _values(self, Z: np.ndarray) -> np.ndarray:
-        """f_i(z_i) (n,) for the rows z_i of Z (n, dim)."""
-        F = np.empty(self.n_agents)
+    def _sum_value(self, x: np.ndarray):
+        """sum_i f_i(x) for x (dim,), or for each row of x (K, dim) as an array.
+        Agents are added in order, as sum(o._eval(x) for o in objectives) does
+        (`np.add.reduce` would sum pairwise from 8 agents on)."""
+        X = x.reshape(-1, self.dim)
+        F = np.empty((self.n_agents, len(X)))
         for grp in self._groups:
-            F[grp.agents] = grp.values(Z[grp.agents])
-        return F
-
-    def _sum_value(self, x: np.ndarray) -> float:
-        F = self._values(x[None, :].repeat(self.n_agents, axis=0))
-        return sum(F.tolist())  # in agent order, as sum(o._eval(x) for o in objectives)
+            F[grp.agents] = grp.values(np.repeat(X[:, None, :], len(grp.agents), axis=1)).T
+        total = sum(F)
+        return float(total[0]) if x.ndim == 1 else total
 
     def _sum_grad(self, x: np.ndarray) -> np.ndarray:
         g = np.zeros(self.dim)

@@ -38,6 +38,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line"):
             parse_config("{not json}")
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"problem":{"n_agents":"4"}}', "problem.n_agents"),
+        ('{"algorithm":{"gamma":"1"}}', "algorithm.gamma"),
+        ('{"algorithm":{"level_init":"x"}}', "algorithm.level_init"),
+        ('{"problem":{"seed":"abc"}}', "problem.seed"),
+        ('{"problem":{"seed":1.5}}', "problem.seed"),
+        ('{"run":{"iterations":2.5}}', "run.iterations"),
+        ('{"algorithm":{"eta_cap":2.5}}', "algorithm.eta_cap"),
+        ('{"problem":{"n_agents":true}}', "problem.n_agents"),
+        ('{"problem":{"edge_prob":null}}', "problem.edge_prob"),
+    ])
+    def test_wrong_json_type_rejected(self, tmp_path, capsys, text, field):
+        with pytest.raises(ConfigError, match=field):
+            parse_config(text)
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        assert main(["oracle", "--config", str(p)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_int_for_float_and_null_accepted(self):
+        cfg = parse_config('{"algorithm":{"gamma":1,"eta_cap":null},"problem":{"path":null}}')
+        assert cfg.algorithm.gamma == 1 and cfg.algorithm.eta_cap is None
+
     def test_round_trip_equality(self):
         cfg = parse_config('{"run":{"iterations": 42}}')
         again = parse_config(json.dumps(cfg.to_dict()))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from dpsla import engine
 from dpsla.engine import (Dgd, Dpsla, NaivePolyak, first_violations, run,
                           run_speedup_sweep, sweep_algorithm)
+from dpsla.metrics import consensus_error, residual
 from dpsla.numerics import Rng
 from dpsla.problem import (ConstraintSet, ProblemInstance, QuadraticObjective,
                            gen_paper_instance, gen_triangle_demo)
@@ -290,16 +290,13 @@ class TestInvariantChecker:
     def test_first_violations_on_edited_trace(self, triangle):
         tr = run(triangle, Dpsla(), 30, seed=0, keep_states=True)
         cfg = Dpsla().stepsize
-        clean = first_violations(tr.records, cfg, triangle.constraint, tr.states)
+        clean = first_violations(tr, cfg, triangle.constraint)
         assert clean == {"alpha_monotone": None, "level_monotone": None,
                          "corridor": None, "feasible": None}
-        recs = list(tr.records)
-        recs[12] = dataclasses.replace(recs[12], level=(recs[12].level[0] - 1.0,) + recs[12].level[1:])
-        recs[20] = dataclasses.replace(recs[20], alpha=recs[20].alpha[:1] + (1e3,) + recs[20].alpha[2:])
-        states = list(tr.states)
-        states[5] = states[5].copy()
-        states[5][2] = [10.0, 10.0]
-        found = first_violations(recs, cfg, triangle.constraint, states)
+        tr.level[12, 0] -= 1.0
+        tr.alpha[20, 1] = 1e3
+        tr.states[5][2] = [10.0, 10.0]
+        found = first_violations(tr, cfg, triangle.constraint)
         assert found["level_monotone"] == (11, 0)  # record 12 is filled by round 11
         assert found["alpha_monotone"] == (19, 1)
         assert found["corridor"] == (19, 1)
@@ -307,4 +304,60 @@ class TestInvariantChecker:
 
     def test_baselines_have_no_level_check(self, triangle):
         tr = run(triangle, Dgd(), 10, seed=0)
-        assert set(first_violations(tr.records)) == {"alpha_monotone"}
+        assert set(first_violations(tr)) == {"alpha_monotone"}
+
+
+class TestColumnarTrace:
+    def test_record_view(self, triangle):
+        tr = run(triangle, Dpsla(), 20, seed=0)
+        recs = tr.records
+        assert len(recs) == 21 and tr.n_agents == 3
+        assert recs[-1] == recs[20] and recs[-21] == recs[0]
+        assert recs[-1].k == 20 and recs[0].k == 0
+        with pytest.raises(IndexError):
+            recs[21]
+        assert [r.k for r in recs[5:9]] == [5, 6, 7, 8] and len(recs[5:9]) == 4
+        assert [r.k for r in recs[::7]] == [0, 7, 14] and recs[::7][-1] == recs[14]
+        assert [r.k for r in recs[-3:][1:]] == [19, 20] and recs[2:5] == [recs[2], recs[3], recs[4]]
+        rows = list(recs)
+        assert [r.k for r in rows] == list(range(21))
+        assert recs == rows and recs == run(triangle, Dpsla(), 20, seed=0).records
+        assert recs != rows[:-1] and recs != run(triangle, Dpsla(), 19, seed=0).records
+        r = recs[12]
+        assert r.residual == tr.residual[12] and r.consensus_error == tr.consensus_error[12]
+        assert r.alpha == tuple(tr.alpha[12]) and r.level == tuple(tr.level[12])
+        assert r.level_updated == tuple(tr.level_updated[12]) and r.diverged is False
+        assert all(type(v) is float for v in r.alpha + r.level + (r.residual,))
+
+    def test_baseline_rows(self, triangle):
+        tr = run(triangle, Dgd(), 5, seed=0)
+        assert tr.level is None
+        assert tr.records[0].alpha == (None,) * 3 and tr.records[0].level == (None,) * 3
+        assert tr.records[1].alpha == (2.0,) * 3 and tr.records[1].level == (None,) * 3
+        assert tr.records[3].level_updated == (False,) * 3
+
+    def test_no_oracle_no_residual(self):
+        inst = gen_paper_instance(n=3, rng=Rng(1))
+        tr = run(inst, Dpsla(), 4, seed=0)
+        assert tr.residual is None
+        assert all(r.residual is None for r in tr.records)
+
+    def test_metrics_per_chunk(self, paper0, monkeypatch):
+        # without kept states the metrics see at most _CHUNK rounds at a time
+        blocks = []
+
+        def spy(xs):
+            blocks.append(np.shape(xs))
+            return consensus_error(xs)
+
+        monkeypatch.setattr(engine, "consensus_error", spy)
+        tr = run(paper0, Dpsla(), 600, seed=0)
+        assert engine._CHUNK == 256 and [b[0] for b in blocks] == [256, 256, 89]
+        assert tr.states is None
+        kept = run(paper0, Dpsla(), 600, seed=0, keep_states=True)
+        assert kept.states.shape == (601, 4, 6)
+        for col in ("alpha", "level", "level_updated", "diverged", "residual", "consensus_error"):
+            assert np.array_equal(getattr(tr, col), getattr(kept, col))
+        for k in (0, 255, 256, 511, 512, 600):
+            assert tr.consensus_error[k] == consensus_error(kept.states[k])
+            assert tr.residual[k] == residual(paper0, kept.states[k])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dpsla.engine import Dgd, Dpsla, run
-from dpsla.metrics import (consensus_error, csv_header, level_gaps, parse_csv,
-                           residual, write_csv, write_sweep_csv)
+from dpsla.metrics import (consensus_error, csv_header, parse_csv, residual, write_csv,
+                           write_sweep_csv)
 from dpsla.numerics import Rng
 from dpsla.problem import (ConstraintSet, ProblemInstance, QuadraticObjective,
                            gen_paper_instance, gen_triangle_demo)
@@ -37,11 +37,6 @@ class TestResidual:
                 xs.append(triangle.constraint.project(v))
             assert residual(triangle, xs) >= -1e-8
 
-    def test_mean_form_is_sum_over_n(self, triangle):
-        xs = [np.array([0.1, 0.2])] * 3
-        assert math.isclose(residual(triangle, xs, form="mean"),
-                            residual(triangle, xs) / 3, rel_tol=1e-15)
-
     def test_translation_consistency(self):
         # shifting one objective by a constant shifts f and f* equally
         base = gen_triangle_demo()
@@ -61,6 +56,41 @@ class TestResidual:
         inst = gen_triangle_demo()
         with pytest.raises(ValueError):
             residual(inst, [np.zeros(2)] * 3)
+
+
+@pytest.fixture(scope="module")
+def paper9():
+    inst = gen_paper_instance(n=9, dim=5, rng=Rng(2))
+    inst.ensure_optimum()
+    return inst
+
+
+class TestStackedMetrics:
+    """A (K, n, dim) stack gives, bit for bit, the per-state values."""
+
+    @pytest.mark.parametrize("name", ["paper9", "triangle"])
+    def test_stack_equals_per_state(self, name, request):
+        inst = request.getfixturevalue(name)
+        gen = np.random.default_rng(3)
+        scale = 10.0 ** gen.uniform(-3, 1, size=(40, 1, 1))
+        S = inst.constraint._project_rows(
+            (inst.constraint.center() + scale * gen.normal(size=(40, inst.n_agents, inst.dim)))
+            .reshape(-1, inst.dim)).reshape(40, inst.n_agents, inst.dim)
+        res, ce = residual(inst, S), consensus_error(S)
+        assert res.shape == ce.shape == (40,)
+        for k, X in enumerate(S):
+            assert res[k] == residual(inst, X)
+            assert ce[k] == consensus_error(X)
+        assert residual(inst, S[:1])[0] == residual(inst, S[0])
+
+    def test_sum_value_in_agent_order(self, paper9):
+        # pairwise summation over the 9 agents would change the last bits
+        gen = np.random.default_rng(5)
+        X = paper9.constraint.center() + gen.normal(scale=50.0, size=(200, paper9.dim))
+        batched = paper9._sum_value(X)
+        for x, b in zip(X, batched):
+            ordered = sum(o._eval(x) for o in paper9.objectives)
+            assert paper9.sum_value(x) == ordered == b
 
 
 class TestConsensusError:
@@ -140,7 +170,6 @@ class TestCsv:
 class TestLevelGaps:
     def test_gap_signs(self, triangle):
         tr = run(triangle, Dpsla(), 50, seed=0)
-        gaps = level_gaps(triangle, tr.records[50].level)
-        assert all(g >= -1e-6 for g in gaps)  # levels stay below f_i(x*)
-        gaps0 = level_gaps(triangle, tr.records[0].level)
-        assert all(g0 >= g for g0, g in zip(gaps0, gaps))  # gaps shrink
+        gaps = np.array(triangle.optimum.local_values) - tr.level
+        assert all(g >= -1e-6 for g in gaps[50])  # levels stay below f_i(x*)
+        assert all(g0 >= g for g0, g in zip(gaps[0], gaps[50]))  # gaps shrink
