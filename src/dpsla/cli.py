@@ -135,6 +135,10 @@ def _require(cond: bool, field_name: str, msg: str) -> None:
         raise ConfigError(f"{field_name}: {msg}")
 
 
+def _require_seed(seed: int) -> None:
+    _require(0 <= seed < 2 ** 64, "problem.seed", "must be a 64-bit unsigned integer")
+
+
 def _validate(cfg: RunConfig) -> None:
     p, a, r = cfg.problem, cfg.algorithm, cfg.run
     _require(p.type in ("paper", "triangle", "custom_file"), "problem.type",
@@ -144,7 +148,7 @@ def _validate(cfg: RunConfig) -> None:
     _require(p.n_agents >= 2, "problem.n_agents", "must be >= 2")
     _require(p.dim >= 1, "problem.dim", "must be >= 1")
     _require(p.rows_per_agent >= 1, "problem.rows_per_agent", "must be >= 1")
-    _require(0 <= p.seed < 2 ** 64, "problem.seed", "must be a 64-bit unsigned integer")
+    _require_seed(p.seed)
     _require(p.graph_kind in GRAPH_KINDS, "problem.graph_kind", "unknown graph kind")
     _require(0.0 < p.edge_prob <= 1.0, "problem.edge_prob", "must be in (0, 1]")
     _require(p.x0 in ("center", "uniform"), "problem.x0", "must be center or uniform")
@@ -177,7 +181,12 @@ def build_instance(cfg: RunConfig) -> ProblemInstance:
     if p.type == "triangle":
         return gen_triangle_demo()
     if p.type == "custom_file":
-        return ProblemInstance.from_json(Path(p.path).read_text(encoding="utf-8"))
+        text = Path(p.path).read_text(encoding="utf-8")
+        try:
+            return ProblemInstance.from_json(text)
+        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise ConfigError(f"problem.path: {p.path} is not a valid problem file "
+                              f"({type(exc).__name__}: {exc})") from exc
     rng = Rng(p.seed)
     return gen_paper_instance(n=p.n_agents, dim=p.dim, rows_per_agent=p.rows_per_agent,
                               rng=rng, graph_kind=p.graph_kind, edge_prob=p.edge_prob)
@@ -259,6 +268,7 @@ def cmd_oracle(config_path: str) -> int:
 
 def cmd_reproduce(which: str, out_override: str | None = None, seed: int = 0) -> int:
     """Re-run one of the three benchmark experiments with baked-in parameters."""
+    _require_seed(seed)
     if which == "divergence":
         cfg = parse_config(json.dumps({"problem": {"type": "triangle"},
                                        "run": {"iterations": 500},

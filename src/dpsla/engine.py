@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .feasibility import SolverStallError
 from .metrics import consensus_error, residual
 from .numerics import Rng, row_dots
 from .problem import ConstraintSet, ProblemInstance, gen_paper_instance, minimize_local
@@ -195,7 +196,10 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance):
             beta = np.where(floor > beta, floor, beta)
         with np.errstate(invalid="ignore"):  # -inf * 0 on zero-gradient rows, unused
             b = row_dots(G, Z) - beta * grad_sq / cfg.gamma_bar
-        return alpha, record_step(windows, cfg, G, b, F, grad_sq > cfg.eps_grad ** 2)
+        try:
+            return alpha, record_step(windows, cfg, G, b, F, grad_sq > cfg.eps_grad ** 2)
+        except SolverStallError as exc:
+            raise SolverStallError(f"round {k}, {exc}") from exc
 
     return windows.level, rule
 

@@ -1,27 +1,23 @@
-"""Accumulating linear inequality systems and their Phase-I feasibility check.
+"""Linear inequality systems and their Phase-I feasibility check.
 
-An `InequalitySystem` holds half-spaces a.x <= b from its last reset onward;
-feasibility is decided by minimizing a single shared slack s over
+An `InequalitySystem` holds half-spaces a.x <= b; feasibility is decided by
+minimizing a single shared slack s over
 
     a_t . x - |a_t| s <= b_t    for every stored constraint t,    lo <= x <= hi,
 
 solved by a bounded-variable primal simplex with Bland's anti-cycling rule.
 The optional coordinate box (`bounds`) enters as bounds on x, not as rows; a
 system without one passes infinite bounds, so its free x runs through the same
-loop. The system is feasible iff the LP's end point violates no stored
-constraint by more than EPS_FEAS.
+loop. The system is feasible iff the LP's end point, clipped into the box,
+violates no stored constraint by more than EPS_FEAS; a row that no point of
+the box satisfies is therefore infeasible without a separate test.
 
-Two fast paths skip the LP: a cached witness point, kept while new constraints
-leave it satisfied, and inside a box an O(dim) per-constraint infeasibility
-certificate (a single half-space whose best value over the box still exceeds
-its right-hand side dooms the whole system).
-
-Rows are stored as bare (a, b) pairs. `add_constraint` is the validating entry
-point. The level windows (`stepsize.LevelWindows`) keep their rows in their
-own log, test their witnesses themselves, and load a window into one reused
-system only when its witness fell, through `_append`, which skips the
-`HalfSpace` checks: their rows are gradients with norm above eps_grad at
-finite iterates.
+`add_constraint` is the validating entry point, and a witness point found by
+the LP is kept while new constraints leave it satisfied. The level windows
+(`stepsize.LevelWindows`) keep their rows in their own log, test their
+witnesses and the box themselves, and hand a window to one reused system as
+arrays through `load`, which skips the `HalfSpace` checks: their rows are
+gradients with norm above eps_grad at finite iterates.
 """
 
 from __future__ import annotations
@@ -76,10 +72,6 @@ class InequalitySystem:
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = dim
-        self._a: list[np.ndarray] = []  # row normals
-        self._b: list[float] = []  # right-hand sides
-        self.witness: np.ndarray | None = None
-        self._witness_worst = -np.inf  # max violation of the witness, kept incrementally
         if bounds is not None:
             lo = as_vec(bounds[0], dim=dim)
             hi = as_vec(bounds[1], dim=dim)
@@ -87,73 +79,54 @@ class InequalitySystem:
                 raise ValueError("bounds must satisfy lo < hi componentwise")
             bounds = (lo, hi)
         self.bounds = bounds
+        self.load(np.empty((0, dim)), np.empty(0))
 
     @property
     def size(self) -> int:
-        return len(self._b)
+        return self._b.size
 
     @property
     def constraints(self) -> list[HalfSpace]:
         """The stored rows, oldest first, as half-spaces."""
-        return [HalfSpace(a=a, b=b) for a, b in zip(self._a, self._b)]
+        return [HalfSpace(a=a, b=float(b)) for a, b in zip(self._A, self._b)]
 
     def add_constraint(self, h: HalfSpace) -> None:
         """Append a constraint; drop the witness if the new row violates it."""
         if h.a.size != self.dim:
             raise ValueError(f"dimension mismatch: system dim {self.dim}, normal dim {h.a.size}")
-        self._append(h.a, h.b)
-
-    def _append(self, a: np.ndarray, b: float) -> None:
-        """`add_constraint` for a row the caller has validated: `a` a finite
-        float64 vector of length dim with norm above MIN_NORMAL, `b` finite."""
-        self._a.append(a)
-        self._b.append(b)
+        self._A = np.vstack([self._A, h.a])
+        self._b = np.append(self._b, h.b)
         if self.witness is not None:
-            v = float(a @ self.witness) - b
+            v = float(h.a @ self.witness) - h.b
             if v > EPS_FEAS:
                 self.witness = None
                 self._witness_worst = -np.inf
             else:
                 self._witness_worst = max(self._witness_worst, v)
 
-    def reset(self) -> None:
-        """Remove every stored constraint (bounds persist) and clear the witness."""
-        self._a, self._b = [], []
+    def load(self, A: np.ndarray, b: np.ndarray) -> None:
+        """Replace the rows by A (m, dim) and b (m,), kept as they are and without
+        the `HalfSpace` checks, and clear the witness; the bounds persist."""
+        self._A, self._b = A, b
         self.witness = None
-        self._witness_worst = -np.inf
+        self._witness_worst = -np.inf  # max violation of the witness, kept incrementally
 
     def dump(self) -> str:
         """Debug text: one row "a_1 ... a_m | b" per constraint."""
-        rows = [" ".join(f"{v:.12g}" for v in a) + f" | {b:.12g}" for a, b in zip(self._a, self._b)]
+        rows = [" ".join(f"{v:.12g}" for v in a) + f" | {b:.12g}" for a, b in zip(self._A, self._b)]
         return "\n".join(rows) + ("\n" if rows else "")
 
     # -- feasibility ---------------------------------------------------------
 
-    def _box_certificate(self) -> FeasibilityVerdict | None:
-        """If any single constraint is unsatisfiable inside the box, that settles it."""
-        if self.bounds is None:
-            return None
-        lo, hi = self.bounds
-        for a, b in zip(self._a, self._b):
-            box_min = float(np.sum(np.minimum(a * lo, a * hi)))
-            if box_min - b > EPS_FEAS:
-                return FeasibilityVerdict(feasible=False, point=None, phase1_value=box_min - b)
-        return None
-
     def check_feasible(self, force_lp: bool = False) -> FeasibilityVerdict:
         """Decide feasibility of the stored system (within bounds when present)."""
-        if not self._b:
+        if not self._b.size:
             raise ValueError("check_feasible on an empty system")
         if self.witness is not None and not force_lp:
             return FeasibilityVerdict(feasible=True, point=self.witness.copy(),
                                       phase1_value=self._witness_worst)
-        certificate = self._box_certificate()
-        if certificate is not None:
-            return certificate
-        A = np.array(self._a)
-        b = np.array(self._b)
         lo, hi = self.bounds or (np.full(self.dim, -np.inf), np.full(self.dim, np.inf))
-        s_value, x = _phase1_lp(A, b, lo, hi)
+        s_value, x = _phase1_lp(self._A, self._b, lo, hi)
         if s_value <= EPS_FEAS:
             self.witness = x.copy()
             self._witness_worst = s_value

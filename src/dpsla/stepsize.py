@@ -27,9 +27,10 @@ is cleared.
 Everything here acts on all agents at once. `raw_beta` and `decide_alpha` are
 array expressions over (n,) arrays. `LevelWindows` keeps one log of the
 rounds' rows shared by all windows, a row count per agent and an (n, dim)
-array of witness points; `record_step` tests every witness against its new row
-in one call, and only the agents whose witness fell run the feasibility check
-of `InequalitySystem` on their window.
+array of witness points. `record_step` tests every witness against its new row
+in one call and the new rows of the agents whose witness fell against the box
+in another; only the agents whose new row meets the box load their window into
+`InequalitySystem` as arrays and run its feasibility check.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feasibility import EPS_FEAS, InequalitySystem
+from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError
 from .numerics import row_dots
 
 
@@ -156,17 +157,18 @@ class LevelWindows:
         self.log: deque = deque()  # (G, b, F, active, logged after that round)
         self.system = InequalitySystem(dim, bounds=bounds)  # reused for every check
 
-    def window(self, i: int) -> list[tuple[np.ndarray, float, float]]:
-        """Agent i's window as (g, b, f) rows, oldest first."""
-        need = int(self.count[i])
-        rows = []
-        for G, b, F, active, _ in reversed(self.log):
-            if len(rows) == need:
+    def window(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Agent i's window as arrays G (m, dim), b (m,) and F (m,), oldest row first."""
+        need, rounds = int(self.count[i]), []
+        for entry in reversed(self.log):
+            if len(rounds) == need:
                 break
-            if active[i]:
-                rows.append((G[i], b[i], F[i]))
-        rows.reverse()
-        return rows
+            if entry[3][i]:
+                rounds.append(entry)
+        rounds.reverse()
+        return (np.array([e[0][i] for e in rounds]).reshape(-1, self.witness.shape[1]),
+                np.array([e[1][i] for e in rounds], dtype=float),
+                np.array([e[2][i] for e in rounds], dtype=float))
 
 
 def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.ndarray,
@@ -176,10 +178,13 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     Only the `active` agents (nonzero gradient) add a row; b[i] = g.z -
     (beta / gamma_bar) ||g||^2 with beta the Polyak value written into the
     constraint (raw or lower-clamped per config). An agent whose witness
-    survives its new row stays feasible; the others are decided by
-    `InequalitySystem.check_feasible` on their whole window. An infeasible
-    window raises the level to a convex combination of itself and the window's
-    smallest f-value and is cleared. Returns the (n,) mask of updated levels.
+    survives its new row stays feasible. For the others only the new row can
+    miss the box (every older row passed a witness test or a check, and both
+    leave a point of the box on its side), so a new row that misses the box
+    makes the window infeasible with no check, and the other windows go to
+    `win.system.check_feasible`. An infeasible window raises the level to a
+    convex combination of itself and the window's smallest f-value and is
+    cleared. Returns the (n,) mask of updated levels.
     """
     win.logged += active
     win.count += active
@@ -190,18 +195,26 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
         win.valid &= ~(active & (row_dots(G, win.witness) - b > EPS_FEAS))
     updated = np.zeros(win.level.size, dtype=bool)
     system, keep = win.system, cfg.gamma / cfg.gamma_bar
-    for i in np.flatnonzero(active & ~win.valid).tolist():
-        rows = win.window(i)
-        system.reset()
-        for g, b_i, _ in rows:
-            system._append(g, b_i)
-        verdict = system.check_feasible()
-        if verdict.feasible:
-            win.witness[i] = verdict.point
-            win.valid[i] = True
-            continue
+    fell = np.flatnonzero(active & ~win.valid)
+    misses_box = [False] * fell.size  # no point of the box satisfies the new row
+    if fell.size and system.bounds is not None:
+        lo, hi = system.bounds
+        G_fell = G[fell]
+        misses_box = (np.minimum(G_fell * lo, G_fell * hi).sum(1) - b[fell] > EPS_FEAS).tolist()
+    for i, missed in zip(fell.tolist(), misses_box):
+        G_i, b_i, F_i = win.window(i)
+        if not missed:
+            system.load(G_i, b_i)
+            try:
+                verdict = system.check_feasible()
+            except SolverStallError as exc:
+                raise SolverStallError(f"agent {i}, window of {b_i.size} rows: {exc}") from exc
+            if verdict.feasible:
+                win.witness[i] = verdict.point
+                win.valid[i] = True
+                continue
         level = float(win.level[i])
-        proposed = keep * level + (1.0 - keep) * float(min(f for _, _, f in rows))
+        proposed = keep * level + (1.0 - keep) * float(F_i.min())
         # The convex combination is a certified lower bound on the agent's optimal
         # value, but it only exceeds the old level when the window minimum does;
         # keep the level monotone in the residual cases.

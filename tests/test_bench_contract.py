@@ -1,11 +1,13 @@
 """The benchmark's traced workload still runs against this source tree.
 
 `bench/tracer.py` instruments dpsla from outside by rebinding module-level
-names (`engine.record_step`, `feasibility._phase1_lp`, ...). One traced `lp`
-operation, run as the benchmark runs it, fails here as soon as a refactor
-drops or renames one of those names or breaks a path count of the tracer's
-self-check. The test only reads `bench/`: its outputs go to a temporary
-directory and no bytecode is cached.
+names (`engine.record_step`, `feasibility._phase1_lp`, ...). One traced
+operation of each of two workloads, run as the benchmark runs it, fails here
+as soon as a refactor drops or renames one of those names or breaks a path
+count of the tracer's self-check: `lp` drives long uncapped windows through the
+LP, and `sweep` the capped windows, where most fallen witnesses are decided by
+the box test of `record_step`. The test only reads `bench/`: its outputs go to
+a temporary directory and no bytecode is cached.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ WORKLOAD = ROOT / "bench" / "workload.py"
 
 
 @pytest.mark.skipif(not WORKLOAD.exists(), reason="bench/ is absent")
-def test_traced_lp_workload_runs_clean(tmp_path):
+@pytest.mark.parametrize("workload", ["lp", "sweep"])
+def test_traced_workload_runs_clean(tmp_path, workload):
     proc = subprocess.run(
-        [sys.executable, str(WORKLOAD), "--workload", "lp", "--seed", "0",
+        [sys.executable, str(WORKLOAD), "--workload", workload, "--seed", "0",
          "--out", str(tmp_path / "out"), "--trace"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})

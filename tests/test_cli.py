@@ -92,6 +92,25 @@ class TestBuilders:
         assert clone.to_json() == inst.to_json()
 
 
+    @pytest.mark.parametrize("edit", ["bad_json", "missing_key", "mixed_dims"])
+    def test_malformed_custom_file_rejected(self, tmp_path, capsys, edit):
+        from dpsla.problem import gen_triangle_demo
+        doc = json.loads(gen_triangle_demo().to_json())
+        if edit == "missing_key":
+            del doc["graph"]
+        if edit == "mixed_dims":
+            doc["objectives"][0] = {"kind": "quadratic", "Q": [[1.0]], "q": [0.0]}
+        text = "{not json" if edit == "bad_json" else json.dumps(doc)
+        (tmp_path / "inst.json").write_text(text)
+        cfg = {"problem": {"type": "custom_file", "path": str(tmp_path / "inst.json")}}
+        with pytest.raises(ConfigError, match="problem.path"):
+            build_instance(parse_config(json.dumps(cfg)))
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["oracle", "--config", str(p)]) == 2
+        assert "problem.path" in capsys.readouterr().err
+
+
 class TestCmdRun:
     def _config(self, tmp_path, iters=30):
         cfg = {"run": {"iterations": iters},
@@ -190,6 +209,13 @@ class TestReproduce:
         assert means[0] == "n,mean_gap" and len(means) == 5
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["agent_counts"] == [4, 8, 16, 32]
+
+    @pytest.mark.parametrize("which", ["main", "divergence"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, which):
+        out = tmp_path / "out"
+        assert main(["reproduce", which, "--seed", "-1", "--out", str(out)]) == 2
+        assert "problem.seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_target(self):
         with pytest.raises(ConfigError):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from dpsla import feasibility
+from dpsla.engine import Dpsla, run
 from dpsla.feasibility import EPS_FEAS, HalfSpace, InequalitySystem, SolverStallError
+from dpsla.numerics import Rng
+from dpsla.problem import gen_paper_instance
 
 from .util import brute_force_margin, random_halfspace_system
 
@@ -235,20 +238,26 @@ class TestBoundedSystems:
 
 
 class TestReset:
+    """Loading an empty window resets a system."""
+
+    @staticmethod
+    def clear(sys):
+        sys.load(np.empty((0, sys.dim)), np.empty(0))
+
     def test_reset_clears(self):
         sys = InequalitySystem(2)
         sys.add_constraint(hs([1.0, 0.0], -1.0))
         sys.add_constraint(hs([-1.0, 0.0], -1.0))
         assert not sys.check_feasible().feasible
-        sys.reset()
+        self.clear(sys)
         assert sys.size == 0 and sys.witness is None
         sys.add_constraint(hs([1.0, 0.0], 0.0))
         assert sys.check_feasible().feasible
 
     def test_reset_idempotent(self):
         sys = InequalitySystem(2)
-        sys.reset()
-        sys.reset()
+        self.clear(sys)
+        self.clear(sys)
         assert sys.size == 0
 
     def test_reset_keeps_bounds(self):
@@ -256,9 +265,18 @@ class TestReset:
         sys = InequalitySystem(1, bounds=bounds)
         sys.add_constraint(hs([1.0], -5.0))
         assert not sys.check_feasible().feasible
-        sys.reset()
+        self.clear(sys)
         sys.add_constraint(hs([1.0], -5.0))
         assert not sys.check_feasible().feasible  # box still applies
+
+    def test_load_replaces_rows_and_witness(self):
+        sys = InequalitySystem(2)
+        sys.add_constraint(hs([1.0, 0.0], 10.0))
+        assert sys.check_feasible().feasible and sys.witness is not None
+        sys.load(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
+        assert sys.witness is None
+        assert sys.dump() == "1 0 | -1\n-1 0 | -1\n"
+        assert not sys.check_feasible().feasible
 
 
 class TestStall:
@@ -269,6 +287,13 @@ class TestStall:
             sys.add_constraint(hs([1.0, 1.0], 0.5))
             with pytest.raises(SolverStallError, match="exceeded 0 pivots"):
                 sys.check_feasible()
+
+    def test_run_names_round_agent_and_window(self, monkeypatch):
+        monkeypatch.setattr(feasibility, "_PIVOT_CAP_FACTOR", 0)
+        inst = gen_paper_instance(rng=Rng(0))
+        with pytest.raises(SolverStallError,
+                           match=r"round \d+, agent \d+, window of \d+ rows: .*exceeded 0 pivots"):
+            run(inst, Dpsla(), 50, seed=0)
 
 
 class TestDump:

@@ -37,7 +37,7 @@ def step(win, cfg, z, f_val, g, beta):
 
 def window_min_f(win, i=0):
     """Smallest f-value in agent i's window, inf when it is empty."""
-    return min((f for _, _, f in win.window(i)), default=math.inf)
+    return min(win.window(i)[2], default=math.inf)
 
 
 class TestCSchedule:
@@ -257,6 +257,32 @@ class TestRecordStep:
         assert levels[-1] == levels[50]  # stalled
         assert levels[-1] < 1.0  # still a sound lower bound on the box optimum
 
+    def test_box_infeasible_new_row_skips_the_check(self, monkeypatch):
+        # on the box [-1, 1]: round 0 gives both agents x <= 0.5 and a witness
+        # at -1; in round 1 agent 0 adds x <= -5, which no point of the box
+        # satisfies, and agent 1 adds x >= 0.2, which only its witness misses
+        checked = []
+        check = InequalitySystem.check_feasible
+
+        def spy(system, *args, **kwargs):
+            checked.append(system.size)
+            return check(system, *args, **kwargs)
+
+        monkeypatch.setattr(InequalitySystem, "check_feasible", spy)
+        cfg = cfg_unit()
+        win = LevelWindows([-5.0, -5.0], 1, bounds=(np.array([-1.0]), np.array([1.0])))
+        active = np.array([True, True])
+        updated = record_step(win, cfg, np.array([[1.0], [1.0]]), np.array([0.5, 0.5]),
+                              np.array([1.0, 2.0]), active)
+        assert not updated.any() and checked == [1, 1]
+        assert win.witness[:, 0].tolist() == [-1.0, -1.0]
+        updated = record_step(win, cfg, np.array([[1.0], [-1.0]]), np.array([-5.0, -0.2]),
+                              np.array([4.0, 3.0]), active)
+        assert checked == [1, 1, 2]  # agent 1's window reached the LP, agent 0's did not
+        assert updated.tolist() == [True, False]
+        assert win.level[0] == pytest.approx((2.0 / 3.0) * -5.0 + (1.0 / 3.0) * 1.0)
+        assert win.count.tolist() == [0, 2] and win.valid[1]
+
     def test_eta_cap_validated(self):
         with pytest.raises(ValueError):
             LevelWindows([0.0], 1, eta_cap=0)
@@ -302,10 +328,14 @@ class TestWindowReplay:
             assert (win.valid | updated | ~active).all()  # feasible windows keep a witness
             assert win.level.tolist() == level.tolist()
             for i, rows in enumerate(windows):
-                got = win.window(i)
-                assert [(b_i, f) for _, b_i, f in got] == [(b_i, f) for _, _, b_i, f in rows]
-                assert all(np.array_equal(g, r[1]) for (g, _, _), r in zip(got, rows))
+                G_i, b_i, F_i = win.window(i)
+                assert G_i.shape == (len(rows), dim)
+                assert all(np.array_equal(g, r[1]) for g, r in zip(G_i, rows))
+                assert b_i.tolist() == [r[2] for r in rows] and F_i.tolist() == [r[3] for r in rows]
+                # only the newest row of a window can miss the box
+                box_min = np.minimum(G_i * box[0], G_i * box[1]).sum(1)
+                assert (box_min[:-1] - b_i[:-1] <= EPS_FEAS).all(), (k, i)
                 if win.valid[i]:
-                    assert all(g @ win.witness[i] - b_i <= EPS_FEAS for _, g, b_i, _ in rows)
+                    assert all(g @ win.witness[i] - b <= EPS_FEAS for g, b in zip(G_i, b_i))
             # the log reaches back to the oldest row of the longest window, no further
             assert len(win.log) == max((k + 1 - rows[0][0] for rows in windows if rows), default=0)
