@@ -13,6 +13,13 @@ agents whose cached witness fell. A row whose step is not finite holds its z
 and marks the run as diverged. Every agent's update depends only on the
 previous round's states; the run is single threaded and deterministic for a
 fixed (instance, algorithm, seed).
+
+With a handful of agents the number of calls per round, not their size, sets
+the cost of a run, so the loop keeps them few: it looks up what it needs once,
+tests the whole step for finiteness in one call, and the rules mask
+zero-gradient rows rather than switch `np.errstate`. It calls `mix`,
+`decide_alpha`, `record_step`, `residual` and `consensus_error` through their
+module-level names, so that a tracer can rebind them.
 """
 
 from __future__ import annotations
@@ -187,17 +194,18 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance):
     windows = LevelWindows(level, inst.dim, bounds=inst.constraint.bounding_box(),
                            eta_cap=alg.eta_cap)
     cap = np.full(n, cfg.c0 * cfg.alpha0)
-    floor = cfg.beta_floor
+    floor, clamped, eps_sq = cfg.beta_floor, cfg.constraint_beta == "clamped", cfg.eps_grad ** 2
 
     def rule(k, Z, F, G, grad_sq):
+        active = grad_sq > eps_sq
         beta = raw_beta(cfg, F, windows.level, grad_sq)
         alpha = decide_alpha(cfg, cap, beta, k)
-        if cfg.constraint_beta == "clamped":
+        if clamped:
             beta = np.where(floor > beta, floor, beta)
-        with np.errstate(invalid="ignore"):  # -inf * 0 on zero-gradient rows, unused
-            b = row_dots(G, Z) - beta * grad_sq / cfg.gamma_bar
+        # zero-gradient rows add no half-space; a zero beta keeps their b finite
+        b = row_dots(G, Z) - np.where(active, beta, 0.0) * grad_sq / cfg.gamma_bar
         try:
-            return alpha, record_step(windows, cfg, G, b, F, grad_sq > cfg.eps_grad ** 2)
+            return alpha, record_step(windows, cfg, G, b, F, active)
         except SolverStallError as exc:
             raise SolverStallError(f"round {k}, {exc}") from exc
 
@@ -214,7 +222,8 @@ def _stepsize_rule(alg, inst: ProblemInstance):
     if isinstance(alg, Dpsla):
         return _dpsla_rule(alg, inst)
     if isinstance(alg, Dgd):
-        return None, lambda k, Z, F, G, grad_sq: (np.full(n, alg.alpha(k)), None)
+        ones = np.ones(n)
+        return None, lambda k, Z, F, G, grad_sq: (alg.alpha(k) * ones, None)
     if isinstance(alg, NaivePolyak):
         if alg.target == "local_min":
             targets = np.array([minimize_local(o, inst.constraint)[1] for o in inst.objectives])
@@ -223,10 +232,11 @@ def _stepsize_rule(alg, inst: ProblemInstance):
         else:
             targets = np.array(inst.optimum.local_values)
 
+        eps_sq = alg.eps_grad ** 2
+
         def naive(k, Z, F, G, grad_sq):
-            ok = (grad_sq > alg.eps_grad ** 2) & np.isfinite(grad_sq)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(ok, (F - targets) / grad_sq, 0.0), None
+            ok = (grad_sq > eps_sq) & np.isfinite(grad_sq)
+            return np.where(ok, (F - targets) / np.where(ok, grad_sq, 1.0), 0.0), None
 
         return None, naive
     if hasattr(alg, "stepsizes"):
@@ -280,23 +290,25 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
                      consensus_error=np.empty(rows),
                      states=S if keep else None)
     S[0] = X
+    values_grads, project = inst._values_grads, inst.constraint._project_rows
+    alphas, levels, level_updated = trace.alpha, trace.level, trace.level_updated
 
     for r in range(1, rows):  # row r is filled by round r - 1
         Z = mix(W, X)
-        F, G = inst._values_grads(Z)
+        F, G = values_grads(Z)
         grad_sq = row_dots(G, G)
         alpha, updated = rule(r - 1, Z, F, G, grad_sq)
         step = Z - alpha[:, None] * G
-        finite = np.isfinite(step).all(axis=1)
-        if finite.all():
-            X = inst.constraint._project_rows(step)
+        if np.isfinite(step).all():
+            X = project(step)
         else:  # hold position on non-finite rows; the trace keeps the divergence flag
+            finite = np.isfinite(step).all(axis=1)
             trace.diverged[r:] = True
-            X = inst.constraint._project_rows(np.where(finite[:, None], step, Z))
+            X = project(np.where(finite[:, None], step, Z))
             X[~finite] = Z[~finite]
-        trace.alpha[r] = alpha
-        if level is not None:
-            trace.level[r], trace.level_updated[r] = level, updated
+        alphas[r] = alpha
+        if levels is not None:
+            levels[r], level_updated[r] = level, updated
         S[r if keep else r % _CHUNK] = X
         if r % _CHUNK == _CHUNK - 1 or r == iterations:  # the chunk's metrics
             lo = r - r % _CHUNK
@@ -346,15 +358,18 @@ def run_speedup_sweep(agent_counts: Sequence[int], T: int, seeds: Sequence[int],
     """Seed-averaged optimality gap min_{T/2 <= k <= T} (f(xbar_k) - f*) / n per
     network size. Instances are regenerated per (n, seed) with the same
     per-agent data distribution, so total data grows with n."""
-    if list(agent_counts) != sorted(agent_counts):
-        raise ValueError("agent_counts must be sorted ascending")
+    counts, seeds = list(agent_counts), list(seeds)
+    if any(a >= b for a, b in zip(counts, counts[1:])):
+        raise ValueError("agent_counts must be strictly ascending")
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     if T < 2:
         raise ValueError("T must be >= 2")
     alg = alg or Dpsla()
     rows = []
     means = {}
     M = T // 2
-    for n in agent_counts:
+    for n in counts:
         gaps = []
         for seed in seeds:
             rng = Rng((int(seed) << 16) ^ int(n))

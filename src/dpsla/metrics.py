@@ -17,8 +17,6 @@ A sweep additionally writes a summary CSV with header `n,seed,gap`.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .problem import ProblemInstance
@@ -53,12 +51,16 @@ def consensus_error(xs):
     return float(mean) if X.ndim == 2 else mean
 
 
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return "nan"
-    if abs(v) > CLIP:  # +/-inf included
-        v = CLIP if v > 0 else -CLIP
-    return f"{v:.17g}"
+def _lines(heads, table: np.ndarray, tails=None) -> list[str]:
+    """One CSV line per row of `table` (m, c): the row's int from `heads`, its
+    floats clipped to +/-CLIP and printed with 17 significant digits (`%.17g`
+    prints NaN of either sign as `nan`), then its int from `tails`, if given."""
+    cells = np.clip(table, -CLIP, CLIP).tolist()
+    template = "%d" + ",%.17g" * table.shape[1]
+    if tails is None:
+        return [template % (k, *row) for k, row in zip(heads, cells)]
+    template += ",%d"
+    return [template % (k, *row, d) for k, row, d in zip(heads, cells, tails)]
 
 
 def csv_header(n_agents: int) -> str:
@@ -85,23 +87,23 @@ def write_csv(trace, path, record_every: int = 1) -> None:
     missing = np.full((rows, n), np.nan)
     table = np.column_stack([
         missing[:, 0] if trace.residual is None else trace.residual, trace.consensus_error,
-        trace.alpha, missing if trace.level is None else trace.level])[ks].tolist()
-    _write_lines(path, [csv_header(n)] + [
-        ",".join([str(k), *map(_fmt, row), str(int(d))])
-        for k, row, d in zip(ks, table, trace.diverged[ks].tolist())])
+        trace.alpha, missing if trace.level is None else trace.level])[ks]
+    _write_lines(path, [csv_header(n)] + _lines(ks, table, trace.diverged[ks].tolist()))
 
 
 def write_level_gap_csv(inst: ProblemInstance, trace, path, record_every: int = 1) -> None:
     """Per-iteration level gaps f_i(x*) - level_i for a run with levels."""
     ks = _kept_rows(len(trace.level), record_every)
-    gaps = (np.array(inst.optimum.local_values) - trace.level)[ks].tolist()
+    gaps = (np.array(inst.optimum.local_values) - trace.level)[ks]
     _write_lines(path, [",".join(["k"] + [f"gap_{i}" for i in range(trace.n_agents)])]
-                 + [",".join([str(k), *map(_fmt, row)]) for k, row in zip(ks, gaps)])
+                 + _lines(ks, gaps))
 
 
 def write_sweep_csv(rows, path) -> None:
     """Summary rows (n, seed, gap), one line each."""
-    _write_lines(path, ["n,seed,gap"] + [f"{n},{seed},{_fmt(gap)}" for (n, seed, gap) in rows])
+    gaps = np.clip(np.array([gap for *_, gap in rows], dtype=float), -CLIP, CLIP).tolist()
+    _write_lines(path, ["n,seed,gap"] + ["%s,%s,%.17g" % (n, seed, gap)
+                                         for (n, seed, _), gap in zip(rows, gaps)])
 
 
 def parse_csv(path) -> dict:

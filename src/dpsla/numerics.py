@@ -33,7 +33,7 @@ def as_mat(x) -> np.ndarray:
     m = np.asarray(x, dtype=float)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 

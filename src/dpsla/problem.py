@@ -210,11 +210,13 @@ class ConstraintSet:
     def _project_rows(self, Y: np.ndarray) -> np.ndarray:
         """`_project` applied to every row of Y (m, dim)."""
         if self.kind == "box":
-            return np.clip(Y, self.lower, self.upper)
+            return Y.clip(self.lower, self.upper)
         D = Y - self.ball_center
         norms = np.sqrt(row_dots(D, D))
         out = Y.copy()
         far = ~(norms <= self.radius)
+        if not far.any():
+            return out
         out[far] = self.ball_center + (self.radius / norms[far])[:, None] * D[far]
         return out
 
@@ -328,9 +330,12 @@ class ProblemInstance:
 
     def _values_grads(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f_i(z_i) (n,) and grad f_i(z_i) (n, dim) for the rows z_i of Z (n, dim)."""
+        groups = self._groups
+        if len(groups) == 1:  # agents 0..n-1 in order: no gather or scatter
+            return groups[0].values_grads(Z)
         F = np.empty(self.n_agents)
         G = np.empty((self.n_agents, self.dim))
-        for grp in self._groups:
+        for grp in groups:
             F[grp.agents], G[grp.agents] = grp.values_grads(Z[grp.agents])
         return F, G
 
@@ -445,15 +450,13 @@ def estimate_lipschitz(H: np.ndarray, iters: int = 200) -> float:
     v = np.ones(n) / math.sqrt(n)
     v[0] += 1e-3  # break symmetry deterministically
     v /= np.linalg.norm(v)
-    lam = 0.0
     for _ in range(iters):
         w = H @ v
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(w.dot(w))  # np.linalg.norm of a real 1-D vector
         if norm == 0.0:
             return 1.0
         v = w / norm
-        lam = float(v @ H @ v)
-    return max(lam * 1.01, 1e-12)
+    return max(float(v @ H @ v) * 1.01, 1e-12)
 
 
 def _projected_gradient(grad_fn, project, x0: np.ndarray, L: float,

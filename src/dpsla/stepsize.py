@@ -28,9 +28,10 @@ Everything here acts on all agents at once. `raw_beta` and `decide_alpha` are
 array expressions over (n,) arrays. `LevelWindows` keeps one log of the
 rounds' rows shared by all windows, a row count per agent and an (n, dim)
 array of witness points. `record_step` tests every witness against its new row
-in one call and the new rows of the agents whose witness fell against the box
-in another; only the agents whose new row meets the box load their window into
-`InequalitySystem` as arrays and run its feasibility check.
+in one call and, in a round where some witness fell, the new rows of those
+agents against the box in another; only the agents whose new row meets the box
+load their window into `InequalitySystem` as arrays and run its feasibility
+check, and the others read only the f-values of their window.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,14 +97,14 @@ class StepsizeConfig:
         if self.constraint_beta not in ("raw", "clamped"):
             raise ValueError("constraint_beta must be 'raw' or 'clamped'")
 
-    @property
+    @cached_property
     def c0(self) -> float:
         return self.c_schedule.value(0)
 
     def c_value(self, k: int) -> float:
         return self.c_schedule.value(k)
 
-    @property
+    @cached_property
     def beta_floor(self) -> float:
         """Lower clamp c0 * alpha0 / 2 applied inside the stepsize rule."""
         return self.c0 * self.alpha0 / 2.0
@@ -112,8 +114,9 @@ def raw_beta(cfg: StepsizeConfig, f_val, level, grad_sq):
     """Unclamped Polyak value gamma * (f - level) / ||g||^2, elementwise; may be
     negative. A zero gradient (||g|| <= eps_grad) has no Polyak value and gets
     -inf, which `decide_alpha` treats as the lower clamp."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(grad_sq > cfg.eps_grad ** 2, cfg.gamma * (f_val - level) / grad_sq, -np.inf)
+    ok = grad_sq > cfg.eps_grad ** 2
+    # the skipped rows divide by 1, so a zero gradient raises no floating-point error
+    return np.where(ok, cfg.gamma * (f_val - level) / np.where(ok, grad_sq, 1.0), -np.inf)
 
 
 def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, beta: np.ndarray, k: int) -> np.ndarray:
@@ -157,8 +160,8 @@ class LevelWindows:
         self.log: deque = deque()  # (G, b, F, active, logged after that round)
         self.system = InequalitySystem(dim, bounds=bounds)  # reused for every check
 
-    def window(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Agent i's window as arrays G (m, dim), b (m,) and F (m,), oldest row first."""
+    def _rounds(self, i: int) -> list:
+        """The log entries that hold agent i's window rows, oldest first."""
         need, rounds = int(self.count[i]), []
         for entry in reversed(self.log):
             if len(rounds) == need:
@@ -166,6 +169,11 @@ class LevelWindows:
             if entry[3][i]:
                 rounds.append(entry)
         rounds.reverse()
+        return rounds
+
+    def window(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Agent i's window as arrays G (m, dim), b (m,) and F (m,), oldest row first."""
+        rounds = self._rounds(i)
         return (np.array([e[0][i] for e in rounds]).reshape(-1, self.witness.shape[1]),
                 np.array([e[1][i] for e in rounds], dtype=float),
                 np.array([e[2][i] for e in rounds], dtype=float))
@@ -177,11 +185,13 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
 
     Only the `active` agents (nonzero gradient) add a row; b[i] = g.z -
     (beta / gamma_bar) ||g||^2 with beta the Polyak value written into the
-    constraint (raw or lower-clamped per config). An agent whose witness
-    survives its new row stays feasible. For the others only the new row can
-    miss the box (every older row passed a witness test or a check, and both
-    leave a point of the box on its side), so a new row that misses the box
-    makes the window infeasible with no check, and the other windows go to
+    constraint (raw or lower-clamped per config), and the b of the other agents
+    is ignored (NaN is fine). An agent whose witness survives its new row stays
+    feasible, and a round in which every witness survives only logs its rows.
+    For the others only the new row can miss the box (every older row passed a
+    witness test or a check, and both leave a point of the box on its side),
+    so a new row that misses the box makes the window infeasible with no check
+    and only the window's f-values are read, and the other windows go to
     `win.system.check_feasible`. An infeasible window raises the level to a
     convex combination of itself and the window's smallest f-value and is
     cleared. Returns the (n,) mask of updated levels.
@@ -191,19 +201,20 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     if win.eta_cap is not None:
         np.minimum(win.count, win.eta_cap, out=win.count)
     win.log.append((G, b, F, active, win.logged.copy()))
-    with np.errstate(invalid="ignore"):  # rows of inactive agents may hold NaN
-        win.valid &= ~(active & (row_dots(G, win.witness) - b > EPS_FEAS))
-    updated = np.zeros(win.level.size, dtype=bool)
+    win.valid &= ~(active & (row_dots(G, win.witness) - b > EPS_FEAS))
+    updated = active & ~win.valid  # the fallen agents, until a check finds a new witness
+    fell = updated.nonzero()[0]
     system, keep = win.system, cfg.gamma / cfg.gamma_bar
-    fell = np.flatnonzero(active & ~win.valid)
     misses_box = [False] * fell.size  # no point of the box satisfies the new row
     if fell.size and system.bounds is not None:
         lo, hi = system.bounds
         G_fell = G[fell]
         misses_box = (np.minimum(G_fell * lo, G_fell * hi).sum(1) - b[fell] > EPS_FEAS).tolist()
     for i, missed in zip(fell.tolist(), misses_box):
-        G_i, b_i, F_i = win.window(i)
-        if not missed:
+        if missed:  # the level update reads only the window's f-values
+            F_i = np.array([e[2][i] for e in win._rounds(i)], dtype=float)
+        else:
+            G_i, b_i, F_i = win.window(i)
             system.load(G_i, b_i)
             try:
                 verdict = system.check_feasible()
@@ -212,6 +223,7 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
             if verdict.feasible:
                 win.witness[i] = verdict.point
                 win.valid[i] = True
+                updated[i] = False
                 continue
         level = float(win.level[i])
         proposed = keep * level + (1.0 - keep) * float(F_i.min())
@@ -220,7 +232,6 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
         # keep the level monotone in the residual cases.
         win.level[i] = max(level, proposed)
         win.count[i] = 0
-        updated[i] = True
     dropped = win.logged - win.count  # rows that left each window
     while win.log and (win.log[0][4] <= dropped).all():
         win.log.popleft()

@@ -5,7 +5,7 @@ import pytest
 
 from dpsla.numerics import Rng
 from dpsla.problem import (ConstraintSet, ProblemInstance, QuadraticObjective,
-                           gen_paper_instance, gen_triangle_demo,
+                           estimate_lipschitz, gen_paper_instance, gen_triangle_demo,
                            minimize_local, solve_reference)
 
 X_STAR_DEMO = np.array([6 / 215, 72 / 215])
@@ -198,6 +198,37 @@ class TestReferenceSolver:
         x1, f1 = minimize_local(inst.objectives[0], inst.constraint)
         assert np.allclose(x1, [22 / 23, 4 / 23], atol=1e-7)
         assert math.isclose(f1, inst.objectives[0].eval([22 / 23, 4 / 23]), abs_tol=1e-9)
+
+
+def _lipschitz_reference(H, iters=200):
+    """Power iteration with the Rayleigh quotient taken on every iteration, as
+    `estimate_lipschitz` computed it before it took the quotient once."""
+    n = H.shape[0]
+    v = np.ones(n) / math.sqrt(n)
+    v[0] += 1e-3
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(iters):
+        w = H @ v
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return 1.0
+        v = w / norm
+        lam = float(v @ H @ v)
+    return max(lam * 1.01, 1e-12)
+
+
+class TestEstimateLipschitz:
+    def test_bitwise_equal_to_reference(self):
+        gen = np.random.default_rng(8)
+        cases = [np.zeros((3, 3))]
+        for dim in range(1, 33):
+            for rank in {1, max(dim // 2, 1), dim}:
+                M = gen.normal(scale=10.0 ** gen.uniform(-4, 4), size=(dim, rank))
+                cases.append(M @ M.T)
+        for H in cases:
+            assert estimate_lipschitz(H) == _lipschitz_reference(H)
+        assert estimate_lipschitz(np.zeros((3, 3))) == 1.0
 
 
 class TestSerialization:

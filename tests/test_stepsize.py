@@ -295,8 +295,22 @@ class TestWindowReplay:
     @pytest.mark.parametrize("eta_cap", [None, 1, 3])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_agent_reference(self, eta_cap, seed):
+        self.replay(seed, eta_cap, rounds=60)
+
+    @pytest.mark.parametrize("eta_cap", [2, 5])
+    def test_quiet_stretches_trim_the_log(self, eta_cap):
+        # in rounds 20-59 and 80-139 every point of the box satisfies every new
+        # row, so no witness falls and only the log trim runs
+        still = self.replay(7, eta_cap, rounds=160, quiet=lambda k: 20 <= k < 60 or 80 <= k < 140)
+        assert still >= 80
+
+    @staticmethod
+    def replay(seed, eta_cap, rounds, quiet=lambda k: False):
+        """Run random rounds through `record_step` and the reference; returns the
+        number of rounds in which no witness fell."""
         rng = np.random.default_rng(seed)
-        n, dim, rounds = 3 + seed % 3, 2 + seed % 2, 60
+        n, dim = 3 + seed % 3, 2 + seed % 2
+        still = 0
         box = (-np.ones(dim), np.ones(dim))
         cfg = cfg_unit()
         keep = cfg.gamma / cfg.gamma_bar
@@ -308,8 +322,13 @@ class TestWindowReplay:
             b = rng.uniform(-2.5, 1.0, n)
             F = rng.uniform(-1.0, 3.0, n)
             active = rng.random(n) > 0.2  # zero-gradient rounds land mid-window
-            G[~active], b[~active] = 0.0, np.nan  # as the engine builds them
+            if quiet(k):
+                b = np.abs(G).sum(1) + 1.0
+            G[~active], b[~active] = 0.0, np.nan  # zero-gradient rows; their b is ignored
+            valid, witness = win.valid.copy(), win.witness.copy()
             updated = record_step(win, cfg, G, b, F, active)
+            still += bool(valid[active].all() and win.valid[active].all()
+                          and np.array_equal(witness, win.witness))
             for i in np.flatnonzero(active):
                 rows = windows[i]
                 rows.append((k, G[i].copy(), float(b[i]), float(F[i])))
@@ -339,3 +358,4 @@ class TestWindowReplay:
                     assert all(g @ win.witness[i] - b <= EPS_FEAS for g, b in zip(G_i, b_i))
             # the log reaches back to the oldest row of the longest window, no further
             assert len(win.log) == max((k + 1 - rows[0][0] for rows in windows if rows), default=0)
+        return still
