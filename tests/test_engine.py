@@ -415,10 +415,11 @@ def _main_instance():
 class TestRoundBudget:
     """Calls that dpsla's own frames make per round of `run`.
 
-    A profile hook counts every call made from a frame of a dpsla source file
-    in a T-round and a 2T-round run; the difference divided by T leaves out
-    the set-up. Calls made inside numpy's Python wrappers are not counted, so
-    a budget moves only when dpsla's per-round code changes. The four shapes
+    A profile hook counts every call whose calling Python frame belongs to a
+    dpsla source file, in a T-round and a 2T-round run; the difference
+    divided by T leaves out the set-up. What numpy's Python wrappers call in
+    turn is not counted, so a budget moves when dpsla's per-round code
+    changes, not when numpy's wrappers do. The four shapes
     are the `reproduce main` instance (seed 0) under DPS-LA and DGD, and the
     triangle under DGD and naive Polyak."""
 
@@ -444,8 +445,7 @@ class TestRoundBudget:
         run(inst, alg, 3)  # fill the instance's cached stacks before counting
         return (count(2 * T) - count(T)) / T
 
-    # measured 37.1, 19.1, 23.1 and 24.1 (numpy 2.4, Python 3.11); the round
-    # code before the per-round cuts made 58, 28, 30 and 32 such calls
+    # measured 37.1, 19.1, 23.1 and 24.1 with numpy 2.4 and Python 3.11
     @pytest.mark.parametrize("shape, budget", [("dpsla_main", 38), ("dgd_main", 20),
                                                ("dgd_triangle", 24), ("naive_triangle", 25)])
     def test_calls_per_round(self, shape, budget, triangle):
