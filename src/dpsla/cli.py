@@ -125,6 +125,8 @@ def parse_config(text: str) -> RunConfig:
             _require((value is None and bool(nullable))
                      or (isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool)),
                      f"{section}.{key}", f"expected {allowed[key]}, got {type(value).__name__}")
+            _require(not isinstance(value, float) or math.isfinite(value),
+                     f"{section}.{key}", f"must be finite, got {value}")
             setattr(target, key, value)
     _validate(cfg)
     return cfg
@@ -161,7 +163,6 @@ def _validate(cfg: RunConfig) -> None:
     _require(a.alpha0 > 0, "algorithm.alpha0", "must be positive")
     _require(a.c_kind in ("sqrt", "constant"), "algorithm.c_kind", "must be sqrt or constant")
     _require(a.c_scale > 0, "algorithm.c_scale", "must be positive")
-    _require(math.isfinite(a.level_init), "algorithm.level_init", "must be finite")
     _require(a.eta_cap is None or a.eta_cap >= 1, "algorithm.eta_cap",
              "must be >= 1 when set")
     _require(a.constraint_beta in ("raw", "clamped"), "algorithm.constraint_beta",

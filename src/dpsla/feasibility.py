@@ -14,10 +14,10 @@ the box satisfies is therefore infeasible without a separate test.
 
 `add_constraint` is the validating entry point, and a witness point found by
 the LP is kept while new constraints leave it satisfied. The level windows
-(`stepsize.LevelWindows`) keep their rows in their own log, test their
-witnesses and the box themselves, and hand a window to one reused system as
-arrays through `load`, which skips the `HalfSpace` checks: their rows are
-gradients with norm above eps_grad at finite iterates.
+(`stepsize.LevelWindows`) keep their rows in their own round-indexed arrays,
+test their witnesses and the box themselves, and hand a window to one reused
+system as arrays through `load`, which skips the `HalfSpace` checks: their
+rows are gradients with norm above eps_grad at finite iterates.
 """
 
 from __future__ import annotations

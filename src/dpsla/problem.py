@@ -63,6 +63,8 @@ class QuadraticObjective:
                 raise ValueError("Q must be positive semidefinite")
             self.q = as_vec(q, dim=self.Q.shape[0])
             self.c = float(c)
+            if not math.isfinite(self.c):
+                raise ValueError("constant c must be finite")
             self.dim = self.Q.shape[0]
             self._H = self.Q + self.Q.T
 
@@ -180,8 +182,8 @@ class ConstraintSet:
         elif kind == "ball":
             self.ball_center = as_vec(params["center"])
             self.radius = float(params["radius"])
-            if self.radius <= 0:
-                raise ValueError("ball radius must be positive")
+            if not (math.isfinite(self.radius) and self.radius > 0):
+                raise ValueError("ball radius must be positive and finite")
             self.dim = self.ball_center.size
         else:
             raise ValueError(f"unknown constraint kind {kind!r}")

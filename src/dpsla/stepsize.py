@@ -25,19 +25,18 @@ of itself and the smallest objective value seen in the window, and the window
 is cleared.
 
 Everything here acts on all agents at once. `raw_beta` and `decide_alpha` are
-array expressions over (n,) arrays. `LevelWindows` keeps one log of the
-rounds' rows shared by all windows, a row count per agent and an (n, dim)
-array of witness points. `record_step` tests every witness against its new row
-in one call and, in a round where some witness fell, the new rows of those
-agents against the box in another; only the agents whose new row meets the box
-load their window into `InequalitySystem` as arrays and run its feasibility
-check, and the others read only the f-values of their window.
+array expressions over (n,) arrays. `LevelWindows` keeps each round's rows as
+one row of four arrays shared by all windows, a row count per agent and an
+(n, dim) array of witness points. `record_step` tests every witness against its
+new row in one call and, in a round where some witness fell, the new rows of
+those agents against the box in another. Each of those agents reads its window
+with one index; a window whose new row meets the box is loaded into
+`InequalitySystem` and checked, and the others are infeasible as they stand.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,6 +44,8 @@ import numpy as np
 
 from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError
 from .numerics import row_dots
+
+WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,11 @@ def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, beta: np.ndarray, k: int)
 class LevelWindows:
     """Every agent's level and the inequality window behind its violation detector.
 
-    Each round's arrays (G, b, F, active) go into one shared log. Agent i's
-    window is its last `count[i]` active rows, oldest first; the cap keeps at
-    most `eta_cap` of them, and a level update resets the window to zero rows.
-    While `valid[i]`, `witness[i]` satisfies every row of agent i's window
-    within EPS_FEAS (and lies in the box). Log entries older than the oldest
-    row of every window are dropped, so the log's length is bounded by the
-    windows, not by the run.
+    Round t's G (n, dim), b, F and active (n,) are row t of four arrays, whose
+    first `rows` rows are in use. Agent i's window is its last `count[i]` active
+    rows, oldest first; the cap keeps at most `eta_cap` of them, and a level
+    update resets the window to zero rows. While `valid[i]`, `witness[i]`
+    satisfies every row of agent i's window within EPS_FEAS (and lies in the box).
     """
 
     def __init__(self, level0, dim: int, bounds: tuple[np.ndarray, np.ndarray] | None = None,
@@ -154,29 +153,35 @@ class LevelWindows:
         n = self.level.size
         self.eta_cap = eta_cap
         self.count = np.zeros(n, dtype=np.int64)  # rows in each window
-        self.logged = np.zeros(n, dtype=np.int64)  # active rows each agent ever logged
         self.witness = np.zeros((n, dim))
         self.valid = np.zeros(n, dtype=bool)
-        self.log: deque = deque()  # (G, b, F, active, logged after that round)
+        self.rows = 0  # rounds held in G, b, F and active
+        self.G, self.active = np.empty((WINDOW_ROWS, n, dim)), np.empty((WINDOW_ROWS, n), bool)
+        self.b, self.F = np.empty((WINDOW_ROWS, n)), np.empty((WINDOW_ROWS, n))
         self.system = InequalitySystem(dim, bounds=bounds)  # reused for every check
 
-    def _rounds(self, i: int) -> list:
-        """The log entries that hold agent i's window rows, oldest first."""
-        need, rounds = int(self.count[i]), []
-        for entry in reversed(self.log):
-            if len(rounds) == need:
-                break
-            if entry[3][i]:
-                rounds.append(entry)
-        rounds.reverse()
-        return rounds
+    def _make_room(self) -> int:
+        """Shift out the rows older than the oldest row of every window and double
+        the arrays if they are still at least half full, so that their length is
+        bounded by the windows, not by the run. Returns the first free row."""
+        rows, count = self.rows, self.count
+        # held[j, i]: agent i's active rows among the last j + 1; a window of c > 0
+        # rows starts where held first reaches c, so it spans that many rows plus one
+        held = np.cumsum(self.active[rows - 1::-1], axis=0)
+        keep = int(((held < count).sum(0) + (count > 0)).max())
+        for name in ("G", "b", "F", "active"):
+            old = getattr(self, name)
+            new = old if 2 * keep < rows else np.empty((2 * rows,) + old.shape[1:], old.dtype)
+            new[:keep] = old[rows - keep:rows]
+            setattr(self, name, new)
+        self.rows = keep
+        return keep
 
     def window(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Agent i's window as arrays G (m, dim), b (m,) and F (m,), oldest row first."""
-        rounds = self._rounds(i)
-        return (np.array([e[0][i] for e in rounds]).reshape(-1, self.witness.shape[1]),
-                np.array([e[1][i] for e in rounds], dtype=float),
-                np.array([e[2][i] for e in rounds], dtype=float))
+        t = np.flatnonzero(self.active[:self.rows, i])
+        t = t[t.size - self.count[i]:]
+        return self.G[t, i], self.b[t, i], self.F[t, i]
 
 
 def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.ndarray,
@@ -187,20 +192,20 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     (beta / gamma_bar) ||g||^2 with beta the Polyak value written into the
     constraint (raw or lower-clamped per config), and the b of the other agents
     is ignored (NaN is fine). An agent whose witness survives its new row stays
-    feasible, and a round in which every witness survives only logs its rows.
+    feasible, and a round in which every witness survives only stores its rows.
     For the others only the new row can miss the box (every older row passed a
     witness test or a check, and both leave a point of the box on its side),
-    so a new row that misses the box makes the window infeasible with no check
-    and only the window's f-values are read, and the other windows go to
-    `win.system.check_feasible`. An infeasible window raises the level to a
-    convex combination of itself and the window's smallest f-value and is
-    cleared. Returns the (n,) mask of updated levels.
+    so a new row that misses the box makes the window infeasible with no check,
+    and the other windows go to `win.system.check_feasible`. An infeasible
+    window raises the level to a convex combination of itself and the window's
+    smallest f-value and is cleared. Returns the (n,) mask of updated levels.
     """
-    win.logged += active
+    t = win.rows if win.rows < win.b.shape[0] else win._make_room()
+    win.G[t], win.b[t], win.F[t], win.active[t] = G, b, F, active
+    win.rows = t + 1
     win.count += active
     if win.eta_cap is not None:
         np.minimum(win.count, win.eta_cap, out=win.count)
-    win.log.append((G, b, F, active, win.logged.copy()))
     win.valid &= ~(active & (row_dots(G, win.witness) - b > EPS_FEAS))
     updated = active & ~win.valid  # the fallen agents, until a check finds a new witness
     fell = updated.nonzero()[0]
@@ -211,10 +216,8 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
         G_fell = G[fell]
         misses_box = (np.minimum(G_fell * lo, G_fell * hi).sum(1) - b[fell] > EPS_FEAS).tolist()
     for i, missed in zip(fell.tolist(), misses_box):
-        if missed:  # the level update reads only the window's f-values
-            F_i = np.array([e[2][i] for e in win._rounds(i)], dtype=float)
-        else:
-            G_i, b_i, F_i = win.window(i)
+        G_i, b_i, F_i = win.window(i)
+        if not missed:
             system.load(G_i, b_i)
             try:
                 verdict = system.check_feasible()
@@ -232,7 +235,4 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
         # keep the level monotone in the residual cases.
         win.level[i] = max(level, proposed)
         win.count[i] = 0
-    dropped = win.logged - win.count  # rows that left each window
-    while win.log and (win.log[0][4] <= dropped).all():
-        win.log.popleft()
     return updated

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -48,6 +49,9 @@ class TestParseConfig:
         ('{"algorithm":{"eta_cap":2.5}}', "algorithm.eta_cap"),
         ('{"problem":{"n_agents":true}}', "problem.n_agents"),
         ('{"problem":{"edge_prob":null}}', "problem.edge_prob"),
+        ('{"algorithm":{"alpha0":Infinity}}', "algorithm.alpha0"),
+        ('{"algorithm":{"c_scale":Infinity}}', "algorithm.c_scale"),
+        ('{"algorithm":{"level_init":NaN}}', "algorithm.level_init"),
     ])
     def test_wrong_json_type_rejected(self, tmp_path, capsys, text, field):
         with pytest.raises(ConfigError, match=field):
@@ -92,7 +96,8 @@ class TestBuilders:
         assert clone.to_json() == inst.to_json()
 
 
-    @pytest.mark.parametrize("edit", ["bad_json", "missing_key", "mixed_dims"])
+    @pytest.mark.parametrize("edit", ["bad_json", "missing_key", "mixed_dims", "nan_radius",
+                                      "inf_radius", "nan_constant"])
     def test_malformed_custom_file_rejected(self, tmp_path, capsys, edit):
         from dpsla.problem import gen_triangle_demo
         doc = json.loads(gen_triangle_demo().to_json())
@@ -100,6 +105,10 @@ class TestBuilders:
             del doc["graph"]
         if edit == "mixed_dims":
             doc["objectives"][0] = {"kind": "quadratic", "Q": [[1.0]], "q": [0.0]}
+        if edit.endswith("radius"):
+            doc["constraint"]["radius"] = math.nan if edit == "nan_radius" else math.inf
+        if edit == "nan_constant":
+            doc["objectives"][2]["c"] = math.nan
         text = "{not json" if edit == "bad_json" else json.dumps(doc)
         (tmp_path / "inst.json").write_text(text)
         cfg = {"problem": {"type": "custom_file", "path": str(tmp_path / "inst.json")}}

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from dpsla.engine import Dpsla, run
 from dpsla.feasibility import EPS_FEAS, HalfSpace, InequalitySystem
 from dpsla.problem import ConstraintSet, ProblemInstance, QuadraticObjective
-from dpsla.stepsize import (CSchedule, LevelWindows, StepsizeConfig, decide_alpha,
-                            raw_beta, record_step)
+from dpsla.stepsize import (WINDOW_ROWS, CSchedule, LevelWindows, StepsizeConfig,
+                            decide_alpha, raw_beta, record_step)
 from dpsla.topology import build_graph
 
 
@@ -297,20 +297,23 @@ class TestWindowReplay:
     def test_matches_per_agent_reference(self, eta_cap, seed):
         self.replay(seed, eta_cap, rounds=60)
 
-    @pytest.mark.parametrize("eta_cap", [2, 5])
+    @pytest.mark.parametrize("eta_cap", [None, 2, 5])
     def test_quiet_stretches_trim_the_log(self, eta_cap):
         # in rounds 20-59 and 80-139 every point of the box satisfies every new
-        # row, so no witness falls and only the log trim runs
-        still = self.replay(7, eta_cap, rounds=160, quiet=lambda k: 20 <= k < 60 or 80 <= k < 140)
+        # row, so no witness falls and the rounds are only stored; the uncapped
+        # windows outgrow the initial rows, the capped ones are shifted out
+        still, win = self.replay(7, eta_cap, rounds=160,
+                                 quiet=lambda k: 20 <= k < 60 or 80 <= k < 140)
         assert still >= 80
+        assert (len(win.b) > WINDOW_ROWS) == (eta_cap is None)
 
     @staticmethod
     def replay(seed, eta_cap, rounds, quiet=lambda k: False):
         """Run random rounds through `record_step` and the reference; returns the
-        number of rounds in which no witness fell."""
+        number of rounds in which no witness fell, and the windows."""
         rng = np.random.default_rng(seed)
         n, dim = 3 + seed % 3, 2 + seed % 2
-        still = 0
+        still = longest = 0
         box = (-np.ones(dim), np.ones(dim))
         cfg = cfg_unit()
         keep = cfg.gamma / cfg.gamma_bar
@@ -356,6 +359,9 @@ class TestWindowReplay:
                 assert (box_min[:-1] - b_i[:-1] <= EPS_FEAS).all(), (k, i)
                 if win.valid[i]:
                     assert all(g @ win.witness[i] - b <= EPS_FEAS for g, b in zip(G_i, b_i))
-            # the log reaches back to the oldest row of the longest window, no further
-            assert len(win.log) == max((k + 1 - rows[0][0] for rows in windows if rows), default=0)
-        return still
+            # the stored rounds reach back to the oldest row of every window, and
+            # their arrays grow with the longest window span, not with the rounds
+            span = max((k + 1 - rows[0][0] for rows in windows if rows), default=0)
+            longest = max(longest, span)
+            assert span <= win.rows <= len(win.b) <= max(WINDOW_ROWS, 4 * longest), k
+        return still, win
