@@ -152,6 +152,8 @@ def _validate(cfg: RunConfig) -> None:
     _require(p.rows_per_agent >= 1, "problem.rows_per_agent", "must be >= 1")
     _require_seed(p.seed)
     _require(p.graph_kind in GRAPH_KINDS, "problem.graph_kind", "unknown graph kind")
+    _require(p.type != "paper" or p.graph_kind != "triangle" or p.n_agents == 3,
+             "problem.graph_kind", f"triangle needs problem.n_agents == 3, got {p.n_agents}")
     _require(0.0 < p.edge_prob <= 1.0, "problem.edge_prob", "must be in (0, 1]")
     _require(p.x0 in ("center", "uniform"), "problem.x0", "must be center or uniform")
 

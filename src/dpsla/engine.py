@@ -16,14 +16,17 @@ fixed (instance, algorithm, seed).
 
 With a handful of agents the number of calls per round, not their size, sets
 the cost of a run, so the loop keeps them few: it looks up what it needs once,
-tests the whole step for finiteness in one call, and the rules mask
-zero-gradient rows rather than switch `np.errstate`. It calls `mix`,
-`decide_alpha`, `record_step`, `residual` and `consensus_error` through their
-module-level names, so that a tracer can rebind them.
+tests the whole step for finiteness by the sum of its entries (the exact
+test runs only when that sum is not finite), DGD reads its stepsizes from a
+table computed once per run, and the rules mask zero-gradient rows rather
+than switch `np.errstate`. It calls `mix`, `decide_alpha`, `record_step`,
+`residual` and `consensus_error` through their module-level names, so that a
+tracer can rebind them.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -32,7 +35,7 @@ import numpy as np
 
 from .feasibility import SolverStallError
 from .metrics import consensus_error, residual
-from .numerics import Rng, row_dots
+from .numerics import Rng
 from .problem import ConstraintSet, ProblemInstance, gen_paper_instance, minimize_local
 from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, raw_beta, record_step
 from .topology import metropolis_weights, mix
@@ -69,8 +72,9 @@ class Dgd:
 
     scale: float = 2.0
 
-    def alpha(self, k: int) -> float:
-        return self.scale / (k + 1.0)
+    def schedule(self, rounds: int) -> np.ndarray:
+        """alpha_k for k = 0..rounds-1; each entry has the bits of scale / (k + 1.0)."""
+        return self.scale / (np.arange(rounds) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,7 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance):
         if clamped:
             beta = np.where(floor > beta, floor, beta)
         # zero-gradient rows add no half-space; a zero beta keeps their b finite
-        b = row_dots(G, Z) - np.where(active, beta, 0.0) * grad_sq / cfg.gamma_bar
+        b = np.vecdot(G, Z) - np.where(active, beta, 0.0) * grad_sq / cfg.gamma_bar
         try:
             return alpha, record_step(windows, cfg, G, b, F, active)
         except SolverStallError as exc:
@@ -212,8 +216,8 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance):
     return windows.level, rule
 
 
-def _stepsize_rule(alg, inst: ProblemInstance):
-    """(level array or None, rule) for an algorithm spec.
+def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
+    """(level array or None, rule) for an algorithm spec run for `rounds` rounds.
 
     Besides Dpsla, Dgd and NaivePolyak, any object with a method
     `stepsizes(k, F, G, grad_sq) -> (n,) alphas` runs as a level-free rule.
@@ -222,8 +226,8 @@ def _stepsize_rule(alg, inst: ProblemInstance):
     if isinstance(alg, Dpsla):
         return _dpsla_rule(alg, inst)
     if isinstance(alg, Dgd):
-        ones = np.ones(n)
-        return None, lambda k, Z, F, G, grad_sq: (alg.alpha(k) * ones, None)
+        table = np.repeat(alg.schedule(rounds)[:, None], n, axis=1)  # (rounds, n)
+        return None, lambda k, Z, F, G, grad_sq: (table[k], None)
     if isinstance(alg, NaivePolyak):
         if alg.target == "local_min":
             targets = np.array([minimize_local(o, inst.constraint)[1] for o in inst.objectives])
@@ -280,7 +284,7 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
     X = _initial_states(inst, x0, Rng(seed))
     if not inst.constraint._contains_rows(X).all():
         raise ValueError("initial states must be feasible")
-    level, rule = _stepsize_rule(alg, inst)
+    level, rule = _stepsize_rule(alg, inst, iterations)
     S = np.empty((rows if keep else min(rows, _CHUNK), n, inst.dim))
     trace = RunTrace(alpha=np.full((rows, n), np.nan if level is None else alg.stepsize.alpha0),
                      level=None if level is None else np.tile(level, (rows, 1)),
@@ -296,10 +300,11 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
     for r in range(1, rows):  # row r is filled by round r - 1
         Z = mix(W, X)
         F, G = values_grads(Z)
-        grad_sq = row_dots(G, G)
+        grad_sq = np.vecdot(G, G)
         alpha, updated = rule(r - 1, Z, F, G, grad_sq)
         step = Z - alpha[:, None] * G
-        if np.isfinite(step).all():
+        # a finite sum proves every entry finite; a non-finite one may be overflow
+        if math.isfinite(np.add.reduce(step, None)) or np.isfinite(step).all():
             X = project(step)
         else:  # hold position on non-finite rows; the trace keeps the divergence flag
             finite = np.isfinite(step).all(axis=1)

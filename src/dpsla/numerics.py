@@ -38,16 +38,6 @@ def as_mat(x) -> np.ndarray:
     return m
 
 
-def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise inner products of two (..., m, d) arrays (leading axes broadcast).
-
-    One stacked `matmul` of (1, d) by (d, 1) slices: each slice runs the same
-    BLAS dot as the 1-D `a @ b`, so every entry is bitwise equal to it
-    (`np.einsum` and `np.sum(A * B, axis=1)` are not).
-    """
-    return (A[..., None, :] @ B[..., :, None])[..., 0, 0]
-
-
 def _cholesky(A: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with explicit pivot checks (dims here are <= 32)."""
     n = A.shape[0]

@@ -8,9 +8,10 @@ The shared set is a box or a Euclidean ball; both are compact and convex.
 
 The simulator evaluates all agents at once: an instance stacks its objectives
 into groups of one kind and shape (`ObjectiveGroup`), and the constraint set
-projects every row of an (n, dim) array in one call. Each batched product is a
-stacked `matmul` whose slices run the same BLAS call as the single-agent
-`_eval`/`_grad`/`_project`, so the batched rows are bitwise equal to them.
+projects every row of an (n, dim) array in one call. Each batched product is
+one gufunc call (`np.vecdot`, `np.matvec`, `np.vecmat`) whose entries run the
+same dot as the 1-D `a @ b` of the single-agent `_eval`/`_grad`/`_project`,
+so the batched rows are bitwise equal to them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import Rng, as_mat, as_vec, row_dots, solve_spd
+from .numerics import Rng, as_mat, as_vec, solve_spd
 from .topology import Graph, build_graph
 
 PSD_EIG_TOL = -1e-10
@@ -118,9 +119,10 @@ class ObjectiveGroup:
     """Objectives of one kind and shape, stacked along a leading agent axis.
 
     Least squares keeps A (g, r, dim), its transpose as a *view* (a contiguous
-    copy or `einsum` would change the BLAS call and the last bits) and
-    b (g, r); general quadratics keep Q, H = Q + Q' (g, dim, dim), q (g, dim)
-    and c (g,).
+    copy could change the kernel numpy picks, and `einsum` the order of the
+    sums, so the last bits) and b (g, r); general quadratics keep Q, H = Q + Q'
+    (g, dim, dim), q (g, dim) and c (g,). `values` and `values_grads` are
+    `np.matvec`, `np.vecmat` and `np.vecdot` calls, one per product.
     """
 
     agents: np.ndarray  # positions of the group's objectives in the instance
@@ -153,16 +155,16 @@ class ObjectiveGroup:
     def values(self, Z: np.ndarray) -> np.ndarray:
         """f_j(z_j) for each row z_j of Z (g, dim) or of each slice of Z (K, g, dim)."""
         if self.kind == "least_squares":
-            R = (self.M @ Z[..., None])[..., 0] - self.v
-            return 0.5 * row_dots(R, R)
-        return row_dots((Z[..., None, :] @ self.M)[..., 0, :], Z) + row_dots(self.v, Z) + self.c
+            R = np.matvec(self.M, Z) - self.v
+            return 0.5 * np.vecdot(R, R)
+        return np.vecdot(np.vecmat(Z, self.M), Z) + np.vecdot(self.v, Z) + self.c
 
     def values_grads(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f_j(z_j) and grad f_j(z_j) for each row z_j of Z (g, dim)."""
         if self.kind == "least_squares":
-            R = (self.M @ Z[:, :, None])[:, :, 0] - self.v
-            return 0.5 * row_dots(R, R), (self.MT @ R[:, :, None])[:, :, 0]
-        return self.values(Z), (self.MT @ Z[:, :, None])[:, :, 0] + self.v
+            R = np.matvec(self.M, Z) - self.v
+            return 0.5 * np.vecdot(R, R), np.matvec(self.MT, R)
+        return self.values(Z), np.matvec(self.MT, Z) + self.v
 
 
 # -- constraint sets --------------------------------------------------------------
@@ -214,7 +216,7 @@ class ConstraintSet:
         if self.kind == "box":
             return Y.clip(self.lower, self.upper)
         D = Y - self.ball_center
-        norms = np.sqrt(row_dots(D, D))
+        norms = np.sqrt(np.vecdot(D, D))
         out = Y.copy()
         far = ~(norms <= self.radius)
         if not far.any():
@@ -227,7 +229,7 @@ class ConstraintSet:
         if self.kind == "box":
             return np.all((X >= self.lower - tol) & (X <= self.upper + tol), axis=1)
         D = X - self.ball_center
-        return np.sqrt(row_dots(D, D)) <= self.radius + tol
+        return np.sqrt(np.vecdot(D, D)) <= self.radius + tol
 
     def contains(self, x, tol: float = 1e-12) -> bool:
         x = as_vec(x, dim=self.dim)
@@ -386,8 +388,35 @@ class ProblemInstance:
             graph=graph,
         )
         if "optimum" in doc:
-            inst.optimum = OracleResult.from_dict(doc["optimum"])
+            inst.optimum = inst._checked_optimum(OracleResult.from_dict(doc["optimum"]))
         return inst
+
+    def _checked_optimum(self, orc: OracleResult) -> OracleResult:
+        """`orc` if it describes a point of this instance, else ValueError.
+
+        x* must be a point of the constraint set (tol 1e-12), f* and the local
+        values must be what the objectives give there (within 1e-9 relative to
+        max(1, |value|)), and the KKT residual must be finite and >= 0.
+        """
+        x = orc.x_star
+        if x.size != self.dim:
+            raise ValueError(f"optimum x_star has dimension {x.size}, expected {self.dim}")
+        if not self.constraint.contains(x):
+            raise ValueError("optimum x_star lies outside the constraint set")
+        if len(orc.local_values) != self.n_agents:
+            raise ValueError(f"optimum has {len(orc.local_values)} local values "
+                             f"for {self.n_agents} agents")
+        claims = [("f_star", orc.f_star, self.sum_value(x))]
+        claims += [(f"local_values[{i}]", v, o.eval(x))
+                   for i, (v, o) in enumerate(zip(orc.local_values, self.objectives))]
+        for name, given, value in claims:
+            if not abs(given - value) <= 1e-9 * max(1.0, abs(value)):
+                raise ValueError(f"optimum {name} = {given!r}, but the objectives give "
+                                 f"{value!r} at x_star")
+        if not (math.isfinite(orc.kkt_residual) and orc.kkt_residual >= 0.0):
+            raise ValueError(f"optimum kkt_residual must be finite and >= 0, "
+                             f"got {orc.kkt_residual!r}")
+        return orc
 
 
 # -- generators -------------------------------------------------------------------

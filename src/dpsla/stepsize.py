@@ -43,7 +43,6 @@ from functools import cached_property
 import numpy as np
 
 from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError
-from .numerics import row_dots
 
 WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
 
@@ -206,7 +205,7 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     win.count += active
     if win.eta_cap is not None:
         np.minimum(win.count, win.eta_cap, out=win.count)
-    win.valid &= ~(active & (row_dots(G, win.witness) - b > EPS_FEAS))
+    win.valid &= ~(active & (np.vecdot(G, win.witness) - b > EPS_FEAS))
     updated = active & ~win.valid  # the fallen agents, until a check finds a new witness
     fell = updated.nonzero()[0]
     system, keep = win.system, cfg.gamma / cfg.gamma_bar

@@ -52,6 +52,8 @@ class TestParseConfig:
         ('{"algorithm":{"alpha0":Infinity}}', "algorithm.alpha0"),
         ('{"algorithm":{"c_scale":Infinity}}', "algorithm.c_scale"),
         ('{"algorithm":{"level_init":NaN}}', "algorithm.level_init"),
+        ('{"problem":{"graph_kind":"triangle"}}', "problem.graph_kind"),
+        ('{"problem":{"graph_kind":"triangle","n_agents":5}}', "problem.graph_kind"),
     ])
     def test_wrong_json_type_rejected(self, tmp_path, capsys, text, field):
         with pytest.raises(ConfigError, match=field):
@@ -78,6 +80,10 @@ class TestBuilders:
         inst = build_instance(cfg)
         assert inst.n_agents == 3 and inst.constraint.kind == "ball"
 
+    def test_paper_instance_on_triangle_graph(self):
+        inst = build_instance(parse_config('{"problem":{"graph_kind":"triangle","n_agents":3}}'))
+        assert inst.n_agents == 3 and len(inst.graph.edges) == 3
+
     def test_algorithm_kinds(self):
         assert isinstance(build_algorithm(parse_config("{}")), Dpsla)
         dgd = build_algorithm(parse_config('{"algorithm":{"name":"dgd","dgd_scale":3.0}}'))
@@ -97,10 +103,15 @@ class TestBuilders:
 
 
     @pytest.mark.parametrize("edit", ["bad_json", "missing_key", "mixed_dims", "nan_radius",
-                                      "inf_radius", "nan_constant"])
+                                      "inf_radius", "nan_constant", "optimum_f_star",
+                                      "optimum_outside", "optimum_dim", "optimum_local_count",
+                                      "optimum_local_value", "optimum_kkt"])
     def test_malformed_custom_file_rejected(self, tmp_path, capsys, edit):
         from dpsla.problem import gen_triangle_demo
-        doc = json.loads(gen_triangle_demo().to_json())
+        inst = gen_triangle_demo()
+        if edit.startswith("optimum"):
+            inst.ensure_optimum(1e-11)
+        doc = json.loads(inst.to_json())
         if edit == "missing_key":
             del doc["graph"]
         if edit == "mixed_dims":
@@ -109,6 +120,19 @@ class TestBuilders:
             doc["constraint"]["radius"] = math.nan if edit == "nan_radius" else math.inf
         if edit == "nan_constant":
             doc["objectives"][2]["c"] = math.nan
+        optimum = doc.get("optimum", {})
+        if edit == "optimum_f_star":
+            optimum["f_star"] += 5.0
+        if edit == "optimum_outside":
+            optimum["x_star"] = [100.0, 0.0]  # the ball has radius 4
+        if edit == "optimum_dim":
+            optimum["x_star"] += [0.0]
+        if edit == "optimum_local_count":
+            optimum["local_values"].pop()
+        if edit == "optimum_local_value":
+            optimum["local_values"][1] -= 1e-6
+        if edit == "optimum_kkt":
+            optimum["kkt_residual"] = -1.0
         text = "{not json" if edit == "bad_json" else json.dumps(doc)
         (tmp_path / "inst.json").write_text(text)
         cfg = {"problem": {"type": "custom_file", "path": str(tmp_path / "inst.json")}}

@@ -445,9 +445,13 @@ class TestRoundBudget:
         run(inst, alg, 3)  # fill the instance's cached stacks before counting
         return (count(2 * T) - count(T)) / T
 
-    # measured 34.2, 19.1, 23.1 and 24.1 with numpy 2.4 and Python 3.11
-    @pytest.mark.parametrize("shape, budget", [("dpsla_main", 35), ("dgd_main", 20),
-                                               ("dgd_triangle", 24), ("naive_triangle", 25)])
+    # measured 29.2, 16.1, 18.0 and 20.0 with numpy 2.4 and Python 3.11; the test
+    # ids name the shape only, so that a new budget keeps them
+    @pytest.mark.parametrize("shape, budget", [
+        pytest.param("dpsla_main", 30, id="dpsla_main"),
+        pytest.param("dgd_main", 17, id="dgd_main"),
+        pytest.param("dgd_triangle", 19, id="dgd_triangle"),
+        pytest.param("naive_triangle", 21, id="naive_triangle")])
     def test_calls_per_round(self, shape, budget, triangle):
         if shape.endswith("main"):
             inst, alg = _main_instance()

@@ -68,3 +68,69 @@ class TestRng:
             Rng(0).uniform(1.0, 1.0)
         with pytest.raises(ValueError):
             Rng(0).uniform(2.0, 1.0)
+
+
+def _layouts(a: np.ndarray):
+    """`a` in C order and as equal arrays laid out as the round's operands can be:
+    F-ordered, reversed along the first and the last axis, gathered by a fancy
+    index and as a strided view."""
+    yield "C", a
+    yield "F", np.asfortranarray(a)
+    yield "reversed rows", np.ascontiguousarray(a[::-1])[::-1]
+    yield "reversed entries", np.ascontiguousarray(a[..., ::-1])[..., ::-1]
+    yield "fancy-indexed", np.concatenate([a, a])[np.arange(len(a))]
+    wide = np.repeat(a, 2, axis=-1)
+    yield "strided", wide[..., ::2]
+
+
+class TestGufuncKernels:
+    """`np.vecdot`, `np.matvec` and `np.vecmat` against the 1-D products they batch.
+
+    The batched round is bitwise equal to the single-agent `_eval`/`_grad`/
+    `_project` (and the golden traces hold) only while every gufunc entry is
+    the same dot as the per-row `a @ b`, `M_i @ z_i` or `z_i @ Q_i` of the same
+    operands. A numpy build whose gufunc loops sum in another order, or use
+    another kernel, fails here, naming the case.
+    """
+
+    @staticmethod
+    def draw(gen, shape):
+        """Normal entries, each row scaled by its own power of ten in 1e-8..1e8."""
+        return gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 9, size=shape[:-1] + (1,))
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=["rows", "stacks"])
+    def test_vecdot_is_the_row_dot(self, lead):
+        gen = np.random.default_rng(11)
+        for dim in range(1, 65):
+            A, B = self.draw(gen, lead + (dim,)), self.draw(gen, lead + (dim,))
+            for name, A_ in _layouts(A):
+                got = np.vecdot(A_, B)
+                for idx in np.ndindex(lead):
+                    assert got[idx] == A_[idx] @ B[idx], f"vecdot, dim {dim}, {name}, row {idx}"
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["rows", "stacks"])
+    def test_matvec_is_the_matrix_vector_product(self, lead):
+        gen = np.random.default_rng(12)
+        g = 3
+        for dim in range(1, 65):
+            for m in sorted({1, 2, dim}):
+                M, Z = self.draw(gen, (g, m, dim)), self.draw(gen, lead + (g, dim))
+                MT = self.draw(gen, (g, dim, m)).transpose(0, 2, 1)  # A' as a view
+                for mat_name, mat in (("M", M), ("M as a transposed view", MT)):
+                    for name, Z_ in _layouts(Z):
+                        got = np.matvec(mat, Z_)
+                        for idx in np.ndindex(lead + (g,)):
+                            assert np.array_equal(got[idx], mat[idx[-1]] @ Z_[idx]), \
+                                f"matvec, {mat_name} ({m}, {dim}), z {name}, row {idx}"
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["rows", "stacks"])
+    def test_vecmat_is_the_vector_matrix_product(self, lead):
+        gen = np.random.default_rng(13)
+        g = 3
+        for dim in range(1, 65):
+            Q, Z = self.draw(gen, (g, dim, dim)), self.draw(gen, lead + (g, dim))
+            for name, Z_ in _layouts(Z):
+                got = np.vecmat(Z_, Q)
+                for idx in np.ndindex(lead + (g,)):
+                    assert np.array_equal(got[idx], Z_[idx] @ Q[idx[-1]]), \
+                        f"vecmat, dim {dim}, z {name}, row {idx}"
