@@ -16,17 +16,16 @@ fixed (instance, algorithm, seed).
 
 With a handful of agents the number of calls per round, not their size, sets
 the cost of a run, so the loop keeps them few: it looks up what it needs once,
-tests the whole step for finiteness by the sum of its entries (the exact
-test runs only when that sum is not finite), DGD reads its stepsizes from a
-table computed once per run, and the rules mask zero-gradient rows rather
-than switch `np.errstate`. It calls `mix`, `decide_alpha`, `record_step`,
+mixes by the bare `np.matmul` (X is finite by construction), tests the whole
+step with one `np.isfinite(step).all()`, DGD reads its stepsizes from a table
+computed once per run, and the rules mask zero-gradient rows rather than
+switch `np.errstate`. It calls `mix`, `decide_alpha`, `record_step`,
 `residual` and `consensus_error` through their module-level names, so that a
 tracer can rebind them.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -38,7 +37,9 @@ from .metrics import consensus_error, residual
 from .numerics import Rng
 from .problem import ConstraintSet, ProblemInstance, gen_paper_instance, minimize_local
 from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, raw_beta, record_step
-from .topology import metropolis_weights, mix
+from .topology import metropolis_weights
+
+mix = np.matmul
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,7 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     n, rows, keep = inst.n_agents, iterations + 1, keep_states or validate
-    W = metropolis_weights(inst.graph)
+    W = metropolis_weights(inst.graph).W
     X = _initial_states(inst, x0, Rng(seed))
     if not inst.constraint._contains_rows(X).all():
         raise ValueError("initial states must be feasible")
@@ -303,8 +304,7 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
         grad_sq = np.vecdot(G, G)
         alpha, updated = rule(r - 1, Z, F, G, grad_sq)
         step = Z - alpha[:, None] * G
-        # a finite sum proves every entry finite; a non-finite one may be overflow
-        if math.isfinite(np.add.reduce(step, None)) or np.isfinite(step).all():
+        if np.isfinite(step).all():
             X = project(step)
         else:  # hold position on non-finite rows; the trace keeps the divergence flag
             finite = np.isfinite(step).all(axis=1)

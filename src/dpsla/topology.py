@@ -4,6 +4,9 @@ Graphs are undirected, connected and fixed for the whole run. The mixing
 matrix built here is symmetric, nonnegative and doubly stochastic, with a
 strictly positive diagonal, so repeated mixing contracts disagreement while
 preserving the network average.
+
+Past construction, the degrees, the weights, the support check and the
+connectivity test are array expressions over the (n, n) adjacency array.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ STOCHASTIC_TOL = 1e-12
 GRAPH_KINDS = ("triangle", "complete", "ring", "path", "random")
 
 
+def _is_index(v) -> bool:
+    """An integer agent index; bools are rejected even though Python counts them as ints."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected connected graph on agents 0..n_agents-1, edges stored as (i, j) with i < j."""
@@ -30,31 +38,26 @@ class Graph:
         if self.n_agents < 2:
             raise ValueError("a graph needs at least 2 agents")
         for (i, j) in self.edges:
-            if not (0 <= i < j < self.n_agents):
+            if not (_is_index(i) and _is_index(j) and 0 <= i < j < self.n_agents):
                 raise ValueError(f"bad edge ({i}, {j}) for {self.n_agents} agents")
         if not self._connected():
             raise ValueError("graph must be connected")
 
     def _connected(self) -> bool:
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[u])[0]:
-                if v not in seen:
-                    seen.add(int(v))
-                    stack.append(int(v))
-        return len(seen) == self.n_agents
+        adj = self.adjacency() > 0
+        seen = np.zeros(self.n_agents, dtype=bool)
+        seen[0] = True
+        frontier = seen
+        while frontier.any():  # grow the set reached from agent 0 one hop per step
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        return bool(seen.all())
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n_agents, self.n_agents))
-        for (i, j) in self.edges:
-            A[i, j] = A[j, i] = 1.0
+        i, j = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
+        A[i, j] = A[j, i] = 1.0
         return A
-
-    def degree(self, i: int) -> int:
-        return sum(1 for (a, b) in self.edges if a == i or b == i)
 
     def to_edge_list_text(self) -> str:
         """Debug export: one "i j" pair per line, sorted."""
@@ -146,14 +149,13 @@ class MixingMatrix:
             raise ValueError("row sums must equal 1")
         if np.max(np.abs(W.T @ ones - ones)) > STOCHASTIC_TOL:
             raise ValueError("column sums must equal 1")
-        adj = g.adjacency()
-        for i in range(n):
-            for j in range(n):
-                on_support = (i == j) or adj[i, j] > 0
-                if on_support and W[i, j] <= 0:
-                    raise ValueError(f"weight w[{i},{j}] must be positive on the graph support")
-                if not on_support and W[i, j] != 0:
-                    raise ValueError(f"weight w[{i},{j}] must be zero off the graph support")
+        support = (g.adjacency() > 0) | np.eye(n, dtype=bool)
+        bad = np.argwhere(np.where(support, W <= 0, W != 0))
+        if len(bad):  # name the first offending entry in row-major order
+            i, j = bad[0]
+            if support[i, j]:
+                raise ValueError(f"weight w[{i},{j}] must be positive on the graph support")
+            raise ValueError(f"weight w[{i},{j}] must be zero off the graph support")
 
     @property
     def n_agents(self) -> int:
@@ -162,14 +164,10 @@ class MixingMatrix:
 
 def metropolis_weights(g: Graph) -> MixingMatrix:
     """Metropolis rule: w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal absorbs the rest."""
-    n = g.n_agents
-    deg = [g.degree(i) for i in range(n)]
-    W = np.zeros((n, n))
-    for (i, j) in g.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = W[j, i] = w
-    for i in range(n):
-        W[i, i] = 1.0 - W[i].sum()
+    A = g.adjacency()
+    deg = A.sum(axis=1)
+    W = A / (1.0 + np.maximum.outer(deg, deg))
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return MixingMatrix(W=W, source_graph=g)
 
 
@@ -177,7 +175,7 @@ def mix(W: MixingMatrix, states) -> np.ndarray:
     """One consensus step z_i = sum_j w_ij x_j for every agent.
 
     `states` is an (n, dim) array or a list of n vectors; returns the (n, dim)
-    array whose rows are the z_i.
+    array whose rows are the z_i. The run loop skips these checks (`engine.mix`).
     """
     if len(states) != W.n_agents:
         raise ValueError(f"expected {W.n_agents} states, got {len(states)}")

@@ -105,7 +105,8 @@ class TestBuilders:
     @pytest.mark.parametrize("edit", ["bad_json", "missing_key", "mixed_dims", "nan_radius",
                                       "inf_radius", "nan_constant", "optimum_f_star",
                                       "optimum_outside", "optimum_dim", "optimum_local_count",
-                                      "optimum_local_value", "optimum_kkt"])
+                                      "optimum_local_value", "optimum_kkt", "edges_float",
+                                      "edges_frac", "edges_bool"])
     def test_malformed_custom_file_rejected(self, tmp_path, capsys, edit):
         from dpsla.problem import gen_triangle_demo
         inst = gen_triangle_demo()
@@ -120,6 +121,12 @@ class TestBuilders:
             doc["constraint"]["radius"] = math.nan if edit == "nan_radius" else math.inf
         if edit == "nan_constant":
             doc["objectives"][2]["c"] = math.nan
+        if edit == "edges_float":  # the triangle's edges are [[0, 1], [0, 2], [1, 2]]
+            doc["graph"]["edges"] = [[float(i), float(j)] for i, j in doc["graph"]["edges"]]
+        if edit == "edges_frac":
+            doc["graph"]["edges"][0] = [0.5, 1.0]
+        if edit == "edges_bool":
+            doc["graph"]["edges"][0] = [False, True]
         optimum = doc.get("optimum", {})
         if edit == "optimum_f_star":
             optimum["f_star"] += 5.0

@@ -2,7 +2,22 @@ import numpy as np
 import pytest
 
 from dpsla.numerics import Rng
-from dpsla.topology import Graph, build_graph, metropolis_weights, mix
+from dpsla.topology import Graph, MixingMatrix, build_graph, metropolis_weights, mix
+
+
+def _metropolis_per_edge(g):
+    """The per-edge Metropolis loop that the array form replaced; the bitwise reference."""
+    n = g.n_agents
+    deg = [0] * n
+    for (i, j) in g.edges:
+        deg[i] += 1
+        deg[j] += 1
+    W = np.zeros((n, n))
+    for (i, j) in g.edges:
+        W[i, j] = W[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    for i in range(n):
+        W[i, i] = 1.0 - W[i].sum()
+    return W
 
 
 def _check_doubly_stochastic(W):
@@ -26,12 +41,18 @@ class TestBuildGraph:
     def test_ring(self):
         g = build_graph("ring", 5)
         assert len(g.edges) == 5
-        assert all(g.degree(i) == 2 for i in range(5))
+        assert g.adjacency().sum(axis=1).tolist() == [2.0] * 5
 
     def test_path(self):
         g = build_graph("path", 4)
         assert len(g.edges) == 3
-        assert g.degree(0) == 1 and g.degree(1) == 2
+        assert g.adjacency().sum(axis=1).tolist() == [1.0, 2.0, 2.0, 1.0]
+
+    def test_long_path_accepted(self):
+        # the connectivity test grows its frontier one hop per step: 299 steps here
+        g = build_graph("path", 300)
+        assert len(g.edges) == 299
+        assert metropolis_weights(g).n_agents == 300
 
     def test_random_connected(self):
         for seed in range(20):
@@ -54,6 +75,15 @@ class TestBuildGraph:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             Graph(n_agents=4, edges=frozenset({(0, 1), (2, 3)}))
+
+    @pytest.mark.parametrize("edge", [(0.0, 1.0), (0.5, 1), (0, 1.0), (False, True), (0, True)])
+    def test_non_integer_endpoints_rejected(self, edge):
+        with pytest.raises(ValueError, match="bad edge"):
+            Graph(n_agents=3, edges=frozenset({edge, (1, 2)}))
+
+    def test_numpy_integer_endpoints_accepted(self):
+        g = Graph(n_agents=3, edges=frozenset({(np.int64(0), np.int64(1)), (1, 2)}))
+        assert g.adjacency().sum() == 4.0
 
     def test_edge_list_export(self):
         g = build_graph("triangle", 3)
@@ -95,6 +125,43 @@ class TestMetropolisWeights:
                     assert W[i, j] > 0
                 else:
                     assert W[i, j] == 0
+
+    def test_bitwise_equal_to_per_edge_loop(self):
+        graphs = [build_graph(kind, n) for kind in ("ring", "path", "complete")
+                  for n in range(2, 80)]
+        graphs += [build_graph("random", n, edge_prob=p, rng=Rng(n))
+                   for n in [*range(2, 64), 100, 160] for p in (0.05, 0.2, 0.5, 0.9)]
+        graphs.append(build_graph("random", 320, edge_prob=0.5, rng=Rng(320)))
+        for g in graphs:
+            assert metropolis_weights(g).W.tobytes() == _metropolis_per_edge(g).tobytes()
+
+
+class TestMixingMatrixSupport:
+    # path 0-1-2 and star 0-2, 1-2; every W below is symmetric and doubly stochastic
+    PATH = Graph(n_agents=3, edges=frozenset({(0, 1), (1, 2)}))
+    STAR = Graph(n_agents=3, edges=frozenset({(0, 2), (1, 2)}))
+
+    def test_zero_on_an_edge(self):
+        msg = r"^weight w\[0,1\] must be positive on the graph support$"
+        with pytest.raises(ValueError, match=msg):
+            MixingMatrix(W=np.eye(3), source_graph=self.PATH)
+
+    def test_nonzero_off_the_support(self):
+        msg = r"^weight w\[0,2\] must be zero off the graph support$"
+        with pytest.raises(ValueError, match=msg):
+            MixingMatrix(W=np.full((3, 3), 1 / 3), source_graph=self.PATH)
+
+    @pytest.mark.parametrize("graph, W, first", [
+        # w[0,1] on an edge is zero before w[0,2] off the support is nonzero
+        ("PATH", [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]],
+         r"w\[0,1\] must be positive on"),
+        # w[0,1] off the support is nonzero before w[0,2] on an edge is zero
+        ("STAR", [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
+         r"w\[0,1\] must be zero off"),
+    ])
+    def test_both_faults_name_the_first_in_row_major_order(self, graph, W, first):
+        with pytest.raises(ValueError, match=first):
+            MixingMatrix(W=np.array(W), source_graph=getattr(self, graph))
 
 
 class TestMix:
