@@ -2,7 +2,8 @@
 
 Commands:
     dpsla run --config cfg.json [--out DIR]
-    dpsla reproduce {divergence|main|speedup} [--out DIR] [--seed N]
+    dpsla reproduce {divergence|main} [--out DIR] [--seed N]
+    dpsla reproduce speedup [--out DIR]
     dpsla oracle --config cfg.json
 
 Config files are JSON with four sections (problem, algorithm, run, output);
@@ -269,8 +270,11 @@ def cmd_oracle(config_path: str) -> int:
     return 0
 
 
-def cmd_reproduce(which: str, out_override: str | None = None, seed: int = 0) -> int:
-    """Re-run one of the three benchmark experiments with baked-in parameters."""
+def cmd_reproduce(which: str, out_override: str | None = None, seed: int | None = None) -> int:
+    """Re-run one of the three benchmark experiments with baked-in parameters;
+    `speedup` runs its own seeds 0..9 and takes no `seed` (the others default to 0)."""
+    _require(seed is None or which != "speedup", "--seed", "reproduce speedup runs seeds 0..9")
+    seed = 0 if seed is None else seed
     _require_seed(seed)
     if which == "divergence":
         cfg = parse_config(json.dumps({"problem": {"type": "triangle"},
@@ -338,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     p_rep = sub.add_parser("reproduce", help="re-run a benchmark experiment")
     p_rep.add_argument("which", choices=["divergence", "main", "speedup"])
     p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--seed", type=int, default=0)
+    p_rep.add_argument("--seed", type=int, default=None)
 
     p_orc = sub.add_parser("oracle", help="print the reference optimum as JSON")
     p_orc.add_argument("--config", required=True)

@@ -9,7 +9,7 @@ are filled once per chunk of rounds from a stack of their states. Algorithms
 differ only in the stepsize rule, so the consensus and projection paths are
 shared by construction. DPS-LA also records the round's half-spaces in its
 level windows (`stepsize.record_step`), which loop in Python only over the
-agents whose cached witness fell. A row whose step is not finite holds its z
+windows that go to the LP. A row whose step is not finite holds its z
 and marks the run as diverged. Every agent's update depends only on the
 previous round's states; the run is single threaded and deterministic for a
 fixed (instance, algorithm, seed).
@@ -17,9 +17,9 @@ fixed (instance, algorithm, seed).
 With a handful of agents the number of calls per round, not their size, sets
 the cost of a run, so the loop keeps them few: it looks up what it needs once,
 mixes by the bare `np.matmul` (X is finite by construction), tests the whole
-step with one `np.isfinite(step).all()`, DGD reads its stepsizes from a table
-computed once per run, and the rules mask zero-gradient rows rather than
-switch `np.errstate`. It calls `mix`, `decide_alpha`, `record_step`,
+step with one `np.isfinite(step).all()`, DGD reads its stepsizes and DPS-LA
+its c_k from tables computed once per run, and the rules mask zero-gradient
+rows rather than switch `np.errstate`. It calls `mix`, `decide_alpha`, `record_step`,
 `residual` and `consensus_error` through their module-level names, so that a
 tracer can rebind them.
 """
@@ -167,7 +167,7 @@ def first_violations(trace: RunTrace, cfg: StepsizeConfig | None = None,
     if trace.level is not None:
         bad["level_monotone"] = ~(trace.level[1:] >= trace.level[:-1])
     if cfg is not None:
-        ck = np.array([cfg.c_value(k) for k in range(len(alphas))])[:, None]
+        ck = cfg.c_schedule.value(np.arange(len(alphas)))[:, None]
         bad["corridor"] = ~(((cfg.c0 * cfg.alpha0 / 2.0) / ck <= alphas)
                             & (alphas <= (cfg.c0 * cfg.alpha0) / ck))
     if constraint is not None and trace.states is not None:
@@ -191,20 +191,20 @@ _VALIDATE_MESSAGES = {
 # rule(k, Z, F, G, grad_sq) -> (alpha (n,), level_updated (n,) bool or None).
 
 
-def _dpsla_rule(alg: Dpsla, inst: ProblemInstance):
+def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
     cfg, n = alg.stepsize, inst.n_agents
     level = alg.level_init if isinstance(alg.level_init, (tuple, list)) else (alg.level_init,) * n
     if len(level) != n:
         raise ValueError("per-agent level_init needs one value per agent")
     windows = LevelWindows(level, inst.dim, bounds=inst.constraint.bounding_box(),
                            eta_cap=alg.eta_cap)
-    cap = np.full(n, cfg.c0 * cfg.alpha0)
+    cap, c = np.full(n, cfg.c0 * cfg.alpha0), cfg.c_schedule.value(np.arange(rounds))
     floor, clamped, eps_sq = cfg.beta_floor, cfg.constraint_beta == "clamped", cfg.eps_grad ** 2
 
     def rule(k, Z, F, G, grad_sq):
         active = grad_sq > eps_sq
         beta = raw_beta(cfg, F, windows.level, grad_sq)
-        alpha = decide_alpha(cfg, cap, beta, k)
+        alpha = decide_alpha(cfg, cap, beta, c[k])
         if clamped:
             beta = np.where(floor > beta, floor, beta)
         # zero-gradient rows add no half-space; a zero beta keeps their b finite
@@ -225,7 +225,7 @@ def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
     """
     n = inst.n_agents
     if isinstance(alg, Dpsla):
-        return _dpsla_rule(alg, inst)
+        return _dpsla_rule(alg, inst, rounds)
     if isinstance(alg, Dgd):
         table = np.repeat(alg.schedule(rounds)[:, None], n, axis=1)  # (rounds, n)
         return None, lambda k, Z, F, G, grad_sq: (table[k], None)

@@ -24,19 +24,21 @@ When the window turns infeasible the level is raised to a convex combination
 of itself and the smallest objective value seen in the window, and the window
 is cleared.
 
-Everything here acts on all agents at once. `raw_beta` and `decide_alpha` are
-array expressions over (n,) arrays. `LevelWindows` keeps each round's rows as
-one row of four arrays shared by all windows, a row count per agent and an
-(n, dim) array of witness points. `record_step` tests every witness against its
-new row in one call and, in a round where some witness fell, the new rows of
-those agents against the box in another. Each of those agents reads its window
-with one index; a window whose new row meets the box is loaded into
-`InequalitySystem` and checked, and the others are infeasible as they stand.
+Everything here acts on all agents at once. `CSchedule.value` gives c_k for
+one round or for an array of rounds by the same expression, so a run reads c_k
+from a table built once. `raw_beta` and `decide_alpha` are array expressions
+over (n,) arrays. `LevelWindows` keeps each round's rows as one row of four
+arrays shared by all windows, a row count per agent and an (n, dim) array of
+witness points. `record_step` tests every witness against its new row in one
+call and, in a round where some witness fell, the new rows of those agents
+against the box in another. The only Python loop runs over the windows whose
+new row meets the box: each is read with one index, loaded into
+`InequalitySystem` and checked. The levels of all infeasible windows are then
+raised at once, from one masked minimum over the stored rows.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,12 +62,11 @@ class CSchedule:
         if self.scale <= 0:
             raise ValueError("c-schedule scale must be positive")
 
-    def value(self, k: int) -> float:
-        if k < 0:
+    def value(self, k: int | np.ndarray) -> float | np.ndarray:
+        """c_k for a round k >= 0, or elementwise for an integer array of rounds."""
+        if np.count_nonzero(k < 0):
             raise ValueError("k must be >= 0")
-        if self.kind == "sqrt":
-            return self.scale * math.sqrt(k + 1.0)
-        return self.scale
+        return self.scale * np.sqrt(k + 1.0) if self.kind == "sqrt" else self.scale + 0.0 * k
 
     @classmethod
     def sqrt(cls, scale: float = 1.0) -> "CSchedule":
@@ -119,19 +120,17 @@ def raw_beta(cfg: StepsizeConfig, f_val, level, grad_sq):
     return np.where(ok, cfg.gamma * (f_val - level) / np.where(ok, grad_sq, 1.0), -np.inf)
 
 
-def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, beta: np.ndarray, k: int) -> np.ndarray:
-    """Clamped, decaying stepsizes of every agent for round k.
+def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, beta: np.ndarray, c_k: float) -> np.ndarray:
+    """Clamped, decaying stepsizes of every agent for the round whose c-value is c_k.
 
     `cap` (n,) carries each agent's min(...) value c_{k-1} * alpha_{i,k-1} and
     is updated in place; it starts at c0 * alpha0. The max/min keep Python's
     argument order, so a NaN beta propagates exactly as in the scalar rule.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     floor = cfg.beta_floor
     inner = np.where(floor > beta, floor, beta)  # max(beta, floor)
     cap[...] = np.where(cap < inner, cap, inner)  # min(inner, cap)
-    return cap / cfg.c_value(k)
+    return cap / c_k
 
 
 class LevelWindows:
@@ -195,9 +194,10 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     For the others only the new row can miss the box (every older row passed a
     witness test or a check, and both leave a point of the box on its side),
     so a new row that misses the box makes the window infeasible with no check,
-    and the other windows go to `win.system.check_feasible`. An infeasible
-    window raises the level to a convex combination of itself and the window's
-    smallest f-value and is cleared. Returns the (n,) mask of updated levels.
+    and only the other windows are read and go to `win.system.check_feasible`.
+    Every infeasible window raises its level to a convex combination of itself
+    and the window's smallest f-value and is cleared. Returns the (n,) mask of
+    updated levels.
     """
     t = win.rows if win.rows < win.b.shape[0] else win._make_room()
     win.G[t], win.b[t], win.F[t], win.active[t] = G, b, F, active
@@ -207,31 +207,30 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
         np.minimum(win.count, win.eta_cap, out=win.count)
     win.valid &= ~(active & (np.vecdot(G, win.witness) - b > EPS_FEAS))
     updated = active & ~win.valid  # the fallen agents, until a check finds a new witness
-    fell = updated.nonzero()[0]
-    system, keep = win.system, cfg.gamma / cfg.gamma_bar
-    misses_box = [False] * fell.size  # no point of the box satisfies the new row
-    if fell.size and system.bounds is not None:
+    if not updated.any():
+        return updated
+    system, to_lp = win.system, updated.copy()
+    if system.bounds is not None:  # drop the windows whose new row misses the box
         lo, hi = system.bounds
-        G_fell = G[fell]
-        misses_box = (np.minimum(G_fell * lo, G_fell * hi).sum(1) - b[fell] > EPS_FEAS).tolist()
-    for i, missed in zip(fell.tolist(), misses_box):
-        G_i, b_i, F_i = win.window(i)
-        if not missed:
-            system.load(G_i, b_i)
-            try:
-                verdict = system.check_feasible()
-            except SolverStallError as exc:
-                raise SolverStallError(f"agent {i}, window of {b_i.size} rows: {exc}") from exc
-            if verdict.feasible:
-                win.witness[i] = verdict.point
-                win.valid[i] = True
-                updated[i] = False
-                continue
-        level = float(win.level[i])
-        proposed = keep * level + (1.0 - keep) * float(F_i.min())
-        # The convex combination is a certified lower bound on the agent's optimal
-        # value, but it only exceeds the old level when the window minimum does;
-        # keep the level monotone in the residual cases.
-        win.level[i] = max(level, proposed)
-        win.count[i] = 0
+        to_lp &= ~(np.minimum(G * lo, G * hi).sum(1) - b > EPS_FEAS)
+    for i in to_lp.nonzero()[0].tolist():
+        G_i, b_i, _ = win.window(i)
+        system.load(G_i, b_i)
+        try:
+            verdict = system.check_feasible()
+        except SolverStallError as exc:
+            raise SolverStallError(f"agent {i}, window of {b_i.size} rows: {exc}") from exc
+        if verdict.feasible:
+            win.witness[i], win.valid[i], updated[i] = verdict.point, True, False
+    # Each infeasible window's rows are the newest count[i] of its active rows.
+    u = updated.nonzero()[0]
+    newest = win.active[t::-1, u]
+    in_window = newest & (np.cumsum(newest, axis=0) <= win.count[u])
+    keep, level = cfg.gamma / cfg.gamma_bar, win.level[u]
+    proposed = keep * level + (1.0 - keep) * np.where(in_window, win.F[t::-1, u], np.inf).min(0)
+    # The convex combination is a certified lower bound on the agent's optimal
+    # value, but it only exceeds the old level when the window minimum does;
+    # keep the level monotone in the residual cases (as max(level, proposed)).
+    win.level[u] = np.where(proposed > level, proposed, level)
+    win.count[u] = 0
     return updated

@@ -257,6 +257,14 @@ class TestReproduce:
         assert "problem.seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_speedup_rejects_seed(self, tmp_path, capsys, monkeypatch):
+        # the sweep runs seeds 0..9 itself; a seed it would ignore is an error
+        monkeypatch.setattr("dpsla.cli.run_speedup_sweep", None)  # must not be reached
+        out = tmp_path / "out"
+        assert main(["reproduce", "speedup", "--seed", "3", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_target(self):
         with pytest.raises(ConfigError):
             cmd_reproduce("nonsense")

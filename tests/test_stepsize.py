@@ -57,9 +57,19 @@ class TestCSchedule:
         assert vals == sorted(vals)
         assert all(v > 0 for v in vals)
 
+    @pytest.mark.parametrize("kind", ["sqrt", "constant"])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 3.7])
+    def test_array_form_has_the_scalar_bits(self, kind, scale):
+        s = CSchedule(kind=kind, scale=scale)
+        table = s.value(np.arange(10 ** 5))
+        assert table.shape == (10 ** 5,)
+        assert table.tobytes() == np.array([s.value(k) for k in range(10 ** 5)]).tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CSchedule.sqrt(-1.0)
+        with pytest.raises(ValueError):
+            CSchedule.sqrt(1.0).value(np.array([3, -1]))
         with pytest.raises(ValueError):
             CSchedule(kind="linear")
 
@@ -109,22 +119,24 @@ class TestRawBeta:
 class TestDecideAlpha:
     def test_base_case_large_beta(self):
         cfg = cfg_unit()
-        assert decide_alpha(cfg, fresh_cap(cfg), np.array([10.0]), 0) == 1.0  # hits the c0*alpha0 cap
+        # hits the c0*alpha0 cap
+        assert decide_alpha(cfg, fresh_cap(cfg), np.array([10.0]), cfg.c_value(0)) == 1.0
 
     def test_base_case_small_beta(self):
         cfg = cfg_unit()
-        assert decide_alpha(cfg, fresh_cap(cfg), np.array([0.1]), 0) == 0.5  # lower clamp c0*alpha0/2
+        # lower clamp c0*alpha0/2
+        assert decide_alpha(cfg, fresh_cap(cfg), np.array([0.1]), cfg.c_value(0)) == 0.5
 
     def test_zero_gradient_is_lower_clamp(self):
         cfg = cfg_unit()
-        assert decide_alpha(cfg, fresh_cap(cfg), np.array([-math.inf]), 0) == 0.5
+        assert decide_alpha(cfg, fresh_cap(cfg), np.array([-math.inf]), cfg.c_value(0)) == 0.5
 
     def test_three_way_case_split(self):
         # closed-form case analysis of min{max{beta, h}, cap} / c_k
         cfg = cfg_unit()
         for k, cap, beta in [(0, 1.0, 0.2), (0, 1.0, 0.7), (0, 1.0, 5.0),
                              (3, 0.8, 0.2), (3, 0.8, 0.6), (3, 0.8, 2.0)]:
-            got = decide_alpha(cfg, np.array([cap]), np.array([beta]), k)[0]
+            got = decide_alpha(cfg, np.array([cap]), np.array([beta]), cfg.c_value(k))[0]
             h = cfg.c0 * cfg.alpha0 / 2
             if beta <= h:
                 expected = min(h, cap) / cfg.c_value(k)
@@ -142,7 +154,7 @@ class TestDecideAlpha:
         cap = fresh_cap(cfg)
         prev = None
         for k, beta in enumerate(betas):
-            a = decide_alpha(cfg, cap, np.array([beta]), k)[0]
+            a = decide_alpha(cfg, cap, np.array([beta]), cfg.c_value(k))[0]
             ck = cfg.c_value(k)
             assert (cfg.c0 * cfg.alpha0 / 2) / ck <= a <= (cfg.c0 * cfg.alpha0) / ck
             if prev is not None:
@@ -295,14 +307,17 @@ class TestWindowReplay:
     @pytest.mark.parametrize("eta_cap", [None, 1, 3])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_agent_reference(self, eta_cap, seed):
-        self.replay(seed, eta_cap, rounds=60)
+        _, joint, _ = self.replay(seed, eta_cap, rounds=60)
+        # several levels rise in one round, some windows decided by the box and
+        # some by the LP; a one-row window that meets the box is never infeasible
+        assert (joint >= 3) == (eta_cap != 1)
 
     @pytest.mark.parametrize("eta_cap", [None, 2, 5])
     def test_quiet_stretches_trim_the_log(self, eta_cap):
         # in rounds 20-59 and 80-139 every point of the box satisfies every new
         # row, so no witness falls and the rounds are only stored; the uncapped
         # windows outgrow the initial rows, the capped ones are shifted out
-        still, win = self.replay(7, eta_cap, rounds=160,
+        still, _, win = self.replay(7, eta_cap, rounds=160,
                                  quiet=lambda k: 20 <= k < 60 or 80 <= k < 140)
         assert still >= 80
         assert (len(win.b) > WINDOW_ROWS) == (eta_cap is None)
@@ -310,10 +325,12 @@ class TestWindowReplay:
     @staticmethod
     def replay(seed, eta_cap, rounds, quiet=lambda k: False):
         """Run random rounds through `record_step` and the reference; returns the
-        number of rounds in which no witness fell, and the windows."""
+        number of rounds in which no witness fell, the number in which several
+        levels rose together, some decided by the box test and some by an LP
+        check, and the windows."""
         rng = np.random.default_rng(seed)
         n, dim = 3 + seed % 3, 2 + seed % 2
-        still = longest = 0
+        still = joint = longest = 0
         box = (-np.ones(dim), np.ones(dim))
         cfg = cfg_unit()
         keep = cfg.gamma / cfg.gamma_bar
@@ -332,6 +349,9 @@ class TestWindowReplay:
             updated = record_step(win, cfg, G, b, F, active)
             still += bool(valid[active].all() and win.valid[active].all()
                           and np.array_equal(witness, win.witness))
+            misses_box = np.minimum(G * box[0], G * box[1]).sum(1) - b > EPS_FEAS
+            joint += bool(updated.sum() >= 2 and (updated & misses_box).any()
+                          and (updated & ~misses_box).any())
             for i in np.flatnonzero(active):
                 rows = windows[i]
                 rows.append((k, G[i].copy(), float(b[i]), float(F[i])))
@@ -364,4 +384,4 @@ class TestWindowReplay:
             span = max((k + 1 - rows[0][0] for rows in windows if rows), default=0)
             longest = max(longest, span)
             assert span <= win.rows <= len(win.b) <= max(WINDOW_ROWS, 4 * longest), k
-        return still, win
+        return still, joint, win
