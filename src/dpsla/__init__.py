@@ -9,8 +9,7 @@ from .numerics import Rng, SingularMatrixError, solve_spd
 from .problem import (ConstraintSet, OracleResult, ProblemInstance,
                       QuadraticObjective, gen_paper_instance,
                       gen_triangle_demo, solve_reference)
-from .stepsize import (CSchedule, LevelWindows, StepsizeConfig, decide_alpha,
-                       raw_beta, record_step)
+from .stepsize import CSchedule, LevelWindows, StepsizeConfig, decide_alpha, record_step
 from .topology import Graph, MixingMatrix, build_graph, metropolis_weights, mix
 
 __version__ = "0.1.0"
@@ -22,7 +21,7 @@ __all__ = [
     "gen_paper_instance", "gen_triangle_demo", "solve_reference",
     "HalfSpace", "InequalitySystem", "FeasibilityVerdict", "SolverStallError", "EPS_FEAS",
     "CSchedule", "StepsizeConfig", "LevelWindows",
-    "raw_beta", "decide_alpha", "record_step",
+    "decide_alpha", "record_step",
     "Dpsla", "Dgd", "NaivePolyak", "RunTrace", "run", "run_speedup_sweep",
     "residual", "consensus_error", "write_csv",
     "__version__",

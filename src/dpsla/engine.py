@@ -7,12 +7,13 @@ expression, take the projected gradient steps Z - alpha G in one call, and
 write the round's row of the trace columns; the residual and consensus columns
 are filled once per chunk of rounds from a stack of their states. Algorithms
 differ only in the stepsize rule, so the consensus and projection paths are
-shared by construction. DPS-LA also records the round's half-spaces in its
-level windows (`stepsize.record_step`), which loop in Python only over the
-windows that go to the LP. A row whose step is not finite holds its z
-and marks the run as diverged. Every agent's update depends only on the
-previous round's states; the run is single threaded and deterministic for a
-fixed (instance, algorithm, seed).
+shared by construction. The DPS-LA rule masks the zero-gradient rows once,
+gets the stepsizes and Polyak values from `decide_alpha`, builds the offsets b
+of its half-spaces and records them in its level windows (`record_step`),
+which loop in Python only over the windows that go to the LP. A row whose
+step is not finite holds its z and marks the run as diverged. Every agent's
+update depends only on the previous round's states; the run is single threaded
+and deterministic for a fixed (instance, algorithm, seed).
 
 With a handful of agents the number of calls per round, not their size, sets
 the cost of a run, so the loop keeps them few: it looks up what it needs once,
@@ -36,7 +37,7 @@ from .feasibility import SolverStallError
 from .metrics import consensus_error, residual
 from .numerics import Rng
 from .problem import ConstraintSet, ProblemInstance, gen_paper_instance, minimize_local
-from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, raw_beta, record_step
+from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, record_step
 from .topology import metropolis_weights
 
 mix = np.matmul
@@ -199,16 +200,12 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
     windows = LevelWindows(level, inst.dim, bounds=inst.constraint.bounding_box(),
                            eta_cap=alg.eta_cap)
     cap, c = np.full(n, cfg.c0 * cfg.alpha0), cfg.c_schedule.value(np.arange(rounds))
-    floor, clamped, eps_sq = cfg.beta_floor, cfg.constraint_beta == "clamped", cfg.eps_grad ** 2
+    eps_sq = cfg.eps_grad ** 2
 
     def rule(k, Z, F, G, grad_sq):
-        active = grad_sq > eps_sq
-        beta = raw_beta(cfg, F, windows.level, grad_sq)
-        alpha = decide_alpha(cfg, cap, beta, c[k])
-        if clamped:
-            beta = np.where(floor > beta, floor, beta)
-        # zero-gradient rows add no half-space; a zero beta keeps their b finite
-        b = np.vecdot(G, Z) - np.where(active, beta, 0.0) * grad_sq / cfg.gamma_bar
+        active = grad_sq > eps_sq  # zero-gradient rows add no half-space; their b is never read
+        alpha, beta = decide_alpha(cfg, cap, F, windows.level, grad_sq, active, c[k])
+        b = np.vecdot(G, Z) - beta * grad_sq / cfg.gamma_bar
         try:
             return alpha, record_step(windows, cfg, G, b, F, active)
         except SolverStallError as exc:

@@ -209,6 +209,9 @@ class ConstraintSet:
         norm = float(np.linalg.norm(d))
         if norm <= self.radius:
             return y.copy()
+        if math.isinf(norm):  # |d|^2 overflowed: scale by the largest entry first
+            m = float(np.abs(d).max())
+            norm = m * float(np.linalg.norm(d / m))
         return self.ball_center + (self.radius / norm) * d
 
     def _project_rows(self, Y: np.ndarray) -> np.ndarray:
@@ -221,7 +224,13 @@ class ConstraintSet:
         far = ~(norms <= self.radius)
         if not far.any():
             return out
-        out[far] = self.ball_center + (self.radius / norms[far])[:, None] * D[far]
+        D, norms = D[far], norms[far]
+        over = np.isinf(norms)  # |d|^2 overflowed: scale each such row by its largest entry
+        if over.any():
+            m = np.abs(D[over]).max(1)
+            S = D[over] / m[:, None]
+            norms[over] = m * np.sqrt(np.vecdot(S, S))
+        out[far] = self.ball_center + (self.radius / norms)[:, None] * D
         return out
 
     def _contains_rows(self, X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -396,7 +405,11 @@ class ProblemInstance:
 
         x* must be a point of the constraint set (tol 1e-12), f* and the local
         values must be what the objectives give there (within 1e-9 relative to
-        max(1, |value|)), and the KKT residual must be finite and >= 0.
+        max(1, |value|)), the KKT residual must be finite and >= 0, and x* must
+        be optimal: its duality gap max over y in the set of g.(x* - y), with
+        g = sum_grad(x*), must not exceed 1e-6 max(1, |f*|). The gap bounds
+        f(x*) - min f for convex f; the oracle's own optima have gaps of 1e-9
+        and less.
         """
         x = orc.x_star
         if x.size != self.dim:
@@ -416,6 +429,13 @@ class ProblemInstance:
         if not (math.isfinite(orc.kkt_residual) and orc.kkt_residual >= 0.0):
             raise ValueError(f"optimum kkt_residual must be finite and >= 0, "
                              f"got {orc.kkt_residual!r}")
+        g, cs = self.sum_grad(x), self.constraint
+        if cs.kind == "box":
+            gap = float(g @ (x - np.where(g > 0, cs.lower, cs.upper)))
+        else:
+            gap = float(g @ (x - cs.ball_center)) + cs.radius * float(np.linalg.norm(g))
+        if not gap <= 1e-6 * max(1.0, abs(orc.f_star)):
+            raise ValueError(f"optimum x_star is not optimal: its duality gap is {gap!r}")
         return orc
 
 

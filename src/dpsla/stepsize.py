@@ -26,15 +26,17 @@ is cleared.
 
 Everything here acts on all agents at once. `CSchedule.value` gives c_k for
 one round or for an array of rounds by the same expression, so a run reads c_k
-from a table built once. `raw_beta` and `decide_alpha` are array expressions
-over (n,) arrays. `LevelWindows` keeps each round's rows as one row of four
-arrays shared by all windows, a row count per agent and an (n, dim) array of
-witness points. `record_step` tests every witness against its new row in one
-call and, in a round where some witness fell, the new rows of those agents
-against the box in another. The only Python loop runs over the windows whose
-new row meets the box: each is read with one index, loaded into
-`InequalitySystem` and checked. The levels of all infeasible windows are then
-raised at once, from one masked minimum over the stored rows.
+from a table built once. `decide_alpha` gives all stepsizes and Polyak values
+under one mask of the nonzero-gradient rows; a masked row divides by 1 and
+takes the lower clamp, so no sentinel marks it. `LevelWindows` keeps each
+round's rows as one row of four arrays shared by all windows, a row count per
+agent and an (n, dim) array of witness points. `record_step` tests every
+witness against its new row in one call and, in a round where some witness
+fell, the new rows of those agents against the box in another. The only Python
+loop runs over the windows whose new row meets the box: each is read with one
+index, loaded into `InequalitySystem` and checked. The levels of all
+infeasible windows are then raised at once, from one masked minimum over the
+stored rows.
 """
 
 from __future__ import annotations
@@ -111,26 +113,22 @@ class StepsizeConfig:
         return self.c0 * self.alpha0 / 2.0
 
 
-def raw_beta(cfg: StepsizeConfig, f_val, level, grad_sq):
-    """Unclamped Polyak value gamma * (f - level) / ||g||^2, elementwise; may be
-    negative. A zero gradient (||g|| <= eps_grad) has no Polyak value and gets
-    -inf, which `decide_alpha` treats as the lower clamp."""
-    ok = grad_sq > cfg.eps_grad ** 2
-    # the skipped rows divide by 1, so a zero gradient raises no floating-point error
-    return np.where(ok, cfg.gamma * (f_val - level) / np.where(ok, grad_sq, 1.0), -np.inf)
+def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, F: np.ndarray, level: np.ndarray,
+                 grad_sq: np.ndarray, active: np.ndarray,
+                 c_k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stepsizes and Polyak values of every agent for the round whose c-value is c_k.
 
-
-def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, beta: np.ndarray, c_k: float) -> np.ndarray:
-    """Clamped, decaying stepsizes of every agent for the round whose c-value is c_k.
-
-    `cap` (n,) carries each agent's min(...) value c_{k-1} * alpha_{i,k-1} and
-    is updated in place; it starts at c0 * alpha0. The max/min keep Python's
-    argument order, so a NaN beta propagates exactly as in the scalar rule.
+    beta = gamma (F - level) / ||g||^2 may be negative; a row outside `active`
+    (zero gradient) divides by 1 and takes the lower clamp c0 alpha0 / 2. `cap`
+    (n,) carries c_{k-1} alpha_{i,k-1}, starts at c0 alpha0 and is updated in
+    place. The max/min keep Python's argument order, so a NaN beta propagates.
+    Returns (alpha, beta), beta lower-clamped if `cfg.constraint_beta` is "clamped".
     """
+    beta = cfg.gamma * (F - level) / np.where(active, grad_sq, 1.0)
     floor = cfg.beta_floor
-    inner = np.where(floor > beta, floor, beta)  # max(beta, floor)
+    inner = np.where(active & ~(floor > beta), beta, floor)  # max(beta, floor) on active rows
     cap[...] = np.where(cap < inner, cap, inner)  # min(inner, cap)
-    return cap / c_k
+    return cap / c_k, inner if cfg.constraint_beta == "clamped" else beta
 
 
 class LevelWindows:

@@ -105,8 +105,8 @@ class TestBuilders:
     @pytest.mark.parametrize("edit", ["bad_json", "missing_key", "mixed_dims", "nan_radius",
                                       "inf_radius", "nan_constant", "optimum_f_star",
                                       "optimum_outside", "optimum_dim", "optimum_local_count",
-                                      "optimum_local_value", "optimum_kkt", "edges_float",
-                                      "edges_frac", "edges_bool"])
+                                      "optimum_local_value", "optimum_kkt", "optimum_not_optimal",
+                                      "edges_float", "edges_frac", "edges_bool"])
     def test_malformed_custom_file_rejected(self, tmp_path, capsys, edit):
         from dpsla.problem import gen_triangle_demo
         inst = gen_triangle_demo()
@@ -140,6 +140,9 @@ class TestBuilders:
             optimum["local_values"][1] -= 1e-6
         if edit == "optimum_kkt":
             optimum["kkt_residual"] = -1.0
+        if edit == "optimum_not_optimal":  # consistent, but f* is 0.9953, not 2
+            optimum.update(x_star=[0.0, 0.0], f_star=2.0, kkt_residual=0.0,
+                           local_values=[o.eval([0.0, 0.0]) for o in inst.objectives])
         text = "{not json" if edit == "bad_json" else json.dumps(doc)
         (tmp_path / "inst.json").write_text(text)
         cfg = {"problem": {"type": "custom_file", "path": str(tmp_path / "inst.json")}}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpsla.numerics import Rng
-from dpsla.problem import (ConstraintSet, ProblemInstance, QuadraticObjective,
+from dpsla.problem import (ConstraintSet, OracleResult, ProblemInstance, QuadraticObjective,
                            estimate_lipschitz, gen_paper_instance, gen_triangle_demo,
                            minimize_local, solve_reference)
 
@@ -105,6 +105,17 @@ class TestConstraintSet:
     def test_bad_box(self):
         with pytest.raises(ValueError):
             ConstraintSet.box([1.0, 0.0], [0.0, 1.0])
+
+    def test_ball_far_rows(self):
+        # |y - c|^2 overflows for y = (1e200, 0), yet the row lands on the boundary,
+        # not on the centre; the other rows keep the bits they get on their own
+        cs = ConstraintSet.ball([0.0, 0.0], 4.0)
+        Y = np.array([[1e200, 0.0], [8.0, 0.0], [0.5, -0.5]])
+        with np.errstate(over="ignore"):  # numpy still reports the overflow of |y - c|^2
+            rows, one = cs._project_rows(Y), cs.project(Y[0])
+        assert rows.tolist() == [[4.0, 0.0], [4.0, 0.0], [0.5, -0.5]]
+        assert one.tolist() == [4.0, 0.0]
+        assert rows[1:].tobytes() == cs._project_rows(Y[1:]).tobytes()
 
 
 class TestGenerators:
@@ -239,6 +250,20 @@ class TestSerialization:
         assert clone.to_json() == inst.to_json()
         assert clone.n_agents == 4
         assert np.allclose(clone.optimum.x_star, inst.optimum.x_star)
+
+    @pytest.mark.parametrize("kind", ["ball", "box"])
+    def test_non_optimal_optimum_rejected(self, kind):
+        # x*, f*, the local values and the residual agree with each other and with
+        # the objectives, but x* is the centre of the set, not its minimum
+        inst = gen_triangle_demo() if kind == "ball" else gen_paper_instance(rng=Rng(5))
+        assert inst.constraint.kind == kind
+        x = inst.constraint.center()
+        inst.optimum = OracleResult(x, inst.sum_value(x), [o.eval(x) for o in inst.objectives], 0.0)
+        with pytest.raises(ValueError, match="not optimal: its duality gap is"):
+            ProblemInstance.from_json(inst.to_json())
+        inst.optimum = None
+        inst.ensure_optimum(1e-10)  # the oracle's own optimum passes
+        assert ProblemInstance.from_json(inst.to_json()).to_json() == inst.to_json()
 
     def test_round_trip_triangle(self):
         inst = gen_triangle_demo()

@@ -1,15 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsla import engine
 from dpsla.engine import Dpsla, run
 from dpsla.feasibility import EPS_FEAS, HalfSpace, InequalitySystem
 from dpsla.problem import ConstraintSet, ProblemInstance, QuadraticObjective
 from dpsla.stepsize import (WINDOW_ROWS, CSchedule, LevelWindows, StepsizeConfig,
-                            decide_alpha, raw_beta, record_step)
+                            decide_alpha, record_step)
 from dpsla.topology import build_graph
 
 
@@ -21,6 +23,21 @@ def cfg_unit():
 
 def fresh_cap(cfg, n=1):
     return np.full(n, cfg.c0 * cfg.alpha0)
+
+
+def polyak(cfg, f_val, level, grad_sq):
+    """The Polyak value `decide_alpha` returns for one agent with a nonzero gradient."""
+    return decide_alpha(cfg, fresh_cap(cfg), np.array([f_val]), np.array([level]),
+                        np.array([grad_sq]), np.array([True]), cfg.c0)[1][0]
+
+
+def alpha_for(cfg, cap, beta, c_k):
+    """`decide_alpha` for active agents whose Polyak values are `beta`: with gamma = 1,
+    F = beta, level 0 and ||g||^2 = 1 give gamma (F - level) / ||g||^2 == beta exactly."""
+    assert cfg.gamma == 1.0
+    beta = np.asarray(beta, dtype=float)
+    ones = np.ones_like(beta)
+    return decide_alpha(cfg, cap, beta, np.zeros_like(beta), ones, ones > 0, c_k)[0]
 
 
 def step(win, cfg, z, f_val, g, beta):
@@ -89,54 +106,90 @@ class TestConfig:
 
 
 class TestRawBeta:
+    """The unclamped Polyak value gamma (f - level) / ||g||^2 that `decide_alpha`
+    returns beside the stepsizes."""
+
     def test_direct(self):
         cfg = cfg_unit()
-        assert raw_beta(cfg, 3.0, 1.0, 4.0) == 0.5
+        assert polyak(cfg, 3.0, 1.0, 4.0) == 0.5
 
     def test_polyak_halving_on_parabola(self):
         # f(x) = x^2/2 at x=2 with level 0: beta = 2/4, step lands at x=1
         cfg = cfg_unit()
         x = 2.0
-        beta = raw_beta(cfg, 0.5 * x * x, 0.0, x * x)
+        beta = polyak(cfg, 0.5 * x * x, 0.0, x * x)
         assert beta == 0.5
         assert x - beta * x == 1.0
 
     def test_zero_gap(self):
-        assert raw_beta(cfg_unit(), 1.0, 1.0, 4.0) == 0.0
+        assert polyak(cfg_unit(), 1.0, 1.0, 4.0) == 0.0
 
     def test_negative_allowed(self):
-        assert raw_beta(cfg_unit(), 0.0, 1.0, 4.0) < 0.0
-
-    def test_zero_gradient_signals(self):
-        assert raw_beta(cfg_unit(), 1.0, 0.0, 1e-30) == -math.inf
+        assert polyak(cfg_unit(), 0.0, 1.0, 4.0) < 0.0
 
     def test_elementwise(self):
-        beta = raw_beta(cfg_unit(), np.array([3.0, 1.0, 5.0]), np.array([1.0, 1.0, 0.0]),
-                        np.array([4.0, 4.0, 0.0]))
-        assert beta.tolist() == [0.5, 0.0, -math.inf]
+        cfg = cfg_unit()
+        grad_sq = np.array([4.0, 4.0, 0.0])
+        _, beta = decide_alpha(cfg, fresh_cap(cfg, 3), np.array([3.0, 1.0, 5.0]),
+                               np.array([1.0, 1.0, 0.0]), grad_sq, grad_sq > 0, cfg.c0)
+        assert beta[:2].tolist() == [0.5, 0.0]
+
+    def test_zero_gradient_row_is_inert(self, monkeypatch):
+        # agent 0's gradient is exactly zero and agent 1's is below eps_grad; both
+        # take the lower clamp, add no row to their windows and hand `record_step`
+        # a finite offset, with no floating-point warning on the way
+        tiny = QuadraticObjective.least_squares([[1e-14, 0.0]], [1.0])
+        flat = QuadraticObjective.least_squares(np.zeros((1, 2)), [0.0])
+        steep = QuadraticObjective.quadratic([[2.0, 0.5], [0.5, 3.0]], [-4.0, -2.0])
+        inst = ProblemInstance(objectives=[flat, tiny, steep],
+                               constraint=ConstraintSet.ball([0.0, 0.0], 4.0),
+                               graph=build_graph("triangle", 3))
+        cfg, seen = cfg_unit(), []
+        record = engine.record_step
+
+        def spy(win, cfg, G, b, F, active):
+            seen.append((win, np.vecdot(G, G), b.copy(), active.copy()))
+            return record(win, cfg, G, b, F, active)
+
+        monkeypatch.setattr(engine, "record_step", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run(inst, Dpsla(stepsize=cfg), 30, seed=0)
+        assert len(seen) == 30
+        win, grad_sq = seen[0][:2]
+        assert grad_sq[0] == 0.0 and 0.0 < grad_sq[1] <= cfg.eps_grad ** 2
+        for k, (_, _, b, active) in enumerate(seen):
+            assert active.tolist() == [False, False, True]
+            assert np.isfinite(b).all()
+            assert tr.alpha[k + 1, :2].tolist() == [cfg.beta_floor / cfg.c_value(k)] * 2
+        assert win.count[:2].tolist() == [0, 0]
+        assert win.window(0)[1].size == win.window(1)[1].size == 0
 
 
 class TestDecideAlpha:
     def test_base_case_large_beta(self):
         cfg = cfg_unit()
         # hits the c0*alpha0 cap
-        assert decide_alpha(cfg, fresh_cap(cfg), np.array([10.0]), cfg.c_value(0)) == 1.0
+        assert alpha_for(cfg, fresh_cap(cfg), [10.0], cfg.c_value(0)) == 1.0
 
     def test_base_case_small_beta(self):
         cfg = cfg_unit()
         # lower clamp c0*alpha0/2
-        assert decide_alpha(cfg, fresh_cap(cfg), np.array([0.1]), cfg.c_value(0)) == 0.5
+        assert alpha_for(cfg, fresh_cap(cfg), [0.1], cfg.c_value(0)) == 0.5
 
     def test_zero_gradient_is_lower_clamp(self):
+        # the gap would give beta = 10, the cap, but the row is not active
         cfg = cfg_unit()
-        assert decide_alpha(cfg, fresh_cap(cfg), np.array([-math.inf]), cfg.c_value(0)) == 0.5
+        alpha, _ = decide_alpha(cfg, fresh_cap(cfg), np.array([10.0]), np.array([0.0]),
+                                np.array([1e-30]), np.array([False]), cfg.c_value(0))
+        assert alpha == 0.5
 
     def test_three_way_case_split(self):
         # closed-form case analysis of min{max{beta, h}, cap} / c_k
         cfg = cfg_unit()
         for k, cap, beta in [(0, 1.0, 0.2), (0, 1.0, 0.7), (0, 1.0, 5.0),
                              (3, 0.8, 0.2), (3, 0.8, 0.6), (3, 0.8, 2.0)]:
-            got = decide_alpha(cfg, np.array([cap]), np.array([beta]), cfg.c_value(k))[0]
+            got = alpha_for(cfg, np.array([cap]), [beta], cfg.c_value(k))[0]
             h = cfg.c0 * cfg.alpha0 / 2
             if beta <= h:
                 expected = min(h, cap) / cfg.c_value(k)
@@ -154,7 +207,7 @@ class TestDecideAlpha:
         cap = fresh_cap(cfg)
         prev = None
         for k, beta in enumerate(betas):
-            a = decide_alpha(cfg, cap, np.array([beta]), cfg.c_value(k))[0]
+            a = alpha_for(cfg, cap, [beta], cfg.c_value(k))[0]
             ck = cfg.c_value(k)
             assert (cfg.c0 * cfg.alpha0 / 2) / ck <= a <= (cfg.c0 * cfg.alpha0) / ck
             if prev is not None:
@@ -247,7 +300,7 @@ class TestRecordStep:
         for k in range(200):
             f_val = float((z[0] + 3.0) ** 2)
             g = np.array([2.0 * (z[0] + 3.0)])
-            beta = raw_beta(cfg, f_val, win.level[0], float(g @ g))
+            beta = polyak(cfg, f_val, win.level[0], float(g @ g))
             step(win, cfg, z, f_val, g, beta)
             assert win.level[0] < f_star
         assert f_star - win.level[0] < 1e-6
@@ -263,7 +316,7 @@ class TestRecordStep:
         for k in range(100):
             f_val = float((z[0] + 3.0) ** 2)
             g = np.array([2.0 * (z[0] + 3.0)])
-            beta = raw_beta(cfg, f_val, win.level[0], float(g @ g))
+            beta = polyak(cfg, f_val, win.level[0], float(g @ g))
             step(win, cfg, z, f_val, g, beta)
             levels.append(float(win.level[0]))
         assert levels[-1] == levels[50]  # stalled
