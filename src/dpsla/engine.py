@@ -35,7 +35,7 @@ import numpy as np
 
 from .feasibility import SolverStallError
 from .metrics import consensus_error, residual
-from .numerics import Rng
+from .numerics import Rng, is_int, require_positive
 from .problem import ConstraintSet, ProblemInstance, gen_paper_instance, minimize_local
 from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, record_step
 from .topology import metropolis_weights
@@ -50,6 +50,10 @@ class Dpsla:
     stepsize: StepsizeConfig = field(default_factory=StepsizeConfig)
     level_init: float | tuple = -500.0
     eta_cap: int | None = None
+
+    def __post_init__(self):
+        if not (self.eta_cap is None or (is_int(self.eta_cap) and self.eta_cap >= 1)):
+            raise ValueError(f"eta_cap must be None or an integer >= 1, got {self.eta_cap!r}")
 
     def describe(self) -> dict:
         cfg = self.stepsize
@@ -73,6 +77,9 @@ class Dgd:
     alpha_k = scale / (k + 1)."""
 
     scale: float = 2.0
+
+    def __post_init__(self):
+        require_positive("scale", self.scale)
 
     def schedule(self, rounds: int) -> np.ndarray:
         """alpha_k for k = 0..rounds-1; each entry has the bits of scale / (k + 1.0)."""
@@ -257,9 +264,8 @@ def _initial_states(inst: ProblemInstance, policy: str, rng: Rng) -> np.ndarray:
     if policy == "center":
         return np.tile(inst.constraint.center(), (n, 1))
     if policy == "uniform":
-        lo, hi = inst.constraint.bounding_box()
-        Y = np.array([[rng.uniform(lo[j], hi[j]) for j in range(dim)] for _ in range(n)])
-        return inst.constraint._project_rows(Y)
+        lo, hi = inst.constraint.bounding_box()  # column j draws from [lo_j, hi_j)
+        return inst.constraint._project_rows(rng.uniform_array((n, dim), lo, hi))
     raise ValueError(f"unknown x0 policy {policy!r}")
 
 
@@ -355,11 +361,10 @@ def sweep_algorithm() -> Dpsla:
 
 
 def run_speedup_sweep(agent_counts: Sequence[int], T: int, seeds: Sequence[int],
-                      dim: int = 6, rows_per_agent: int = 2, alg: Dpsla | None = None,
-                      edge_prob: float = 0.5, oracle_tol: float = 1e-10) -> SweepResult:
+                      alg: Dpsla | None = None) -> SweepResult:
     """Seed-averaged optimality gap min_{T/2 <= k <= T} (f(xbar_k) - f*) / n per
-    network size. Instances are regenerated per (n, seed) with the same
-    per-agent data distribution, so total data grows with n."""
+    network size. Instances are regenerated per (n, seed) by `gen_paper_instance`
+    with its default shape and graph, so total data grows with n."""
     counts, seeds = list(agent_counts), list(seeds)
     if any(a >= b for a, b in zip(counts, counts[1:])):
         raise ValueError("agent_counts must be strictly ascending")
@@ -375,9 +380,8 @@ def run_speedup_sweep(agent_counts: Sequence[int], T: int, seeds: Sequence[int],
         gaps = []
         for seed in seeds:
             rng = Rng((int(seed) << 16) ^ int(n))
-            inst = gen_paper_instance(n=n, dim=dim, rows_per_agent=rows_per_agent, rng=rng,
-                                      graph_kind="random", edge_prob=edge_prob)
-            inst.ensure_optimum(oracle_tol)
+            inst = gen_paper_instance(n=n, rng=rng)
+            inst.ensure_optimum()
             trace = run(inst, alg, T, seed=int(seed))
             gap = max(min(trace.residual[M:].tolist()), 0.0) / n  # average-form gap
             rows.append((n, int(seed), gap))

@@ -6,6 +6,8 @@ plain dense float64 arithmetic with eager validation at the API boundary.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Cholesky pivots below this are treated as a singular / non-SPD input.
@@ -14,6 +16,17 @@ SPD_PIVOT_TOL = 1e-12
 
 class SingularMatrixError(ValueError):
     """Raised when a direct factorization meets a pivot that is not safely positive."""
+
+
+def is_int(v) -> bool:
+    """A Python or numpy integer; bools are rejected even though Python counts them as ints."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def require_positive(name: str, value) -> None:
+    """ValueError unless `value` is a finite number > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def as_vec(x, dim: int | None = None) -> np.ndarray:
@@ -80,23 +93,16 @@ class Rng:
     single run thread and must never be shared across threads.
     """
 
-    ALGORITHM = "numpy PCG64 (numpy.random.default_rng)"
-
     def __init__(self, seed: int):
-        if not (0 <= int(seed) < 2 ** 64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        if not (is_int(seed) and 0 <= seed < 2 ** 64):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         self.seed = int(seed)
         self._gen = np.random.default_rng(self.seed)
 
-    def uniform(self, lo: float, hi: float) -> float:
-        """One draw from U[lo, hi); advances the stream."""
-        if not (lo < hi):
-            raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
-        return float(self._gen.uniform(lo, hi))
-
-    def uniform_array(self, shape, lo: float, hi: float) -> np.ndarray:
-        """Block of U[lo, hi) draws from the same stream."""
-        if not (lo < hi):
+    def uniform_array(self, shape, lo, hi) -> np.ndarray:
+        """Block of U[lo, hi) draws in C order, `lo` and `hi` broadcast to `shape`;
+        each entry has the bits of a one-at-a-time draw with its own bounds."""
+        if not np.all(np.less(lo, hi)):
             raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
         return self._gen.uniform(lo, hi, size=shape)
 

@@ -47,6 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError
+from .numerics import require_positive
 
 WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
 
@@ -61,8 +62,7 @@ class CSchedule:
     def __post_init__(self):
         if self.kind not in ("sqrt", "constant"):
             raise ValueError(f"unknown c-schedule kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("c-schedule scale must be positive")
+        require_positive("c-schedule scale", self.scale)
 
     def value(self, k: int | np.ndarray) -> float | np.ndarray:
         """c_k for a round k >= 0, or elementwise for an integer array of rounds."""
@@ -93,10 +93,8 @@ class StepsizeConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma < self.gamma_bar < 2.0):
             raise ValueError("need 0 < gamma < gamma_bar < 2")
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if self.eps_grad <= 0:
-            raise ValueError("eps_grad must be positive")
+        require_positive("alpha0", self.alpha0)
+        require_positive("eps_grad", self.eps_grad)
         if self.constraint_beta not in ("raw", "clamped"):
             raise ValueError("constraint_beta must be 'raw' or 'clamped'")
 

@@ -5,7 +5,9 @@ matrix built here is symmetric, nonnegative and doubly stochastic, with a
 strictly positive diagonal, so repeated mixing contracts disagreement while
 preserving the network average.
 
-Past construction, the degrees, the weights, the support check and the
+A random graph draws all its pairs in one block and keeps those below
+`edge_prob`; only the repair of a disconnected draw links components one at a
+time. Past construction, the degrees, the weights, the support check and the
 connectivity test are array expressions over the (n, n) adjacency array.
 """
 
@@ -15,31 +17,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Rng, as_mat
+from .numerics import Rng, as_mat, is_int
 
 STOCHASTIC_TOL = 1e-12
 
 GRAPH_KINDS = ("triangle", "complete", "ring", "path", "random")
 
 
-def _is_index(v) -> bool:
-    """An integer agent index; bools are rejected even though Python counts them as ints."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class Graph:
-    """Undirected connected graph on agents 0..n_agents-1, edges stored as (i, j) with i < j."""
+    """Undirected connected graph on agents 0..n_agents-1, edges (i, j) with i < j; the
+    count and the endpoints are integers, not bools, stored as Python ints for JSON."""
 
     n_agents: int
     edges: frozenset
 
     def __post_init__(self):
-        if self.n_agents < 2:
-            raise ValueError("a graph needs at least 2 agents")
+        if not (is_int(self.n_agents) and self.n_agents >= 2):
+            raise ValueError(f"n_agents must be an integer >= 2, got {self.n_agents!r}")
         for (i, j) in self.edges:
-            if not (_is_index(i) and _is_index(j) and 0 <= i < j < self.n_agents):
+            if not (is_int(i) and is_int(j) and 0 <= i < j < self.n_agents):
                 raise ValueError(f"bad edge ({i}, {j}) for {self.n_agents} agents")
+        object.__setattr__(self, "n_agents", int(self.n_agents))
+        object.__setattr__(self, "edges", frozenset((int(i), int(j)) for (i, j) in self.edges))
         if not self._connected():
             raise ValueError("graph must be connected")
 
@@ -71,8 +71,6 @@ def build_graph(kind: str, n: int, edge_prob: float = 0.5, rng: Rng | None = Non
     result is disconnected, are repaired by linking the components along a
     randomly ordered spanning tree (bounded construction time).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
     if kind == "triangle":
         if n != 3:
             raise ValueError("triangle topology requires n == 3")
@@ -88,12 +86,9 @@ def build_graph(kind: str, n: int, edge_prob: float = 0.5, rng: Rng | None = Non
             raise ValueError("edge_prob must be in (0, 1]")
         if rng is None:
             raise ValueError("random graphs need an Rng")
-        edges = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.uniform(0.0, 1.0) < edge_prob:
-                    edges.add((i, j))
-        edges = _repair_connectivity(edges, n, rng)
+        i, j = np.triu_indices(n, 1)  # the pairs in row-major order, one draw each
+        keep = rng.uniform_array(i.size, 0.0, 1.0) < edge_prob
+        edges = _repair_connectivity(set(zip(i[keep].tolist(), j[keep].tolist())), n, rng)
     else:
         raise ValueError(f"unknown graph kind {kind!r}")
     return Graph(n_agents=n, edges=frozenset(edges))

@@ -2,12 +2,14 @@
 
 `bench/tracer.py` instruments dpsla from outside by rebinding module-level
 names (`engine.record_step`, `feasibility._phase1_lp`, ...). One traced
-operation of each of two workloads, run as the benchmark runs it, fails here
-as soon as a refactor drops or renames one of those names or breaks a path
-count of the tracer's self-check: `lp` drives long uncapped windows through the
-LP, and `sweep` the capped windows, where most fallen witnesses are decided by
-the box test of `record_step`. The test only reads `bench/`: its outputs go to
-a temporary directory and no bytecode is cached.
+operation of each workload, run as the benchmark runs it, fails here as soon
+as a refactor drops or renames one of those names or breaks a path count of
+the tracer's self-check: `lp` drives long uncapped windows through the LP,
+`sweep` the capped windows, where most fallen witnesses are decided by the box
+test of `record_step`, and `reproduce` is the only one that drives `cli.main`,
+the oracle spans and the naive-Polyak targets under the tracer and the set-up
+timers. The test only reads `bench/`: its outputs go to a temporary directory
+and no bytecode is cached.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ WORKLOAD = ROOT / "bench" / "workload.py"
 
 
 @pytest.mark.skipif(not WORKLOAD.exists(), reason="bench/ is absent")
-@pytest.mark.parametrize("workload", ["lp", "sweep"])
+@pytest.mark.parametrize("workload", ["lp", "sweep", "reproduce"])
 def test_traced_workload_runs_clean(tmp_path, workload):
     proc = subprocess.run(
         [sys.executable, str(WORKLOAD), "--workload", workload, "--seed", "0",

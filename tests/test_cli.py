@@ -106,7 +106,8 @@ class TestBuilders:
                                       "inf_radius", "nan_constant", "optimum_f_star",
                                       "optimum_outside", "optimum_dim", "optimum_local_count",
                                       "optimum_local_value", "optimum_kkt", "optimum_not_optimal",
-                                      "edges_float", "edges_frac", "edges_bool"])
+                                      "edges_float", "edges_frac", "edges_bool",
+                                      "n_agents_float", "n_agents_str"])
     def test_malformed_custom_file_rejected(self, tmp_path, capsys, edit):
         from dpsla.problem import gen_triangle_demo
         inst = gen_triangle_demo()
@@ -127,6 +128,8 @@ class TestBuilders:
             doc["graph"]["edges"][0] = [0.5, 1.0]
         if edit == "edges_bool":
             doc["graph"]["edges"][0] = [False, True]
+        if edit.startswith("n_agents"):  # the triangle has 3 agents
+            doc["graph"]["n_agents"] = 3.7 if edit == "n_agents_float" else "3"
         optimum = doc.get("optimum", {})
         if edit == "optimum_f_star":
             optimum["f_star"] += 5.0

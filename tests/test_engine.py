@@ -50,7 +50,7 @@ class TestDpslaRuns:
         tr = run(paper0, Dpsla(), 100, seed=0, keep_states=True)
         for states in tr.states:
             for x in states:
-                assert paper0.constraint.contains(x, tol=1e-12)
+                assert paper0.constraint.contains(x)
 
     def test_trace_shape(self, triangle):
         tr = run(triangle, Dpsla(), 37, seed=0)
@@ -93,6 +93,16 @@ class TestBaselines:
         # consensus decays like the stepsize once the transient passes
         ce = [r.consensus_error for r in tr.records]
         assert ce[500] < ce[100] < ce[10]
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
+    def test_dgd_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            Dgd(scale=scale)
+
+    @pytest.mark.parametrize("eta_cap", [2.5, 2.0, True, 0, "3"])
+    def test_dpsla_eta_cap_must_be_an_integer(self, eta_cap):
+        with pytest.raises(ValueError, match="eta_cap must be None or an integer >= 1"):
+            Dpsla(eta_cap=eta_cap)
 
     def test_naive_polyak_fails_consensus(self, triangle):
         tr = run(triangle, NaivePolyak(target="local_min"), 500, seed=0)
@@ -155,6 +165,36 @@ class TestInitialStates:
             assert paper0.constraint.contains(x)
         assert all(np.array_equal(x, y) for x, y in zip(a.states[0], b.states[0]))
         assert any(not np.array_equal(x, y) for x, y in zip(a.states[0], c.states[0]))
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 40])
+    def test_uniform_policy_equals_per_entry_draws(self, triangle, paper0, seed):
+        """One draw per entry, row by row, from column j's bounds, then each row
+        projected; the one block of draws has the same bits."""
+        for inst in (triangle, paper0):
+            lo, hi = inst.constraint.bounding_box()
+            gen = np.random.default_rng(seed)
+            ref = [inst.constraint._project(np.array([gen.uniform(lo[j], hi[j])
+                                                      for j in range(inst.dim)]))
+                   for _ in range(inst.n_agents)]
+            got = run(inst, Dgd(), 1, seed=seed, x0="uniform", keep_states=True).states[0]
+            assert got.tobytes() == np.array(ref).tobytes()
+
+    def test_set_up_needs_no_per_point_kernel(self, monkeypatch):
+        """Instance generation, a uniform start and loading a file optimum take
+        only the batched paths; the per-point kernels are the solvers' alone."""
+        inst = gen_paper_instance(rng=Rng(2))
+        inst.ensure_optimum()
+        text = inst.to_json()
+
+        def boom(*args):
+            raise AssertionError("per-point kernel called")
+
+        for cls, name in ((QuadraticObjective, "_eval"), (QuadraticObjective, "_grad"),
+                          (ConstraintSet, "_project")):
+            monkeypatch.setattr(cls, name, boom)
+        gen_paper_instance(n=5, rng=Rng(3))
+        run(inst, Dgd(), 5, seed=1, x0="uniform")
+        assert ProblemInstance.from_json(text).optimum.to_dict() == inst.optimum.to_dict()
 
 
 class TestSweep:
@@ -252,6 +292,14 @@ def _reference_round(inst, W, xs, alphas):
     return out
 
 
+def _contains_reference(cs, x):
+    """The per-point membership test with slack 1e-12; the reference for
+    `contains` and `_contains_rows`."""
+    if cs.kind == "box":
+        return bool(np.all(x >= cs.lower - 1e-12) and np.all(x <= cs.upper + 1e-12))
+    return float(np.linalg.norm(x - cs.ball_center)) <= cs.radius + 1e-12
+
+
 class TestBatchedRound:
     """The array paths of a round are bitwise equal to the per-agent paths."""
 
@@ -323,7 +371,12 @@ class TestBatchedRound:
             P = cs._project_rows(Y)
             for y, p in zip(Y, P):
                 assert np.array_equal(p, cs._project(y))
-            assert np.array_equal(cs._contains_rows(Y), [cs.contains(y) for y in Y])
+            # rows far out, inside, on the boundary and just past it
+            X = np.vstack([Y, P, P + 1e-12 * np.sign(P - cs.center())])
+            ref = [_contains_reference(cs, x) for x in X]
+            assert cs._contains_rows(X).tolist() == ref
+            assert [cs.contains(x) for x in X] == ref
+            assert False in ref and True in ref
 
     def test_infinite_step_holds_one_agent(self, triangle):
         class OneInfinite:

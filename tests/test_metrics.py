@@ -90,7 +90,7 @@ class TestStackedMetrics:
         batched = paper9._sum_value(X)
         for x, b in zip(X, batched):
             ordered = sum(o._eval(x) for o in paper9.objectives)
-            assert paper9.sum_value(x) == ordered == b
+            assert paper9._sum_value(x) == ordered == b
 
 
 class TestConsensusError:

@@ -43,8 +43,8 @@ class TestRng:
     def test_uniform_range(self):
         rng = Rng(0)
         for lo, hi in ((0.0, 0.1), (0.0, 5.0)):
-            draws = [rng.uniform(lo, hi) for _ in range(2000)]
-            assert all(lo <= d < hi for d in draws)
+            draws = rng.uniform_array(2000, lo, hi)
+            assert np.all((lo <= draws) & (draws < hi))
 
     def test_uniform_mean(self):
         rng = Rng(123)
@@ -56,18 +56,41 @@ class TestRng:
     def test_determinism(self):
         a = Rng(42)
         b = Rng(42)
-        seq_a = [a.uniform(0, 1) for _ in range(20)] + [a.integer(0, 100)]
-        seq_b = [b.uniform(0, 1) for _ in range(20)] + [b.integer(0, 100)]
+        seq_a = a.uniform_array(20, 0, 1).tolist() + [a.integer(0, 100)]
+        seq_b = b.uniform_array(20, 0, 1).tolist() + [b.integer(0, 100)]
         assert seq_a == seq_b
 
     def test_different_seeds_differ(self):
-        assert Rng(1).uniform(0, 1) != Rng(2).uniform(0, 1)
+        assert Rng(1).uniform_array(1, 0, 1)[0] != Rng(2).uniform_array(1, 0, 1)[0]
 
     def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            Rng(0).uniform(1.0, 1.0)
-        with pytest.raises(ValueError):
-            Rng(0).uniform(2.0, 1.0)
+        for lo, hi in [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
+                       ([0.0, 1.0], [1.0, 1.0]), (0.0, [1.0, -1.0])]:
+            with pytest.raises(ValueError, match="need lo < hi"):
+                Rng(0).uniform_array(2, lo, hi)
+
+    def test_array_bounds_equal_one_draw_per_entry(self):
+        """A block with per-entry bounds has the bits of one draw per entry from
+        the generator, in C order, and leaves the stream where they leave it."""
+        lo, hi = np.array([-3.0, 0.0, 1e-3]), np.array([2.0, 0.1, 7.5])
+        for seed in range(5):
+            rng, ref = Rng(seed), np.random.default_rng(seed)
+            block = rng.uniform_array((4, 3), lo, hi)
+            one_by_one = [[ref.uniform(lo[j], hi[j]) for j in range(3)] for _ in range(4)]
+            assert block.tobytes() == np.array(one_by_one).tobytes()
+            assert rng.uniform_array(1, 0.0, 1.0)[0] == ref.uniform(0.0, 1.0)
+
+    def test_no_scalar_uniform(self):
+        assert not hasattr(Rng, "uniform")
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", -1, 2 ** 64])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            Rng(seed)
+
+    def test_numpy_integer_seed(self):
+        assert Rng(np.uint64(7)).uniform_array(3, 0, 1).tolist() == \
+            Rng(7).uniform_array(3, 0, 1).tolist()
 
 
 def _layouts(a: np.ndarray):

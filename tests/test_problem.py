@@ -7,6 +7,7 @@ from dpsla.numerics import Rng
 from dpsla.problem import (ConstraintSet, OracleResult, ProblemInstance, QuadraticObjective,
                            estimate_lipschitz, gen_paper_instance, gen_triangle_demo,
                            minimize_local, solve_reference)
+from dpsla.topology import build_graph
 
 X_STAR_DEMO = np.array([6 / 215, 72 / 215])
 
@@ -90,7 +91,7 @@ class TestConstraintSet:
                 y = gen.normal(scale=5.0, size=2)
                 p = cs.project(y)
                 assert np.allclose(cs.project(p), p, atol=1e-15)
-                assert cs.contains(p, tol=1e-12)
+                assert cs.contains(p)
 
     def test_nonexpansive(self):
         gen = np.random.default_rng(10)
@@ -139,6 +140,29 @@ class TestGenerators:
         # offset of the first coordinate: 10 + 10 sin(pi/120)
         off = inst.constraint.lower[0] - theta_unc[0]
         assert math.isclose(off, 10.0 + 10.0 * math.sin(math.pi / 120.0), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n, dim, rows", [(4, 6, 2), (32, 6, 2), (3, 1, 1), (5, 4, 7)])
+    def test_paper_instance_equals_per_agent_draws(self, n, dim, rows):
+        """Agent by agent, A_i's entries in row-major order from U(0, 0.1), then
+        b_i's from U(0, 5); the graph draws from where they leave the stream."""
+        inst = gen_paper_instance(n=n, dim=dim, rows_per_agent=rows, rng=Rng(11))
+        gen = np.random.default_rng(11)
+        for o in inst.objectives:
+            A = [[gen.uniform(0.0, 0.1) for _ in range(dim)] for _ in range(rows)]
+            b = [gen.uniform(0.0, 5.0) for _ in range(rows)]
+            assert o.A.tobytes() == np.array(A).tobytes()
+            assert o.b.tobytes() == np.array(b).tobytes()
+        rest = Rng(11)
+        rest._gen.bit_generator.state = gen.bit_generator.state
+        assert inst.graph == build_graph("random", n, edge_prob=0.5, rng=rest)
+
+    def test_paper_instance_draws_two_blocks(self, monkeypatch):
+        calls = []
+        draw = Rng.uniform_array
+        monkeypatch.setattr(Rng, "uniform_array",
+                            lambda self, *args: calls.append(args) or draw(self, *args))
+        gen_paper_instance(n=32, dim=6, rng=Rng(0))
+        assert len(calls) == 2  # the agents' data, then the graph's pairs
 
     def test_paper_instance_deterministic(self):
         a = gen_paper_instance(rng=Rng(7))
@@ -191,13 +215,13 @@ class TestReferenceSolver:
         active = np.abs(orc.x_star - lo) < 1e-6
         assert active.any()
         # KKT at the lower bounds: gradient components pointing inward
-        g = inst.sum_grad(orc.x_star)
+        g = sum(o.grad(orc.x_star) for o in inst.objectives)
         assert np.all(g[active] >= -1e-7)
 
     def test_first_order_optimality(self):
         inst = gen_paper_instance(rng=Rng(2))
         orc = inst.ensure_optimum(1e-10)
-        g = inst.sum_grad(orc.x_star)
+        g = sum(o.grad(orc.x_star) for o in inst.objectives)
         gen = np.random.default_rng(0)
         lo, hi = inst.constraint.bounding_box()
         for _ in range(100):
@@ -258,7 +282,8 @@ class TestSerialization:
         inst = gen_triangle_demo() if kind == "ball" else gen_paper_instance(rng=Rng(5))
         assert inst.constraint.kind == kind
         x = inst.constraint.center()
-        inst.optimum = OracleResult(x, inst.sum_value(x), [o.eval(x) for o in inst.objectives], 0.0)
+        values = [o.eval(x) for o in inst.objectives]
+        inst.optimum = OracleResult(x, sum(values), values, 0.0)
         with pytest.raises(ValueError, match="not optimal: its duality gap is"):
             ProblemInstance.from_json(inst.to_json())
         inst.optimum = None

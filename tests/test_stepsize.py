@@ -100,6 +100,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             StepsizeConfig(gamma=0.0, gamma_bar=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha0", math.nan), ("alpha0", math.inf), ("alpha0", 0.0),
+        ("eps_grad", math.nan), ("eps_grad", math.inf), ("eps_grad", -1e-12)])
+    def test_non_finite_or_non_positive_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            StepsizeConfig(**{field: value})
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0])
+    def test_schedule_scale_must_be_finite(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            CSchedule.sqrt(scale)
+
     def test_c0_is_schedule_value_at_zero(self):
         cfg = StepsizeConfig(c_schedule=CSchedule.sqrt(0.5))
         assert cfg.c0 == 0.5

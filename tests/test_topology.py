@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from dpsla.numerics import Rng
-from dpsla.topology import Graph, MixingMatrix, build_graph, metropolis_weights, mix
+from dpsla.problem import ConstraintSet, ProblemInstance, QuadraticObjective
+from dpsla.topology import (Graph, MixingMatrix, _repair_connectivity, build_graph,
+                            metropolis_weights, mix)
 
 
 def _metropolis_per_edge(g):
@@ -18,6 +20,22 @@ def _metropolis_per_edge(g):
     for i in range(n):
         W[i, i] = 1.0 - W[i].sum()
     return W
+
+
+def _random_graph_per_pair(n, p, draws, rng):
+    """The pairs (i, j), i < j, in row-major order, each kept when its own
+    scalar draw is below p, then the repair drawing from `rng`; the reference
+    for the one-block draw of `build_graph("random")`. Returns the edge set and
+    how many edges the repair added."""
+    draw = iter(draws)
+    edges = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if next(draw) < p:
+                edges.add((i, j))
+    drawn = len(edges)
+    edges = _repair_connectivity(edges, n, rng)
+    return edges, len(edges) - drawn
 
 
 def _check_doubly_stochastic(W):
@@ -64,6 +82,26 @@ class TestBuildGraph:
         g = build_graph("random", 15, edge_prob=0.01, rng=Rng(5))
         assert len(g.edges) >= 14
 
+    def test_random_equals_per_pair_draws(self):
+        repaired = 0
+        for n in range(2, 81):
+            for seed in range(3):
+                ref_rng = Rng(seed)
+                # one scalar draw per pair; they do not depend on edge_prob
+                draws = [ref_rng._gen.uniform(0.0, 1.0) for _ in range(n * (n - 1) // 2)]
+                after_draws = ref_rng._gen.bit_generator.state
+                for p in (0.05, 0.2, 0.5, 0.9):
+                    rng = Rng(seed)
+                    g = build_graph("random", n, edge_prob=p, rng=rng)
+                    ref_rng._gen.bit_generator.state = after_draws
+                    ref, added = _random_graph_per_pair(n, p, draws, ref_rng)
+                    repaired += added > 0
+                    assert g.edges == ref, (n, p, seed)
+                    assert all(type(i) is int and type(j) is int for i, j in g.edges)
+                    # the stream is left where the per-pair draws and the repair leave it
+                    assert rng.uniform_array(1, 0.0, 1.0)[0] == ref_rng._gen.uniform(0.0, 1.0)
+        assert repaired > 100
+
     def test_too_small(self):
         with pytest.raises(ValueError):
             build_graph("complete", 1)
@@ -82,8 +120,19 @@ class TestBuildGraph:
             Graph(n_agents=3, edges=frozenset({edge, (1, 2)}))
 
     def test_numpy_integer_endpoints_accepted(self):
-        g = Graph(n_agents=3, edges=frozenset({(np.int64(0), np.int64(1)), (1, 2)}))
+        g = Graph(n_agents=np.int64(3), edges=frozenset({(np.int64(0), np.int64(1)), (1, 2)}))
         assert g.adjacency().sum() == 4.0
+        assert type(g.n_agents) is int
+        assert all(type(i) is int and type(j) is int for i, j in g.edges)
+        objectives = [QuadraticObjective.quadratic(np.eye(2), [float(i), 0.0]) for i in range(3)]
+        inst = ProblemInstance(objectives, ConstraintSet.ball([0.0, 0.0], 1.0), g)
+        clone = ProblemInstance.from_json(inst.to_json())
+        assert clone.graph == g and clone.to_json() == inst.to_json()
+
+    @pytest.mark.parametrize("n", [3.0, 3.7, "3", True, np.float64(3.0), 1])
+    def test_non_integer_or_small_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n_agents must be an integer >= 2"):
+            Graph(n_agents=n, edges=frozenset({(0, 1), (1, 2)}))
 
     def test_edge_list_export(self):
         g = build_graph("triangle", 3)
