@@ -27,11 +27,15 @@ from .engine import (Dgd, Dpsla, NaivePolyak, first_violations, run, run_speedup
                      sweep_algorithm)
 from .metrics import write_csv, write_level_gap_csv, write_sweep_csv
 from .numerics import Rng
-from .problem import ProblemInstance, gen_paper_instance, gen_triangle_demo
+from .problem import ORACLE_TOL, ProblemInstance, gen_paper_instance, gen_triangle_demo
 from .stepsize import CSchedule, StepsizeConfig
 from .topology import GRAPH_KINDS
 
 OUT_ENV = "DPSLA_OUT"
+
+SPEEDUP_AGENT_COUNTS = (4, 8, 16, 32)
+SPEEDUP_T = 600
+SPEEDUP_SEEDS = tuple(range(10))
 
 
 class ConfigError(ValueError):
@@ -88,11 +92,9 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 # section -> {key: annotation}, e.g. "int" or "int | None"
@@ -136,6 +138,14 @@ def parse_config(text: str) -> RunConfig:
 def _require(cond: bool, field_name: str, msg: str) -> None:
     if not cond:
         raise ConfigError(f"{field_name}: {msg}")
+
+
+def _load_config(path: str) -> RunConfig:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"--config: cannot read {path} ({type(exc).__name__}: {exc})") from exc
+    return parse_config(text)
 
 
 def _require_seed(seed: int) -> None:
@@ -185,10 +195,9 @@ def build_instance(cfg: RunConfig) -> ProblemInstance:
     if p.type == "triangle":
         return gen_triangle_demo()
     if p.type == "custom_file":
-        text = Path(p.path).read_text(encoding="utf-8")
         try:
-            return ProblemInstance.from_json(text)
-        except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            return ProblemInstance.from_json(Path(p.path).read_text(encoding="utf-8"))
+        except (OSError, KeyError, TypeError, ValueError) as exc:  # decode errors are ValueErrors
             raise ConfigError(f"problem.path: {p.path} is not a valid problem file "
                               f"({type(exc).__name__}: {exc})") from exc
     rng = Rng(p.seed)
@@ -211,12 +220,10 @@ def build_algorithm(cfg: RunConfig):
 
 
 def _out_dir(cfg_dir: str, override: str | None) -> Path:
-    if override:
-        return Path(override)
-    root = os.environ.get(OUT_ENV)
-    if root:
-        return Path(root) / cfg_dir
-    return Path(cfg_dir)
+    """Create and return `override`, else `cfg_dir` under $DPSLA_OUT when that is set."""
+    out = Path(override) if override else Path(os.environ.get(OUT_ENV) or "", cfg_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _trace_invariants(trace) -> dict:
@@ -229,43 +236,51 @@ def _trace_invariants(trace) -> dict:
     }
 
 
-def _write_manifest(path: Path, cfg: RunConfig, inst: ProblemInstance,
-                    outputs: list[str], extra: dict | None = None) -> None:
-    doc = {
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_manifest(out: Path, cfg: RunConfig, inst: ProblemInstance,
+                    outputs: list[str], **extra) -> None:
+    _write_json(out / "manifest.json", {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
-        "oracle": inst.optimum.to_dict() if inst.optimum is not None else None,
+        "oracle": inst.optimum.to_dict(),
         "outputs": outputs,
         "metrics_notes": {
             "residual": "sum-form objective gap at the agents' mean state",
             "consensus_error": "mean distance of agent states to their average",
         },
-    }
-    if extra:
-        doc.update(extra)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        **extra,
+    })
+
+
+def _experiment(cfg: RunConfig, out_override: str | None, seed: int, runs: dict,
+                tol: float = ORACLE_TOL):
+    """Solve cfg's instance to `tol`, run each of `runs` (CSV name -> algorithm) from
+    `seed`, and only then create the output directory and write the traces' CSVs.
+    Returns (instance, output directory, {CSV name: trace})."""
+    inst = build_instance(cfg)
+    inst.ensure_optimum(tol)
+    traces = {name: run(inst, alg, cfg.run.iterations, seed=seed, x0=cfg.problem.x0)
+              for name, alg in runs.items()}
+    out = _out_dir(cfg.output.directory, out_override)
+    for name, trace in traces.items():
+        write_csv(trace, out / name, record_every=cfg.run.record_every)
+    return inst, out, traces
 
 
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
-    text = Path(config_path).read_text(encoding="utf-8")
-    cfg = parse_config(text)
-    inst = build_instance(cfg)
-    inst.ensure_optimum()
-    alg = build_algorithm(cfg)
-    trace = run(inst, alg, cfg.run.iterations, seed=cfg.problem.seed, x0=cfg.problem.x0)
-    out = _out_dir(cfg.output.directory, out_override)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.csv"
-    write_csv(trace, trace_path, record_every=cfg.run.record_every)
-    _write_manifest(out / "manifest.json", cfg, inst, ["trace.csv"],
-                    extra={"invariants": _trace_invariants(trace), "seed": cfg.problem.seed})
+    cfg = _load_config(config_path)
+    inst, out, traces = _experiment(cfg, out_override, cfg.problem.seed,
+                                    {"trace.csv": build_algorithm(cfg)})
+    _write_manifest(out, cfg, inst, list(traces), seed=cfg.problem.seed,
+                    invariants=_trace_invariants(traces["trace.csv"]))
     return 0
 
 
 def cmd_oracle(config_path: str) -> int:
-    cfg = parse_config(Path(config_path).read_text(encoding="utf-8"))
-    inst = build_instance(cfg)
-    orc = inst.ensure_optimum()
+    orc = build_instance(_load_config(config_path)).ensure_optimum()
     print(json.dumps(orc.to_dict(), sort_keys=True))
     return 0
 
@@ -276,56 +291,37 @@ def cmd_reproduce(which: str, out_override: str | None = None, seed: int | None 
     _require(seed is None or which != "speedup", "--seed", "reproduce speedup runs seeds 0..9")
     seed = 0 if seed is None else seed
     _require_seed(seed)
-    if which == "divergence":
+    if which == "divergence":  # the config's problem.seed stays 0; the runs use `seed`
         cfg = parse_config(json.dumps({"problem": {"type": "triangle"},
                                        "run": {"iterations": 500},
                                        "output": {"directory": "out_divergence"}}))
-        inst = build_instance(cfg)
-        inst.ensure_optimum(1e-11)
-        out = _out_dir(cfg.output.directory, out_override)
-        out.mkdir(parents=True, exist_ok=True)
-        tr_dgd = run(inst, Dgd(scale=2.0), 500, seed=seed)
-        tr_naive = run(inst, NaivePolyak(target="local_min"), 500, seed=seed)
-        write_csv(tr_dgd, out / "dgd_trace.csv")
-        write_csv(tr_naive, out / "naive_trace.csv")
-        _write_manifest(out / "manifest.json", cfg, inst,
-                        ["dgd_trace.csv", "naive_trace.csv"], extra={"seed": seed})
+        inst, out, traces = _experiment(cfg, out_override, seed, {
+            "dgd_trace.csv": Dgd(), "naive_trace.csv": NaivePolyak(target="local_min")}, tol=1e-11)
+        _write_manifest(out, cfg, inst, list(traces), seed=seed)
         return 0
     if which == "main":
         cfg = parse_config(json.dumps({"problem": {"seed": seed},
                                        "output": {"directory": "out_main"}}))
-        inst = build_instance(cfg)
-        inst.ensure_optimum()
-        out = _out_dir(cfg.output.directory, out_override)
-        out.mkdir(parents=True, exist_ok=True)
-        tr_dpsla = run(inst, build_algorithm(cfg), 300, seed=seed)
-        tr_dgd = run(inst, Dgd(scale=2.0), 300, seed=seed)
-        write_csv(tr_dpsla, out / "dpsla_trace.csv")
-        write_csv(tr_dgd, out / "dgd_trace.csv")
+        inst, out, traces = _experiment(cfg, out_override, seed,
+                                        {"dpsla_trace.csv": build_algorithm(cfg),
+                                         "dgd_trace.csv": Dgd()})
+        tr_dpsla = traces["dpsla_trace.csv"]
         write_level_gap_csv(inst, tr_dpsla, out / "level_gap.csv")
-        _write_manifest(out / "manifest.json", cfg, inst,
-                        ["dpsla_trace.csv", "dgd_trace.csv", "level_gap.csv"],
-                        extra={"seed": seed, "invariants": _trace_invariants(tr_dpsla)})
+        _write_manifest(out, cfg, inst, [*traces, "level_gap.csv"], seed=seed,
+                        invariants=_trace_invariants(tr_dpsla))
         return 0
     if which == "speedup":
-        out = _out_dir("out_speedup", out_override)
-        out.mkdir(parents=True, exist_ok=True)
         alg = sweep_algorithm()
-        result = run_speedup_sweep([4, 8, 16, 32], 600, list(range(10)), alg=alg)
+        result = run_speedup_sweep(SPEEDUP_AGENT_COUNTS, SPEEDUP_T, SPEEDUP_SEEDS, alg=alg)
+        out = _out_dir("out_speedup", out_override)
         write_sweep_csv(result.rows, out / "speedup.csv")
         means_lines = ["n,mean_gap"] + [f"{n},{v:.17g}" for n, v in sorted(result.means.items())]
         (out / "speedup_mean.csv").write_text("\n".join(means_lines) + "\n", encoding="utf-8")
-        meta = {
-            "experiment": "speedup",
-            "T": 600,
-            "seeds": list(range(10)),
-            "agent_counts": [4, 8, 16, 32],
-            "algorithm": alg.describe(),
+        _write_json(out / "manifest.json", {
+            "experiment": "speedup", "T": SPEEDUP_T, "seeds": SPEEDUP_SEEDS,
+            "agent_counts": SPEEDUP_AGENT_COUNTS, "algorithm": alg.describe(),
             "gap": "average-form min residual over the second half of the run",
-            "outputs": ["speedup.csv", "speedup_mean.csv"],
-        }
-        (out / "manifest.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n",
-                                           encoding="utf-8")
+            "outputs": ["speedup.csv", "speedup_mean.csv"]})
         return 0
     raise ConfigError(f"unknown reproduction target {which!r}")
 
@@ -353,15 +349,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(args.config, args.out)
         if args.command == "reproduce":
             return cmd_reproduce(args.which, args.out, args.seed)
-        if args.command == "oracle":
-            return cmd_oracle(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
+        return cmd_oracle(args.config)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -42,6 +42,8 @@ from .topology import metropolis_weights
 
 mix = np.matmul
 
+NAIVE_EPS_GRAD = 1e-12  # NaivePolyak's stepsize is 0 where the gradient's norm is at most this
+
 
 @dataclass(frozen=True)
 class Dpsla:
@@ -54,6 +56,8 @@ class Dpsla:
     def __post_init__(self):
         if not (self.eta_cap is None or (is_int(self.eta_cap) and self.eta_cap >= 1)):
             raise ValueError(f"eta_cap must be None or an integer >= 1, got {self.eta_cap!r}")
+        if not np.isfinite(self.level_init).all():  # the length is checked against n in the rule
+            raise ValueError(f"level_init must be finite, got {self.level_init!r}")
 
     def describe(self) -> dict:
         cfg = self.stepsize
@@ -95,7 +99,6 @@ class NaivePolyak:
     ("oracle_fi_star")."""
 
     target: str = "local_min"
-    eps_grad: float = 1e-12
 
     def __post_init__(self):
         if self.target not in ("local_min", "oracle_fi_star"):
@@ -241,7 +244,7 @@ def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
         else:
             targets = np.array(inst.optimum.local_values)
 
-        eps_sq = alg.eps_grad ** 2
+        eps_sq = NAIVE_EPS_GRAD ** 2
 
         def naive(k, Z, F, G, grad_sq):
             ok = (grad_sq > eps_sq) & np.isfinite(grad_sq)
@@ -361,7 +364,7 @@ def sweep_algorithm() -> Dpsla:
 
 
 def run_speedup_sweep(agent_counts: Sequence[int], T: int, seeds: Sequence[int],
-                      alg: Dpsla | None = None) -> SweepResult:
+                      alg: Dpsla) -> SweepResult:
     """Seed-averaged optimality gap min_{T/2 <= k <= T} (f(xbar_k) - f*) / n per
     network size. Instances are regenerated per (n, seed) by `gen_paper_instance`
     with its default shape and graph, so total data grows with n."""
@@ -372,7 +375,6 @@ def run_speedup_sweep(agent_counts: Sequence[int], T: int, seeds: Sequence[int],
         raise ValueError("seeds must not be empty")
     if T < 2:
         raise ValueError("T must be >= 2")
-    alg = alg or Dpsla()
     rows = []
     means = {}
     M = T // 2

@@ -107,7 +107,8 @@ class TestBuilders:
                                       "optimum_outside", "optimum_dim", "optimum_local_count",
                                       "optimum_local_value", "optimum_kkt", "optimum_not_optimal",
                                       "edges_float", "edges_frac", "edges_bool",
-                                      "n_agents_float", "n_agents_str"])
+                                      "n_agents_float", "n_agents_str", "directory",
+                                      "missing_file", "not_utf8"])
     def test_malformed_custom_file_rejected(self, tmp_path, capsys, edit):
         from dpsla.problem import gen_triangle_demo
         inst = gen_triangle_demo()
@@ -147,8 +148,14 @@ class TestBuilders:
             optimum.update(x_star=[0.0, 0.0], f_star=2.0, kkt_residual=0.0,
                            local_values=[o.eval([0.0, 0.0]) for o in inst.objectives])
         text = "{not json" if edit == "bad_json" else json.dumps(doc)
-        (tmp_path / "inst.json").write_text(text)
-        cfg = {"problem": {"type": "custom_file", "path": str(tmp_path / "inst.json")}}
+        path = tmp_path / "inst.json"
+        if edit == "directory":
+            path.mkdir()
+        elif edit == "not_utf8":
+            path.write_bytes(b"\xff" + text.encode())
+        elif edit != "missing_file":
+            path.write_text(text)
+        cfg = {"problem": {"type": "custom_file", "path": str(path)}}
         with pytest.raises(ConfigError, match="problem.path"):
             build_instance(parse_config(json.dumps(cfg)))
         p = tmp_path / "cfg.json"
@@ -195,6 +202,18 @@ class TestCmdRun:
         out = tmp_path / "outdir"
         rc = main(["run", "--config", str(bad), "--out", str(out)])
         assert rc != 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "missing", "not_utf8"])
+    def test_unreadable_config_rejected(self, tmp_path, capsys, kind):
+        p = tmp_path / "cfg.json"
+        if kind == "directory":
+            p.mkdir()
+        elif kind == "not_utf8":
+            p.write_bytes(b'{"run": {"iterations": 5}}\xff')
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        assert "--config" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_env_override(self, tmp_path, monkeypatch):
@@ -255,6 +274,20 @@ class TestReproduce:
         assert means[0] == "n,mean_gap" and len(means) == 5
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["agent_counts"] == [4, 8, 16, 32]
+
+    @pytest.mark.parametrize("command", ["reproduce main", "reproduce divergence", "run"])
+    def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys, monkeypatch, command):
+        def failing_run(*args, **kwargs):
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr("dpsla.cli.run", failing_run)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"run": {"iterations": 5}}')
+        argv = ["run", "--config", str(cfg)] if command == "run" else command.split()
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "RuntimeError: run failed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("which", ["main", "divergence"])
     def test_negative_seed_rejected(self, tmp_path, capsys, which):

@@ -76,6 +76,13 @@ class TestDpslaRuns:
         tr = run(triangle, Dpsla(level_init=(-10.0, -20.0, -30.0)), 5, seed=0)
         assert tr.records[0].level == (-10.0, -20.0, -30.0)
 
+    @pytest.mark.parametrize("level_init", [math.nan, math.inf, -math.inf,
+                                            (-10.0, math.nan, -30.0)])
+    def test_non_finite_level_init_rejected(self, level_init):
+        # nan makes every stepsize nan; +inf is no lower bound on f_i(x*)
+        with pytest.raises(ValueError, match="level_init must be finite"):
+            Dpsla(level_init=level_init)
+
     def test_consensus_error_decays_like_stepsize(self, triangle):
         # disagreement between agents scales with the stepsize corridor, so it
         # shrinks at the 1/sqrt(k) rate of the schedule
@@ -113,6 +120,12 @@ class TestBaselines:
     def test_naive_oracle_target_variant(self, triangle):
         tr = run(triangle, NaivePolyak(target="oracle_fi_star"), 200, seed=0)
         assert len(tr.records) == 201
+
+    def test_naive_eps_grad_is_a_constant(self):
+        # a settable threshold went unchecked: eps_grad=nan gave every agent a zero stepsize
+        assert engine.NAIVE_EPS_GRAD == 1e-12
+        with pytest.raises(TypeError, match="eps_grad"):
+            NaivePolyak(eps_grad=math.nan)
 
     def test_dgd_custom_rule(self, triangle):
         # a custom shared schedule runs through the `stepsizes` protocol
@@ -213,15 +226,20 @@ class TestSweep:
 
     def test_unsorted_counts_rejected(self):
         with pytest.raises(ValueError):
-            run_speedup_sweep([8, 4], 40, [0])
+            run_speedup_sweep([8, 4], 40, [0], alg=sweep_algorithm())
 
     def test_repeated_counts_rejected(self):
         with pytest.raises(ValueError, match="strictly ascending"):
-            run_speedup_sweep([4, 4], 40, [0])
+            run_speedup_sweep([4, 4], 40, [0], alg=sweep_algorithm())
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
-            run_speedup_sweep([4], 40, [])
+            run_speedup_sweep([4], 40, [], alg=sweep_algorithm())
+
+    def test_algorithm_required(self):
+        # no default profile: Dpsla()'s gaps at the sweep horizon are numerical noise
+        with pytest.raises(TypeError, match="alg"):
+            run_speedup_sweep([4], 40, [0])
 
 
 class TestValidateMode:
