@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -140,6 +141,15 @@ def _require(cond: bool, field_name: str, msg: str) -> None:
         raise ConfigError(f"{field_name}: {msg}")
 
 
+@contextmanager
+def _field(field_name: str):
+    """Report a constructor's ValueError as a ConfigError on `field_name`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{field_name}: {exc}") from exc
+
+
 def _load_config(path: str) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -148,12 +158,8 @@ def _load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def _require_seed(seed: int) -> None:
-    _require(0 <= seed < 2 ** 64, "problem.seed", "must be a 64-bit unsigned integer")
-
-
 def _validate(cfg: RunConfig) -> None:
-    p, a, r = cfg.problem, cfg.algorithm, cfg.run
+    p, r = cfg.problem, cfg.run
     _require(p.type in ("paper", "triangle", "custom_file"), "problem.type",
              "must be paper, triangle, or custom_file")
     if p.type == "custom_file":
@@ -161,29 +167,15 @@ def _validate(cfg: RunConfig) -> None:
     _require(p.n_agents >= 2, "problem.n_agents", "must be >= 2")
     _require(p.dim >= 1, "problem.dim", "must be >= 1")
     _require(p.rows_per_agent >= 1, "problem.rows_per_agent", "must be >= 1")
-    _require_seed(p.seed)
+    with _field("problem.seed"):
+        Rng(p.seed)
     _require(p.graph_kind in GRAPH_KINDS, "problem.graph_kind", "unknown graph kind")
     _require(p.type != "paper" or p.graph_kind != "triangle" or p.n_agents == 3,
              "problem.graph_kind", f"triangle needs problem.n_agents == 3, got {p.n_agents}")
     _require(0.0 < p.edge_prob <= 1.0, "problem.edge_prob", "must be in (0, 1]")
     _require(p.x0 in ("center", "uniform"), "problem.x0", "must be center or uniform")
 
-    _require(a.name in ("dpsla", "dgd", "naive_polyak"), "algorithm.name",
-             "must be dpsla, dgd, or naive_polyak")
-    _require(0.0 < a.gamma, "algorithm.gamma", "must be positive")
-    _require(a.gamma < a.gamma_bar, "algorithm.gamma_bar", "must exceed gamma")
-    _require(a.gamma_bar < 2.0, "algorithm.gamma_bar", "must be below 2")
-    _require(a.alpha0 > 0, "algorithm.alpha0", "must be positive")
-    _require(a.c_kind in ("sqrt", "constant"), "algorithm.c_kind", "must be sqrt or constant")
-    _require(a.c_scale > 0, "algorithm.c_scale", "must be positive")
-    _require(a.eta_cap is None or a.eta_cap >= 1, "algorithm.eta_cap",
-             "must be >= 1 when set")
-    _require(a.constraint_beta in ("raw", "clamped"), "algorithm.constraint_beta",
-             "must be raw or clamped")
-    _require(a.eps_grad > 0, "algorithm.eps_grad", "must be positive")
-    _require(a.dgd_scale > 0, "algorithm.dgd_scale", "must be positive")
-    _require(a.naive_target in ("local_min", "oracle_fi_star"), "algorithm.naive_target",
-             "must be local_min or oracle_fi_star")
+    build_algorithm(cfg)  # its constructors check every algorithm field
 
     _require(r.iterations >= 1, "run.iterations", "must be >= 1")
     _require(r.record_every >= 1, "run.record_every", "must be >= 1")
@@ -206,23 +198,30 @@ def build_instance(cfg: RunConfig) -> ProblemInstance:
 
 
 def build_algorithm(cfg: RunConfig):
+    """The spec named by `algorithm.name`; all three are built, so a bad unused field fails too."""
     a = cfg.algorithm
-    if a.name == "dpsla":
+    with _field("algorithm"):  # these constructors' messages name the parameter
         step = StepsizeConfig(
             gamma=a.gamma, gamma_bar=a.gamma_bar, alpha0=a.alpha0,
             c_schedule=CSchedule(kind=a.c_kind, scale=a.c_scale),
             eps_grad=a.eps_grad, constraint_beta=a.constraint_beta,
         )
-        return Dpsla(stepsize=step, level_init=a.level_init, eta_cap=a.eta_cap)
-    if a.name == "dgd":
-        return Dgd(scale=a.dgd_scale)
-    return NaivePolyak(target=a.naive_target)
+        specs = {"dpsla": Dpsla(stepsize=step, level_init=a.level_init, eta_cap=a.eta_cap)}
+    with _field("algorithm.dgd_scale"):
+        specs["dgd"] = Dgd(scale=a.dgd_scale)
+    with _field("algorithm.naive_target"):
+        specs["naive_polyak"] = NaivePolyak(target=a.naive_target)
+    _require(a.name in specs, "algorithm.name", "must be dpsla, dgd, or naive_polyak")
+    return specs[a.name]
 
 
 def _out_dir(cfg_dir: str, override: str | None) -> Path:
-    """Create and return `override`, else `cfg_dir` under $DPSLA_OUT when that is set."""
+    """`override`, else `cfg_dir` under $DPSLA_OUT when that is set. Its nearest
+    existing ancestor must be a directory; the caller creates it after the runs."""
     out = Path(override) if override else Path(os.environ.get(OUT_ENV) or "", cfg_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    base = next(p for p in (out, *out.parents) if p.exists())
+    _require(base.is_dir(), "--out" if override else "output.directory",
+             f"{base} exists and is not a directory")
     return out
 
 
@@ -260,11 +259,12 @@ def _experiment(cfg: RunConfig, out_override: str | None, seed: int, runs: dict,
     """Solve cfg's instance to `tol`, run each of `runs` (CSV name -> algorithm) from
     `seed`, and only then create the output directory and write the traces' CSVs.
     Returns (instance, output directory, {CSV name: trace})."""
+    out = _out_dir(cfg.output.directory, out_override)
     inst = build_instance(cfg)
     inst.ensure_optimum(tol)
     traces = {name: run(inst, alg, cfg.run.iterations, seed=seed, x0=cfg.problem.x0)
               for name, alg in runs.items()}
-    out = _out_dir(cfg.output.directory, out_override)
+    out.mkdir(parents=True, exist_ok=True)
     for name, trace in traces.items():
         write_csv(trace, out / name, record_every=cfg.run.record_every)
     return inst, out, traces
@@ -290,7 +290,8 @@ def cmd_reproduce(which: str, out_override: str | None = None, seed: int | None 
     `speedup` runs its own seeds 0..9 and takes no `seed` (the others default to 0)."""
     _require(seed is None or which != "speedup", "--seed", "reproduce speedup runs seeds 0..9")
     seed = 0 if seed is None else seed
-    _require_seed(seed)
+    with _field("problem.seed"):
+        Rng(seed)
     if which == "divergence":  # the config's problem.seed stays 0; the runs use `seed`
         cfg = parse_config(json.dumps({"problem": {"type": "triangle"},
                                        "run": {"iterations": 500},
@@ -311,9 +312,9 @@ def cmd_reproduce(which: str, out_override: str | None = None, seed: int | None 
                         invariants=_trace_invariants(tr_dpsla))
         return 0
     if which == "speedup":
-        alg = sweep_algorithm()
+        out, alg = _out_dir("out_speedup", out_override), sweep_algorithm()
         result = run_speedup_sweep(SPEEDUP_AGENT_COUNTS, SPEEDUP_T, SPEEDUP_SEEDS, alg=alg)
-        out = _out_dir("out_speedup", out_override)
+        out.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(result.rows, out / "speedup.csv")
         means_lines = ["n,mean_gap"] + [f"{n},{v:.17g}" for n, v in sorted(result.means.items())]
         (out / "speedup_mean.csv").write_text("\n".join(means_lines) + "\n", encoding="utf-8")

@@ -50,14 +50,17 @@ class Dpsla:
     """Adaptive Polyak stepsize with level adjustment."""
 
     stepsize: StepsizeConfig = field(default_factory=StepsizeConfig)
-    level_init: float | tuple = -500.0
+    level_init: float | tuple = -500.0  # stored as a float, or a tuple of floats per agent
     eta_cap: int | None = None
 
     def __post_init__(self):
         if not (self.eta_cap is None or (is_int(self.eta_cap) and self.eta_cap >= 1)):
             raise ValueError(f"eta_cap must be None or an integer >= 1, got {self.eta_cap!r}")
-        if not np.isfinite(self.level_init).all():  # the length is checked against n in the rule
-            raise ValueError(f"level_init must be finite, got {self.level_init!r}")
+        level = np.asarray(self.level_init, dtype=float)  # a 1-D length is checked in the rule
+        if level.ndim > 1 or not np.isfinite(level).all():
+            raise ValueError(f"level_init must be finite and at most 1-D, got {self.level_init!r}")
+        object.__setattr__(self, "level_init", float(level) if level.ndim == 0
+                           else tuple(level.tolist()))
 
     def describe(self) -> dict:
         cfg = self.stepsize
@@ -69,8 +72,7 @@ class Dpsla:
             "c_schedule": {"kind": cfg.c_schedule.kind, "scale": cfg.c_schedule.scale},
             "eps_grad": cfg.eps_grad,
             "constraint_beta": cfg.constraint_beta,
-            "level_init": (float(self.level_init) if isinstance(self.level_init, (int, float))
-                           else list(self.level_init)),
+            "level_init": np.asarray(self.level_init).tolist(),
             "eta_cap": self.eta_cap,
         }
 
@@ -204,7 +206,7 @@ _VALIDATE_MESSAGES = {
 
 def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
     cfg, n = alg.stepsize, inst.n_agents
-    level = alg.level_init if isinstance(alg.level_init, (tuple, list)) else (alg.level_init,) * n
+    level = alg.level_init if isinstance(alg.level_init, tuple) else (alg.level_init,) * n
     if len(level) != n:
         raise ValueError("per-agent level_init needs one value per agent")
     windows = LevelWindows(level, inst.dim, bounds=inst.constraint.bounding_box(),

@@ -68,13 +68,6 @@ def csv_header(n_agents: int) -> str:
                      *(f"level_{i}" for i in range(n_agents)), "diverged"])
 
 
-def _kept_rows(rows: int, record_every: int) -> list[int]:
-    """Row indices a writer keeps: every `record_every`-th row and the last."""
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-    return sorted({*range(0, rows, record_every), rows - 1})
-
-
 def _write_lines(path, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -82,8 +75,10 @@ def _write_lines(path, lines: list[str]) -> None:
 
 def write_csv(trace, path, record_every: int = 1) -> None:
     """Emit the trace; row k is written iff k % record_every == 0 or k is final."""
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
     n, rows = trace.n_agents, len(trace.alpha)
-    ks = _kept_rows(rows, record_every)
+    ks = sorted({*range(0, rows, record_every), rows - 1})
     missing = np.full((rows, n), np.nan)
     table = np.column_stack([
         missing[:, 0] if trace.residual is None else trace.residual, trace.consensus_error,
@@ -91,12 +86,11 @@ def write_csv(trace, path, record_every: int = 1) -> None:
     _write_lines(path, [csv_header(n)] + _lines(ks, table, trace.diverged[ks].tolist()))
 
 
-def write_level_gap_csv(inst: ProblemInstance, trace, path, record_every: int = 1) -> None:
-    """Per-iteration level gaps f_i(x*) - level_i for a run with levels."""
-    ks = _kept_rows(len(trace.level), record_every)
-    gaps = (np.array(inst.optimum.local_values) - trace.level)[ks]
+def write_level_gap_csv(inst: ProblemInstance, trace, path) -> None:
+    """Per-iteration level gaps f_i(x*) - level_i for a run with levels, every row."""
+    gaps = np.array(inst.optimum.local_values) - trace.level
     _write_lines(path, [",".join(["k"] + [f"gap_{i}" for i in range(trace.n_agents)])]
-                 + _lines(ks, gaps))
+                 + _lines(range(len(gaps)), gaps))
 
 
 def write_sweep_csv(rows, path) -> None:

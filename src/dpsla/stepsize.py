@@ -135,7 +135,7 @@ class LevelWindows:
     Round t's G (n, dim), b, F and active (n,) are row t of four arrays, whose
     first `rows` rows are in use. Agent i's window is its last `count[i]` active
     rows, oldest first; the cap keeps at most `eta_cap` of them, and a level
-    update resets the window to zero rows. While `valid[i]`, `witness[i]`
+    update resets the window to zero rows. While `count[i] > 0`, `witness[i]`
     satisfies every row of agent i's window within EPS_FEAS (and lies in the box).
     """
 
@@ -148,7 +148,6 @@ class LevelWindows:
         self.eta_cap = eta_cap
         self.count = np.zeros(n, dtype=np.int64)  # rows in each window
         self.witness = np.zeros((n, dim))
-        self.valid = np.zeros(n, dtype=bool)
         self.rows = 0  # rounds held in G, b, F and active
         self.G, self.active = np.empty((WINDOW_ROWS, n, dim)), np.empty((WINDOW_ROWS, n), bool)
         self.b, self.F = np.empty((WINDOW_ROWS, n)), np.empty((WINDOW_ROWS, n))
@@ -198,11 +197,11 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     t = win.rows if win.rows < win.b.shape[0] else win._make_room()
     win.G[t], win.b[t], win.F[t], win.active[t] = G, b, F, active
     win.rows = t + 1
+    # the fallen agents (an empty window has no witness), until a check finds a new witness
+    updated = active & ((win.count == 0) | (np.vecdot(G, win.witness) - b > EPS_FEAS))
     win.count += active
     if win.eta_cap is not None:
         np.minimum(win.count, win.eta_cap, out=win.count)
-    win.valid &= ~(active & (np.vecdot(G, win.witness) - b > EPS_FEAS))
-    updated = active & ~win.valid  # the fallen agents, until a check finds a new witness
     if not updated.any():
         return updated
     system, to_lp = win.system, updated.copy()
@@ -217,7 +216,7 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
         except SolverStallError as exc:
             raise SolverStallError(f"agent {i}, window of {b_i.size} rows: {exc}") from exc
         if verdict.feasible:
-            win.witness[i], win.valid[i], updated[i] = verdict.point, True, False
+            win.witness[i], updated[i] = verdict.point, False
     # Each infeasible window's rows are the newest count[i] of its active rows.
     u = updated.nonzero()[0]
     newest = win.active[t::-1, u]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Rng, as_mat, is_int
+from .numerics import Rng, is_int
 
 STOCHASTIC_TOL = 1e-12
 
@@ -58,10 +58,6 @@ class Graph:
         i, j = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
         A[i, j] = A[j, i] = 1.0
         return A
-
-    def to_edge_list_text(self) -> str:
-        """Debug export: one "i j" pair per line, sorted."""
-        return "\n".join(f"{i} {j}" for (i, j) in sorted(self.edges)) + "\n"
 
 
 def build_graph(kind: str, n: int, edge_prob: float = 0.5, rng: Rng | None = None) -> Graph:
@@ -152,10 +148,6 @@ class MixingMatrix:
                 raise ValueError(f"weight w[{i},{j}] must be positive on the graph support")
             raise ValueError(f"weight w[{i},{j}] must be zero off the graph support")
 
-    @property
-    def n_agents(self) -> int:
-        return self.source_graph.n_agents
-
 
 def metropolis_weights(g: Graph) -> MixingMatrix:
     """Metropolis rule: w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal absorbs the rest."""
@@ -164,14 +156,3 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     W = A / (1.0 + np.maximum.outer(deg, deg))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return MixingMatrix(W=W, source_graph=g)
-
-
-def mix(W: MixingMatrix, states) -> np.ndarray:
-    """One consensus step z_i = sum_j w_ij x_j for every agent.
-
-    `states` is an (n, dim) array or a list of n vectors; returns the (n, dim)
-    array whose rows are the z_i. The run loop skips these checks (`engine.mix`).
-    """
-    if len(states) != W.n_agents:
-        raise ValueError(f"expected {W.n_agents} states, got {len(states)}")
-    return W.W @ as_mat(states)

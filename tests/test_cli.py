@@ -74,6 +74,35 @@ class TestParseConfig:
         assert again.config_hash() == cfg.config_hash()
 
 
+class TestAlgorithmBounds:
+    """Each algorithm bound is the constructor's; the CLI reports it under the field."""
+
+    @pytest.mark.parametrize("fields, word", [
+        ({"gamma": 0.0}, "gamma"),
+        ({"gamma": 1.6}, "gamma_bar"),  # gamma_bar must exceed gamma
+        ({"gamma_bar": 2.0}, "gamma_bar"),  # and stay below 2
+        ({"alpha0": 0.0}, "alpha0"),
+        ({"c_kind": "log"}, "c-schedule kind"),
+        ({"c_scale": -1.0}, "c-schedule scale"),
+        ({"eta_cap": 0}, "eta_cap"),
+        ({"constraint_beta": "clip"}, "constraint_beta"),
+        ({"eps_grad": 0.0}, "eps_grad"),
+        ({"dgd_scale": 0.0}, "algorithm.dgd_scale"),  # unused under name dpsla
+        ({"naive_target": "mean"}, "algorithm.naive_target"),
+        ({"name": "dgd", "alpha0": -1.0}, "alpha0"),  # an unused dpsla field
+        ({"name": "naive_polyak", "dgd_scale": -2.0}, "algorithm.dgd_scale"),
+        ({"name": "sgd"}, "algorithm.name"),
+    ])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, fields, word):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"algorithm": fields, "run": {"iterations": 5}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: algorithm") and word in err
+        assert not out.exists()
+
+
 class TestBuilders:
     def test_triangle_instance(self):
         cfg = parse_config('{"problem":{"type":"triangle"}}')
@@ -295,6 +324,25 @@ class TestReproduce:
         assert main(["reproduce", which, "--seed", "-1", "--out", str(out)]) == 2
         assert "problem.seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["speedup", "main"])
+    def test_out_under_a_file_fails_before_the_runs(self, tmp_path, capsys, monkeypatch, which):
+        monkeypatch.setattr("dpsla.cli.run_speedup_sweep", None)  # must not be reached
+        monkeypatch.setattr("dpsla.cli.run", None)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["reproduce", which, "--out", str(blocker / "x")]) == 2
+        assert "--out" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+    def test_output_directory_under_a_file_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dpsla.cli.run", None)  # must not be reached
+        monkeypatch.setenv("DPSLA_OUT", str(tmp_path / "file"))
+        (tmp_path / "file").write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"output": {"directory": "sub"}}')
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "output.directory" in capsys.readouterr().err
 
     def test_speedup_rejects_seed(self, tmp_path, capsys, monkeypatch):
         # the sweep runs seeds 0..9 itself; a seed it would ignore is an error

@@ -76,6 +76,15 @@ class TestDpslaRuns:
         tr = run(triangle, Dpsla(level_init=(-10.0, -20.0, -30.0)), 5, seed=0)
         assert tr.records[0].level == (-10.0, -20.0, -30.0)
 
+    def test_level_init_array_runs_like_the_scalar(self, paper0):
+        # a numpy array is stored as a tuple of floats, which the rule and describe() read
+        alg = Dpsla(level_init=np.full(4, -500.0))
+        assert alg.level_init == (-500.0,) * 4 and alg.describe()["level_init"] == [-500.0] * 4
+        assert Dpsla(level_init=-500).describe() == Dpsla().describe()
+        assert run(paper0, alg, 20).records == run(paper0, Dpsla(), 20).records
+        with pytest.raises(ValueError, match="level_init must be finite and at most 1-D"):
+            Dpsla(level_init=np.full((4, 1), -500.0))
+
     @pytest.mark.parametrize("level_init", [math.nan, math.inf, -math.inf,
                                             (-10.0, math.nan, -30.0)])
     def test_non_finite_level_init_rejected(self, level_init):

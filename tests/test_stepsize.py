@@ -358,7 +358,9 @@ class TestRecordStep:
         assert checked == [1, 1, 2]  # agent 1's window reached the LP, agent 0's did not
         assert updated.tolist() == [True, False]
         assert win.level[0] == pytest.approx((2.0 / 3.0) * -5.0 + (1.0 / 3.0) * 1.0)
-        assert win.count.tolist() == [0, 2] and win.valid[1]
+        assert win.count.tolist() == [0, 2]
+        G_1, b_1, _ = win.window(1)  # a non-empty window keeps a witness
+        assert (G_1 @ win.witness[1] - b_1 <= EPS_FEAS).all()
 
     def test_eta_cap_validated(self):
         with pytest.raises(ValueError):
@@ -410,9 +412,9 @@ class TestWindowReplay:
             if quiet(k):
                 b = np.abs(G).sum(1) + 1.0
             G[~active], b[~active] = 0.0, np.nan  # zero-gradient rows; their b is ignored
-            valid, witness = win.valid.copy(), win.witness.copy()
+            held, witness = win.count > 0, win.witness.copy()
             updated = record_step(win, cfg, G, b, F, active)
-            still += bool(valid[active].all() and win.valid[active].all()
+            still += bool(held[active].all() and (win.count > 0)[active].all()
                           and np.array_equal(witness, win.witness))
             misses_box = np.minimum(G * box[0], G * box[1]).sum(1) - b > EPS_FEAS
             joint += bool(updated.sum() >= 2 and (updated & misses_box).any()
@@ -432,7 +434,7 @@ class TestWindowReplay:
                     level[i] = max(level[i], proposed)
                     rows.clear()
             assert not updated[~active].any()
-            assert (win.valid | updated | ~active).all()  # feasible windows keep a witness
+            assert np.array_equal(win.count[active] == 0, updated[active])
             assert win.level.tolist() == level.tolist()
             for i, rows in enumerate(windows):
                 G_i, b_i, F_i = win.window(i)
@@ -442,8 +444,8 @@ class TestWindowReplay:
                 # only the newest row of a window can miss the box
                 box_min = np.minimum(G_i * box[0], G_i * box[1]).sum(1)
                 assert (box_min[:-1] - b_i[:-1] <= EPS_FEAS).all(), (k, i)
-                if win.valid[i]:
-                    assert all(g @ win.witness[i] - b <= EPS_FEAS for g, b in zip(G_i, b_i))
+                # every non-empty window keeps a witness
+                assert all(g @ win.witness[i] - b <= EPS_FEAS for g, b in zip(G_i, b_i))
             # the stored rounds reach back to the oldest row of every window, and
             # their arrays grow with the longest window span, not with the rounds
             span = max((k + 1 - rows[0][0] for rows in windows if rows), default=0)

@@ -4,7 +4,7 @@ import pytest
 from dpsla.numerics import Rng
 from dpsla.problem import ConstraintSet, ProblemInstance, QuadraticObjective
 from dpsla.topology import (Graph, MixingMatrix, _repair_connectivity, build_graph,
-                            metropolis_weights, mix)
+                            metropolis_weights)
 
 
 def _metropolis_per_edge(g):
@@ -70,7 +70,7 @@ class TestBuildGraph:
         # the connectivity test grows its frontier one hop per step: 299 steps here
         g = build_graph("path", 300)
         assert len(g.edges) == 299
-        assert metropolis_weights(g).n_agents == 300
+        assert metropolis_weights(g).W.shape == (300, 300)
 
     def test_random_connected(self):
         for seed in range(20):
@@ -133,10 +133,6 @@ class TestBuildGraph:
     def test_non_integer_or_small_count_rejected(self, n):
         with pytest.raises(ValueError, match="n_agents must be an integer >= 2"):
             Graph(n_agents=n, edges=frozenset({(0, 1), (1, 2)}))
-
-    def test_edge_list_export(self):
-        g = build_graph("triangle", 3)
-        assert g.to_edge_list_text() == "0 1\n0 2\n1 2\n"
 
 
 class TestMetropolisWeights:
@@ -214,49 +210,37 @@ class TestMixingMatrixSupport:
 
 
 class TestMix:
+    """One consensus step is the engine's product W @ X of the Metropolis weights
+    and the (n, dim) state array."""
+
     def test_triangle_uniform_average(self):
-        W = metropolis_weights(build_graph("triangle", 3))
-        states = [np.array([3.0, 0.0]), np.array([0.0, 3.0]), np.array([0.0, 0.0])]
-        out = mix(W, states)
-        for z in out:
-            assert np.allclose(z, [1.0, 1.0])
+        W = metropolis_weights(build_graph("triangle", 3)).W
+        X = np.array([[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
+        assert np.allclose(W @ X, [[1.0, 1.0]] * 3)
 
     def test_consensus_fixed_point(self):
-        W = metropolis_weights(build_graph("ring", 5))
-        v = np.array([2.0, -1.0, 0.5])
-        out = mix(W, [v.copy() for _ in range(5)])
-        for z in out:
-            assert np.allclose(z, v, atol=1e-14)
+        W = metropolis_weights(build_graph("ring", 5)).W
+        X = np.tile([2.0, -1.0, 0.5], (5, 1))
+        assert np.allclose(W @ X, X, atol=1e-14)
 
     def test_average_preservation(self):
         gen = np.random.default_rng(11)
         for seed in range(5):
-            g = build_graph("random", 8, edge_prob=0.4, rng=Rng(seed))
-            W = metropolis_weights(g)
-            states = [gen.normal(size=4) for _ in range(8)]
-            before = np.mean(np.stack(states), axis=0)
-            after = np.mean(np.stack(mix(W, states)), axis=0)
-            assert np.max(np.abs(before - after)) <= 1e-12
+            W = metropolis_weights(build_graph("random", 8, edge_prob=0.4, rng=Rng(seed))).W
+            X = gen.normal(size=(8, 4))
+            assert np.max(np.abs(X.mean(0) - (W @ X).mean(0))) <= 1e-12
 
     def test_repeated_mixing_contracts(self):
-        gen = np.random.default_rng(2)
-        g = build_graph("ring", 7)
-        W = metropolis_weights(g)
-        states = [gen.normal(size=3) for _ in range(7)]
+        W = metropolis_weights(build_graph("ring", 7)).W
+        X = np.random.default_rng(2).normal(size=(7, 3))
 
-        def spread(xs):
-            xb = np.mean(np.stack(xs), axis=0)
-            return max(np.linalg.norm(x - xb) for x in xs)
+        def spread(X):
+            return np.linalg.norm(X - X.mean(0), axis=1).max()
 
-        prev = spread(states)
+        prev = spread(X)
         for _ in range(25):
-            states = mix(W, states)
-            cur = spread(states)
+            X = W @ X
+            cur = spread(X)
             assert cur <= prev + 1e-12
             prev = cur
         assert cur < 1e-2
-
-    def test_wrong_count(self):
-        W = metropolis_weights(build_graph("triangle", 3))
-        with pytest.raises(ValueError):
-            mix(W, [np.zeros(2)] * 2)
