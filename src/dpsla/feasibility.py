@@ -15,9 +15,10 @@ the box satisfies is therefore infeasible without a separate test.
 `add_constraint` is the validating entry point, and a witness point found by
 the LP is kept while new constraints leave it satisfied. The level windows
 (`stepsize.LevelWindows`) keep their rows in their own round-indexed arrays,
-test their witnesses and the box themselves, and hand a window to one reused
-system as arrays through `load`, which skips the `HalfSpace` checks: their
-rows are gradients with norm above eps_grad at finite iterates.
+test their witnesses and the box themselves, decide one-row windows at the
+vertex the LP would end at (`phase1_vertex`), and hand a longer window to one
+reused system as arrays through `load`, which skips the `HalfSpace` checks:
+their rows are gradients with norm above eps_grad at finite iterates.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ MIN_NORMAL = 1e-12
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
 _PIVOT_CAP_FACTOR = 10_000  # iteration cap per row and column of the LP
+VERTEX_MAX_DIM = 81  # sqrt(dim) + 1 <= 10: a one-row LP ends at a box vertex (`phase1_vertex`)
 
 
 class SolverStallError(RuntimeError):
@@ -213,6 +215,24 @@ def _phase1_lp(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
         raise SolverStallError(f"simplex exceeded {cap} pivots")
     x = np.clip(v[:dim], lo, hi)
     return float(np.max(A @ x - b)), x
+
+
+def phase1_vertex(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and end point of `_phase1_lp` on each one-row system a_t.x <= b_t.
+
+    For rows A (k, dim) with dim <= VERTEX_MAX_DIM and a finite box, returns
+    (values (k,), points (k, dim)) with the bits the LP returns row by row. On
+    one row the LP's start puts s in the basis and every x_j at lo_j; the
+    reduced cost of x_j is then u_j = a_j / |a|, so the loop flips each x_j
+    with u_j < -_COST_TOL to hi_j and finds nothing else movable. It stops
+    short only if s reaches its floor -10 (1 + M), M the largest |c| or
+    |bound|; but at every vertex x it visits s = u.x - c >= -(sqrt(dim) + 1) M,
+    at least 10 above the floor while sqrt(dim) + 1 <= 10. The value is the
+    row's violation at that vertex, by the dot product the LP takes.
+    """
+    X = np.where(A / np.linalg.norm(A, axis=1)[:, None] < -_COST_TOL, hi, lo)
+    return np.vecdot(A, X) - b, X
 
 
 def _pivot(T, row, col):

@@ -39,6 +39,7 @@ PSD_EIG_TOL = -1e-10
 MEMBERSHIP_TOL = 1e-12  # slack of `contains` on the boundary
 ORACLE_TOL = 1e-10  # projected-gradient fixed-point residual of the reference solvers
 ORACLE_MAX_ITER = 1_000_000
+POWER_ITERATIONS = 200  # of `estimate_lipschitz`
 
 
 class OracleConvergenceError(RuntimeError):
@@ -500,17 +501,28 @@ def gen_triangle_demo() -> ProblemInstance:
 
 
 def estimate_lipschitz(H: np.ndarray) -> float:
-    """Largest-eigenvalue estimate of a PSD matrix by 200 power iterations, padded 1%."""
+    """Largest-eigenvalue estimate of a PSD matrix by 200 power iterations, padded 1%.
+
+    The map v -> Hv/|Hv| is deterministic, so once an iterate repeats bit for
+    bit (a fixed point or a short cycle) the last one is known: the loop stops
+    there and takes it from the cycle, with the bits of the full loop.
+    """
     n = H.shape[0]
     v = np.ones(n) / math.sqrt(n)
     v[0] += 1e-3  # break symmetry deterministically
     v /= np.linalg.norm(v)
-    for _ in range(200):
+    seen, path = {v.tobytes(): 0}, [v]
+    for k in range(1, POWER_ITERATIONS + 1):
         w = H @ v
         norm = math.sqrt(w.dot(w))  # np.linalg.norm of a real 1-D vector
         if norm == 0.0:
             return 1.0
         v = w / norm
+        first = seen.setdefault(v.tobytes(), k)
+        if first < k:  # iterate k repeats iterate `first`: a cycle of k - first
+            v = path[first + (POWER_ITERATIONS - first) % (k - first)]
+            break
+        path.append(v)
     return max(float(v @ H @ v) * 1.01, 1e-12)
 
 

@@ -32,11 +32,15 @@ takes the lower clamp, so no sentinel marks it. `LevelWindows` keeps each
 round's rows as one row of four arrays shared by all windows, a row count per
 agent and an (n, dim) array of witness points. `record_step` tests every
 witness against its new row in one call and, in a round where some witness
-fell, the new rows of those agents against the box in another. The only Python
-loop runs over the windows whose new row meets the box: each is read with one
-index, loaded into `InequalitySystem` and checked. The levels of all
-infeasible windows are then raised at once, from one masked minimum over the
-stored rows.
+fell, the new rows of those agents against the box in another. A fallen window
+of one row whose row meets the box is decided in one array expression at the
+box vertex where its Phase-I LP would end, which gives the LP's verdict and
+witness bit for bit. The only Python loop runs over the windows of two rows
+or more whose new row meets the box: each is read with one index, loaded into
+`InequalitySystem` and checked. On the paper's workloads no window reaches
+that loop, so every level update there is decided by the box test. The levels
+of all infeasible windows are then raised at once, from one masked minimum
+over the stored rows.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError
+from .feasibility import (EPS_FEAS, VERTEX_MAX_DIM, InequalitySystem, SolverStallError,
+                          phase1_vertex)
 from .numerics import require_positive
 
 WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
@@ -119,12 +124,13 @@ def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, F: np.ndarray, level: np.
     beta = gamma (F - level) / ||g||^2 may be negative; a row outside `active`
     (zero gradient) divides by 1 and takes the lower clamp c0 alpha0 / 2. `cap`
     (n,) carries c_{k-1} alpha_{i,k-1}, starts at c0 alpha0 and is updated in
-    place. The max/min keep Python's argument order, so a NaN beta propagates.
+    place. The max/min keep Python's max(beta, floor) and min(inner, cap), so a
+    NaN beta propagates.
     Returns (alpha, beta), beta lower-clamped if `cfg.constraint_beta` is "clamped".
     """
     beta = cfg.gamma * (F - level) / np.where(active, grad_sq, 1.0)
     floor = cfg.beta_floor
-    inner = np.where(active & ~(floor > beta), beta, floor)  # max(beta, floor) on active rows
+    inner = np.where(active, np.maximum(beta, floor), floor)
     cap[...] = np.where(cap < inner, cap, inner)  # min(inner, cap)
     return cap / c_k, inner if cfg.constraint_beta == "clamped" else beta
 
@@ -188,8 +194,12 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     feasible, and a round in which every witness survives only stores its rows.
     For the others only the new row can miss the box (every older row passed a
     witness test or a check, and both leave a point of the box on its side),
-    so a new row that misses the box makes the window infeasible with no check,
-    and only the other windows are read and go to `win.system.check_feasible`.
+    so a new row that misses the box makes the window infeasible with no check.
+    A window of one row that meets the box is decided at the box vertex where
+    its Phase-I LP would end (`phase1_vertex`, up to dim VERTEX_MAX_DIM), with
+    the LP's verdict and witness bit for bit. Only the other windows, of two
+    rows or more, are read and go to `win.system.check_feasible`; on the
+    paper's workloads there are none, and every level update is box-decided.
     Every infeasible window raises its level to a convex combination of itself
     and the window's smallest f-value and is cleared. Returns the (n,) mask of
     updated levels.
@@ -208,6 +218,12 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     if system.bounds is not None:  # drop the windows whose new row misses the box
         lo, hi = system.bounds
         to_lp &= ~(np.minimum(G * lo, G * hi).sum(1) - b > EPS_FEAS)
+        if system.dim <= VERTEX_MAX_DIM:  # decide the one-row windows at their LP's vertex
+            one = np.flatnonzero(to_lp & (win.count == 1))
+            if one.size:
+                value, X = phase1_vertex(G[one], b[one], lo, hi)
+                ok = value <= EPS_FEAS
+                win.witness[one[ok]], updated[one[ok]], to_lp[one] = X[ok], False, False
     for i in to_lp.nonzero()[0].tolist():
         G_i, b_i, _ = win.window(i)
         system.load(G_i, b_i)

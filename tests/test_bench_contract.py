@@ -4,12 +4,13 @@
 names (`engine.record_step`, `feasibility._phase1_lp`, ...). One traced
 operation of each workload, run as the benchmark runs it, fails here as soon
 as a refactor drops or renames one of those names or breaks a path count of
-the tracer's self-check: `lp` drives long uncapped windows through the LP,
-`sweep` the capped windows, where most fallen witnesses are decided by the box
-test of `record_step`, and `reproduce` is the only one that drives `cli.main`,
+the tracer's self-check: `lp` drives long uncapped windows at dim 32, `sweep`
+the capped windows, and `reproduce` is the only one that drives `cli.main`,
 the oracle spans and the naive-Polyak targets under the tracer and the set-up
-timers. The test only reads `bench/`: its outputs go to a temporary directory
-and no bytecode is cached.
+timers. None of them reaches the Phase-I LP any more: `record_step` decides
+every fallen window by the box test or at its one-row vertex, so the LP path
+counts read 0. The test only reads `bench/`: its outputs go to a temporary
+directory and no bytecode is cached.
 """
 
 from __future__ import annotations

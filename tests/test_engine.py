@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dpsla
-from dpsla import cli, engine
+from dpsla import cli, engine, feasibility
 from dpsla.engine import (Dgd, Dpsla, NaivePolyak, first_violations, run,
                           run_speedup_sweep, sweep_algorithm)
 from dpsla.metrics import consensus_error, residual
@@ -519,6 +519,32 @@ def _main_instance():
     inst = cli.build_instance(cfg)
     inst.ensure_optimum()
     return inst, cli.build_algorithm(cfg)
+
+
+class TestSimplexCalls:
+    """Phase-I LP solves per run: the paper shapes decide every window by the
+    box test or a one-row vertex, while the triangle still reaches the LP."""
+
+    @pytest.fixture
+    def lp_rows(self, monkeypatch):
+        rows, lp = [], feasibility._phase1_lp
+
+        def counted(A, *args):
+            rows.append(len(A))
+            return lp(A, *args)
+
+        monkeypatch.setattr(feasibility, "_phase1_lp", counted)
+        return rows
+
+    def test_paper_shapes_never_reach_the_lp(self, lp_rows):
+        inst, alg = _main_instance()
+        run(inst, alg, 300)
+        run_speedup_sweep([8], 600, [0], alg=sweep_algorithm())
+        assert lp_rows == []
+
+    def test_triangle_reaches_the_lp_with_longer_windows(self, lp_rows, triangle):
+        run(triangle, Dpsla(), 500)
+        assert len(lp_rows) >= 10 and min(lp_rows) >= 2
 
 
 class TestRoundBudget:

@@ -3,11 +3,11 @@ import pytest
 
 from dpsla import feasibility
 from dpsla.engine import Dpsla, run
-from dpsla.feasibility import EPS_FEAS, HalfSpace, InequalitySystem, SolverStallError
-from dpsla.numerics import Rng
-from dpsla.problem import gen_paper_instance
+from dpsla.feasibility import (EPS_FEAS, VERTEX_MAX_DIM, HalfSpace, InequalitySystem,
+                               SolverStallError, _phase1_lp, phase1_vertex)
+from dpsla.problem import gen_triangle_demo
 
-from .util import brute_force_margin, random_halfspace_system
+from .util import brute_force_margin, one_row_windows, random_halfspace_system
 
 
 def hs(a, b):
@@ -237,6 +237,23 @@ class TestBoundedSystems:
         assert not sys.check_feasible().feasible
 
 
+class TestPhase1Vertex:
+    def test_one_row_lp_ends_at_the_vertex(self):
+        # the closed form gives the LP's own end point, value and verdict bit
+        # for bit; the vertex of the box minimum, lo where g > 0 else hi, does
+        # not, because the LP leaves a zero or tiny component at lo
+        rng = np.random.default_rng(17)
+        verdicts, other_vertex = set(), 0
+        for _ in range(1000):
+            G, b, lo, hi = one_row_windows(rng, 1, int(rng.integers(1, VERTEX_MAX_DIM + 1)))
+            value, X = phase1_vertex(G, b, lo, hi)
+            s, x = _phase1_lp(G, b, lo, hi)
+            assert value[0] == s and X[0].tobytes() == x.tobytes()
+            verdicts.add(bool(s <= EPS_FEAS))
+            other_vertex += np.where(G[0] > 0, lo, hi).tobytes() != x.tobytes()
+        assert verdicts == {True, False} and other_vertex > 300
+
+
 class TestReset:
     """Loading an empty window resets a system."""
 
@@ -289,11 +306,12 @@ class TestStall:
                 sys.check_feasible()
 
     def test_run_names_round_agent_and_window(self, monkeypatch):
+        # the triangle's windows reach the LP with two rows or more; a one-row
+        # window is decided without it
         monkeypatch.setattr(feasibility, "_PIVOT_CAP_FACTOR", 0)
-        inst = gen_paper_instance(rng=Rng(0))
         with pytest.raises(SolverStallError,
-                           match=r"round \d+, agent \d+, window of \d+ rows: .*exceeded 0 pivots"):
-            run(inst, Dpsla(), 50, seed=0)
+                           match=r"round 3, agent 1, window of 2 rows: .*exceeded 0 pivots"):
+            run(gen_triangle_demo(), Dpsla(), 50, seed=0)
 
 
 class TestDump:

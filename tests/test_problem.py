@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpsla import problem
 from dpsla.numerics import Rng
 from dpsla.problem import (ConstraintSet, OracleResult, ProblemInstance, QuadraticObjective,
                            estimate_lipschitz, gen_paper_instance, gen_triangle_demo,
@@ -264,6 +265,31 @@ class TestEstimateLipschitz:
         for H in cases:
             assert estimate_lipschitz(H) == _lipschitz_reference(H)
         assert estimate_lipschitz(np.zeros((3, 3))) == 1.0
+
+    def test_stops_at_a_repeat_with_the_bits_of_every_iteration(self, monkeypatch):
+        # the aggregate and local Hessians of paper instances and of the
+        # triangle: the iterate soon repeats bit for bit, and the value taken
+        # from its cycle equals the one the full loop ends at, for any count
+        class Counted(np.ndarray):
+            products = 0
+
+            def __matmul__(self, other):
+                Counted.products += 1
+                return np.asarray(self) @ other
+
+        cases = [o.hessian() for o in gen_triangle_demo().objectives]
+        for n, dim in [(2, 2), (4, 6), (8, 16), (32, 32)]:
+            objectives = gen_paper_instance(n=n, dim=dim, rng=Rng(n + dim)).objectives
+            cases += [sum(o.hessian() for o in objectives)] + [o.hessian() for o in objectives]
+        products = []
+        for H in cases:
+            for iterations in (1, 2, 3, 7, 200):
+                monkeypatch.setattr(problem, "POWER_ITERATIONS", iterations)
+                assert estimate_lipschitz(H) == _lipschitz_reference(H, iterations)
+            Counted.products = 0
+            estimate_lipschitz(H.view(Counted))
+            products.append(Counted.products)
+        assert max(products) <= 201 and np.median(products) < 100
 
 
 class TestSerialization:

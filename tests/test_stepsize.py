@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from dpsla import engine
 from dpsla.engine import Dpsla, run
-from dpsla.feasibility import EPS_FEAS, HalfSpace, InequalitySystem
+from dpsla.feasibility import EPS_FEAS, VERTEX_MAX_DIM, HalfSpace, InequalitySystem
 from dpsla.problem import ConstraintSet, ProblemInstance, QuadraticObjective
 from dpsla.stepsize import (WINDOW_ROWS, CSchedule, LevelWindows, StepsizeConfig,
                             decide_alpha, record_step)
 from dpsla.topology import build_graph
+
+from .util import one_row_windows
 
 
 def cfg_unit():
@@ -50,6 +52,18 @@ def step(win, cfg, z, f_val, g, beta):
     updated = record_step(win, cfg, g[None, :], np.array([b]), np.array([f_val]),
                           np.array([True]))
     return float(win.level[0]) if updated[0] else None
+
+
+def count_checks(monkeypatch):
+    """The row count of every system `InequalitySystem.check_feasible` decides from now on."""
+    checked, check = [], InequalitySystem.check_feasible
+
+    def spy(system, *args, **kwargs):
+        checked.append(system.size)
+        return check(system, *args, **kwargs)
+
+    monkeypatch.setattr(InequalitySystem, "check_feasible", spy)
+    return checked
 
 
 def window_min_f(win, i=0):
@@ -196,6 +210,17 @@ class TestDecideAlpha:
                                 np.array([1e-30]), np.array([False]), cfg.c_value(0))
         assert alpha == 0.5
 
+    def test_nan_beta_propagates_and_inactive_rows_take_the_floor(self):
+        # as max(beta, floor): a NaN beta on an active row gives a NaN stepsize
+        # and cap; the inactive rows take the lower clamp whatever F says
+        cfg = cfg_unit()
+        cap = fresh_cap(cfg, 4)
+        alpha, beta = decide_alpha(cfg, cap, np.array([np.nan, 0.7, np.nan, 10.0]),
+                                   np.zeros(4), np.ones(4),
+                                   np.array([True, True, False, False]), cfg.c_value(0))
+        assert np.isnan(alpha[0]) and np.isnan(cap[0]) and np.isnan(beta[0])
+        assert alpha[1:].tolist() == [0.7, cfg.beta_floor, cfg.beta_floor]
+
     def test_three_way_case_split(self):
         # closed-form case analysis of min{max{beta, h}, cap} / c_k
         cfg = cfg_unit()
@@ -335,32 +360,65 @@ class TestRecordStep:
         assert levels[-1] < 1.0  # still a sound lower bound on the box optimum
 
     def test_box_infeasible_new_row_skips_the_check(self, monkeypatch):
-        # on the box [-1, 1]: round 0 gives both agents x <= 0.5 and a witness
-        # at -1; in round 1 agent 0 adds x <= -5, which no point of the box
-        # satisfies, and agent 1 adds x >= 0.2, which only its witness misses
-        checked = []
-        check = InequalitySystem.check_feasible
-
-        def spy(system, *args, **kwargs):
-            checked.append(system.size)
-            return check(system, *args, **kwargs)
-
-        monkeypatch.setattr(InequalitySystem, "check_feasible", spy)
+        # on the box [-1, 1]: round 0 gives both agents x <= 0.5, a one-row
+        # window decided with no check at the vertex -1; in round 1 agent 0
+        # adds x <= -5, which no point of the box satisfies, and agent 1 adds
+        # x >= 0.2, which only its witness misses
+        checked = count_checks(monkeypatch)
         cfg = cfg_unit()
         win = LevelWindows([-5.0, -5.0], 1, bounds=(np.array([-1.0]), np.array([1.0])))
         active = np.array([True, True])
         updated = record_step(win, cfg, np.array([[1.0], [1.0]]), np.array([0.5, 0.5]),
                               np.array([1.0, 2.0]), active)
-        assert not updated.any() and checked == [1, 1]
+        assert not updated.any() and checked == []
         assert win.witness[:, 0].tolist() == [-1.0, -1.0]
         updated = record_step(win, cfg, np.array([[1.0], [-1.0]]), np.array([-5.0, -0.2]),
                               np.array([4.0, 3.0]), active)
-        assert checked == [1, 1, 2]  # agent 1's window reached the LP, agent 0's did not
+        assert checked == [2]  # agent 1's window reached the LP, agent 0's did not
         assert updated.tolist() == [True, False]
         assert win.level[0] == pytest.approx((2.0 / 3.0) * -5.0 + (1.0 / 3.0) * 1.0)
         assert win.count.tolist() == [0, 2]
         G_1, b_1, _ = win.window(1)  # a non-empty window keeps a witness
         assert (G_1 @ win.witness[1] - b_1 <= EPS_FEAS).all()
+
+    @pytest.mark.parametrize("dim", [1, 3, 17, 81])
+    def test_one_row_windows_decided_as_the_check_decides_them(self, dim, monkeypatch):
+        # fresh windows, so every active agent's window is its new row: the
+        # rows that meet the box are decided with no check, and the witness,
+        # verdict, level and count are those of the window's own check
+        rng = np.random.default_rng(dim)
+        cfg, n = cfg_unit(), 40
+        G, b, lo, hi = one_row_windows(rng, n, dim)
+        level, F = rng.uniform(-5.0, 0.0, n), rng.uniform(-1.0, 3.0, n)
+        active = rng.random(n) > 0.1
+        win = LevelWindows(level, dim, bounds=(lo, hi))
+        checked = count_checks(monkeypatch)
+        updated = record_step(win, cfg, G, b, F, active)
+        assert checked == []
+        keep = cfg.gamma / cfg.gamma_bar
+        for i in range(n):
+            if not active[i]:
+                assert not updated[i] and win.count[i] == 0 and win.level[i] == level[i]
+                continue
+            system = InequalitySystem(dim, bounds=(lo, hi))
+            system.load(G[i:i + 1], b[i:i + 1])
+            verdict = system.check_feasible()
+            assert updated[i] == (not verdict.feasible)
+            assert win.count[i] == verdict.feasible
+            if verdict.feasible:
+                assert win.witness[i].tobytes() == verdict.point.tobytes()
+                assert win.level[i] == level[i]
+            else:
+                assert win.level[i] == max(level[i], keep * level[i] + (1.0 - keep) * F[i])
+        assert 0 < updated.sum() < active.sum()
+
+    def test_one_row_windows_above_the_vertex_dim_reach_the_check(self, monkeypatch):
+        checked = count_checks(monkeypatch)
+        dim = VERTEX_MAX_DIM + 1
+        win = LevelWindows([-5.0], dim, bounds=(-np.ones(dim), np.ones(dim)))
+        updated = record_step(win, cfg_unit(), -np.ones((1, dim)), np.array([0.0]),
+                              np.array([1.0]), np.array([True]))
+        assert checked == [1] and not updated[0] and win.witness[0].tolist() == [1.0] * dim
 
     def test_eta_cap_validated(self):
         with pytest.raises(ValueError):

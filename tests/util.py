@@ -54,3 +54,21 @@ def random_halfspace_system(rng: np.random.Generator, n_constraints: int) -> lis
         b = float(a @ anchor + rng.uniform(-3.0, 3.0))
         out.append(HalfSpace(a=a, b=b))
     return out
+
+
+def one_row_windows(rng: np.random.Generator, k: int,
+                    dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """k random rows g.x <= b and a box (lo, hi) of either sign, for one-row checks.
+
+    Each gradient component is zero or scaled by 1e-12 with probability 0.2
+    each, and b lies 1e-12 to 1 below or above the row's minimum over the box,
+    so both verdicts occur, some within rounding of EPS_FEAS. Returns (G, b, lo, hi).
+    """
+    lo = rng.uniform(-3.0, 3.0, dim) * 10.0 ** rng.uniform(-2.0, 2.0)
+    hi = lo + rng.uniform(0.01, 4.0, dim) * 10.0 ** rng.uniform(-2.0, 2.0)
+    G = rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-4.0, 4.0, (k, 1))
+    G[rng.random((k, dim)) < 0.2] = 0.0
+    G[rng.random((k, dim)) < 0.2] *= 1e-12
+    G[~G.any(axis=1), 0] = 1.0
+    gap = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-12.0, 0.0, k)
+    return G, np.minimum(G * lo, G * hi).sum(1) + gap, lo, hi
