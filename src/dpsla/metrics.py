@@ -11,6 +11,9 @@ CSV schema (one file per run):
 * Floats are printed with 17 significant digits so parsing the file recovers
   them exactly; missing values print as `nan`; non-finite values from diverged
   runs are clipped to +/-1e12; `diverged` is 0 or 1.
+* Each distinct float of a file (told apart by its bits, so 0.0 and -0.0 are
+  two values) is formatted once and every line is built from lookups, with the
+  bytes that formatting each cell on its own gives.
 
 A sweep additionally writes a summary CSV with header `n,seed,gap`.
 """
@@ -51,16 +54,27 @@ def consensus_error(xs):
     return float(mean) if X.ndim == 2 else mean
 
 
+def _cell_texts(table: np.ndarray) -> list[list[str]]:
+    """`%.17g` of each cell of `table` clipped to +/-CLIP, as nested lists.
+
+    Cells are keyed by their float64 bits, so 0.0 and -0.0 and the NaN payloads
+    stay apart, and each distinct key is formatted once. Its own function, so
+    that its arrays are freed before `_lines` builds the lines."""
+    clipped = np.clip(np.asarray(table, dtype=float), -CLIP, CLIP)
+    keys, where = np.unique(clipped.view(np.int64), return_inverse=True)
+    texts = np.array(["%.17g" % v for v in keys.view(float).tolist()], dtype=object)
+    return texts[where].reshape(clipped.shape).tolist()
+
+
 def _lines(heads, table: np.ndarray, tails=None) -> list[str]:
-    """One CSV line per row of `table` (m, c): the row's int from `heads`, its
-    floats clipped to +/-CLIP and printed with 17 significant digits (`%.17g`
-    prints NaN of either sign as `nan`), then its int from `tails`, if given."""
-    cells = np.clip(table, -CLIP, CLIP).tolist()
-    template = "%d" + ",%.17g" * table.shape[1]
+    """One CSV line per row of `table` (m, c), c >= 1: the row's int from
+    `heads`, its floats clipped to +/-CLIP and printed with 17 significant
+    digits (`%.17g` prints NaN of either sign as `nan`), then its int from
+    `tails`, if given."""
+    rows = map(",".join, _cell_texts(table))
     if tails is None:
-        return [template % (k, *row) for k, row in zip(heads, cells)]
-    template += ",%d"
-    return [template % (k, *row, d) for k, row, d in zip(heads, cells, tails)]
+        return ["%d,%s" % kr for kr in zip(heads, rows)]
+    return ["%d,%s,%d" % krd for krd in zip(heads, rows, tails)]
 
 
 def csv_header(n_agents: int) -> str:
@@ -98,15 +112,3 @@ def write_sweep_csv(rows, path) -> None:
     gaps = np.clip(np.array([gap for *_, gap in rows], dtype=float), -CLIP, CLIP).tolist()
     _write_lines(path, ["n,seed,gap"] + ["%s,%s,%.17g" % (n, seed, gap)
                                          for (n, seed, _), gap in zip(rows, gaps)])
-
-
-def parse_csv(path) -> dict:
-    """Round-trip reader for the run CSV; returns columns keyed by header name."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = lines[0].split(",")
-    cols = {h: [] for h in header}
-    for ln in lines[1:]:
-        for h, v in zip(header, ln.split(",")):
-            cols[h].append(int(v) if h in ("k", "diverged") else float(v))
-    return cols

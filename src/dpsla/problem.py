@@ -218,12 +218,13 @@ class ConstraintSet:
         if self.kind == "box":
             return np.clip(y, self.lower, self.upper)
         d = y - self.ball_center
-        norm = float(np.linalg.norm(d))
+        norm = math.sqrt(d.dot(d))  # np.linalg.norm of a real 1-D vector
         if norm <= self.radius:
             return y.copy()
         if math.isinf(norm):  # |d|^2 overflowed: scale by the largest entry first
             m = float(np.abs(d).max())
-            norm = m * float(np.linalg.norm(d / m))
+            s = d / m
+            norm = m * math.sqrt(s.dot(s))
         return self.ball_center + (self.radius / norm) * d
 
     def _project_rows(self, Y: np.ndarray) -> np.ndarray:
@@ -532,7 +533,8 @@ def _projected_gradient(grad_fn, project, x0: np.ndarray, L: float,
     x = project(x0)
     for it in range(ORACLE_MAX_ITER):
         x_next = project(x - grad_fn(x) / L)
-        res = float(np.linalg.norm(x - x_next))
+        r = x - x_next
+        res = math.sqrt(r.dot(r))  # np.linalg.norm of a real 1-D vector
         x = x_next
         if res <= tol:
             return x, res, it + 1

@@ -7,7 +7,8 @@ import pytest
 from dpsla.cli import (ConfigError, RunConfig, build_algorithm, build_instance,
                        cmd_reproduce, main, parse_config)
 from dpsla.engine import Dpsla
-from dpsla.metrics import parse_csv
+
+from .util import parse_csv
 
 
 class TestParseConfig:

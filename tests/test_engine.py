@@ -493,6 +493,23 @@ class TestColumnarTrace:
         assert tr.residual is None
         assert all(r.residual is None for r in tr.records)
 
+    @pytest.mark.parametrize("T", [63, 64, 65, 255, 256, 257, 600])
+    @pytest.mark.parametrize("alg", [Dpsla(), Dgd(), NaivePolyak()],
+                             ids=["dpsla", "dgd", "naive"])
+    @pytest.mark.parametrize("oracle", [True, False], ids=["optimum", "no-optimum"])
+    def test_iteration_equals_index_reads(self, paper0, T, alg, oracle):
+        # iteration reads each column _RECORD_BLOCK rows at a time, indexing one row
+        inst = paper0 if oracle else gen_paper_instance(rng=Rng(0))
+        recs = run(inst, alg, T, seed=0).records
+        views = [recs, recs[::-1], recs[::3], recs[::-3], recs[250:262], recs[-300:],
+                 recs[5:5], recs[300:2], recs[::-1][:0]]
+        for view in views:
+            # repr tells apart 0.0 and -0.0, float and numpy scalars, and compares NaNs
+            assert repr(list(view)) == repr([view[i] for i in range(len(view))])
+            assert view == [view[i] for i in range(len(view))]
+        assert engine._RECORD_BLOCK == 64 and [r.k for r in recs[::-1]] == list(range(T, -1, -1))
+        assert (recs[0].alpha == (None,) * 4) == (not isinstance(alg, Dpsla))
+
     def test_metrics_per_chunk(self, paper0, monkeypatch):
         # without kept states the metrics see at most _CHUNK rounds at a time
         blocks = []

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dpsla.engine import Dgd, Dpsla, run
-from dpsla.metrics import (consensus_error, csv_header, parse_csv, residual, write_csv,
+from dpsla.engine import Dgd, Dpsla, RunTrace, run
+from dpsla.metrics import (CLIP, _lines, consensus_error, csv_header, residual, write_csv,
                            write_sweep_csv)
 from dpsla.numerics import Rng
 from dpsla.problem import (ConstraintSet, ProblemInstance, QuadraticObjective,
                            gen_paper_instance, gen_triangle_demo)
+
+from .util import parse_csv
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +169,62 @@ class TestCsv:
         lines = p.read_text().splitlines()
         assert lines[0] == "n,seed,gap"
         assert lines[1] == "4,0,1.25"
+
+
+def _per_cell_lines(heads, table, tails=None):
+    """The reference for `_lines`: each cell clipped and formatted on its own."""
+    template = "%d" + ",%.17g" * table.shape[1] + ("" if tails is None else ",%d")
+    extra = [()] * len(table) if tails is None else [(d,) for d in tails]
+    return [template % (k, *row, *d)
+            for k, row, d in zip(heads, np.clip(table, -CLIP, CLIP).tolist(), extra)]
+
+
+_NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0ABC], dtype=np.int64).view(float).item()
+# signed zeros, NaNs of both signs and with a payload, values clipped to +/-CLIP,
+# subnormals; drawn from a short list so that values repeat across rows and columns
+_CELLS = st.sampled_from([
+    0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, -_NAN_PAYLOAD, math.inf, -math.inf,
+    1e13, -1e13, CLIP, -CLIP, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+    1.0, 0.1, -7.25, 1 / 3]) | st.floats()
+
+
+@st.composite
+def _tables(draw, min_cols=1):
+    m, c = draw(st.integers(1, 12)), draw(st.integers(min_cols, 6))
+    return np.array(draw(st.lists(_CELLS, min_size=m * c, max_size=m * c))).reshape(m, c)
+
+
+class TestLines:
+    def test_signed_zeros_in_one_column_stay_apart(self):
+        table = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 1e13]])
+        assert _lines(range(3), table, [0, 1, 0]) == ["0,0,-0,0", "1,-0,0,1", "2,0,1000000000000,0"]
+
+    @given(_tables(), st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_cell_formatting(self, table, with_tails, data):
+        m = len(table)
+        heads = data.draw(st.lists(st.integers(0, 10**6), min_size=m, max_size=m))
+        tails = data.draw(st.lists(st.booleans(), min_size=m, max_size=m)) if with_tails else None
+        assert _lines(heads, table, tails) == _per_cell_lines(heads, table, tails)
+
+    @given(_tables(min_cols=4), st.integers(1, 5), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_write_csv_matches_per_cell_formatting(self, tmp_path_factory, table, record_every,
+                                                   baseline, data):
+        n = (table.shape[1] - 2) // 2
+        rows = len(table)
+        diverged = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+        tr = RunTrace(alpha=table[:, 2:2 + n], level=None if baseline else table[:, 2 + n:2 + 2 * n],
+                      level_updated=np.zeros((rows, n), dtype=bool), diverged=diverged,
+                      residual=None if baseline else table[:, 0], consensus_error=table[:, 1])
+        p = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(tr, p, record_every=record_every)
+        ks = sorted({*range(0, rows, record_every), rows - 1})
+        expect = table[:, :2 + 2 * n].copy()
+        if baseline:
+            expect[:, 0] = expect[:, 2 + n:] = np.nan
+        lines = [csv_header(n)] + _per_cell_lines(ks, expect[ks], diverged[ks].tolist())
+        assert p.read_text() == "\n".join(lines) + "\n"
 
 
 class TestLevelGaps:

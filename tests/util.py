@@ -72,3 +72,15 @@ def one_row_windows(rng: np.random.Generator, k: int,
     G[~G.any(axis=1), 0] = 1.0
     gap = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-12.0, 0.0, k)
     return G, np.minimum(G * lo, G * hi).sum(1) + gap, lo, hi
+
+
+def parse_csv(path) -> dict:
+    """Round-trip reader for the run CSV; returns columns keyed by header name."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln]
+    header = lines[0].split(",")
+    cols = {h: [] for h in header}
+    for ln in lines[1:]:
+        for h, v in zip(header, ln.split(",")):
+            cols[h].append(int(v) if h in ("k", "diverged") else float(v))
+    return cols
