@@ -108,9 +108,10 @@ class NaivePolyak:
             raise ValueError("target must be 'local_min' or 'oracle_fi_star'")
 
 
-# Rows built at a time when a trace's records are iterated. Blocks of 256 rows
-# raised the peak memory of reading a 32-agent, 600-round trace by 0.2 MB over
-# row-by-row reads; blocks of 64 leave it flat and cost no more time.
+# Rows built from one read of each column when a trace's records are iterated;
+# an indexed row is a block of one. Blocks of 256 rows raised the peak memory of
+# reading a 32-agent, 600-round trace by 0.2 MB over row-by-row reads; blocks
+# of 64 leave it flat and cost no more time.
 _RECORD_BLOCK = 64
 
 # One round's row of a trace; None marks a value that does not exist for the row.
@@ -152,29 +153,27 @@ class Records(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Records(self._trace, self._rows[i])
-        t, k = self._trace, self._rows[i]
-        none = (None,) * t.n_agents
-        return TraceRecord(
-            k, None if t.residual is None else float(t.residual[k]), float(t.consensus_error[k]),
-            none if k == 0 and t.level is None else tuple(t.alpha[k].tolist()),
-            none if t.level is None else tuple(t.level[k].tolist()),
-            tuple(t.level_updated[k].tolist()), bool(t.diverged[k]))
+        k = self._rows[i]
+        return next(self._block(range(k, k + 1)))
 
     def __iter__(self):
-        """The rows in order, with the values `__getitem__` gives, built from
-        per-column reads of `_RECORD_BLOCK` rows at a time."""
-        t, none = self._trace, (None,) * self._trace.n_agents
         for lo in range(0, len(self._rows), _RECORD_BLOCK):
-            ks = self._rows[lo:lo + _RECORD_BLOCK]
-            idx = np.arange(ks.start, ks.stop, ks.step)
-            alpha = list(map(tuple, t.alpha[idx].tolist()))
-            if t.level is None and 0 in ks:  # the baselines' row 0 has no stepsizes
-                alpha[ks.index(0)] = none
-            yield from map(TraceRecord._make, zip(
-                ks, repeat(None) if t.residual is None else t.residual[idx].tolist(),
-                t.consensus_error[idx].tolist(), alpha,
-                repeat(none) if t.level is None else map(tuple, t.level[idx].tolist()),
-                map(tuple, t.level_updated[idx].tolist()), t.diverged[idx].tolist()))
+            yield from self._block(self._rows[lo:lo + _RECORD_BLOCK])
+
+    def _block(self, ks: range):
+        """The rows `ks` of the trace, built from one read of each column."""
+        t, none = self._trace, (None,) * self._trace.n_agents
+        # ks holds rows only, so a negative stop means it counts down to row 0,
+        # which a slice reaches with stop None
+        idx = slice(ks.start, None if ks.stop < 0 else ks.stop, ks.step)
+        alpha = list(map(tuple, t.alpha[idx].tolist()))
+        if t.level is None and 0 in ks:  # the baselines' row 0 has no stepsizes
+            alpha[ks.index(0)] = none
+        return map(TraceRecord._make, zip(
+            ks, repeat(None) if t.residual is None else t.residual[idx].tolist(),
+            t.consensus_error[idx].tolist(), alpha,
+            repeat(none) if t.level is None else map(tuple, t.level[idx].tolist()),
+            map(tuple, t.level_updated[idx].tolist()), t.diverged[idx].tolist()))
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and list(self) == list(other)

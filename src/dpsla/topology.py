@@ -7,16 +7,13 @@ preserving the network average.
 
 A random graph draws all its pairs in one block and keeps those below
 `edge_prob`; only the repair of a disconnected draw links components one at a
-time. Construction checks the endpoints as one array, and past it the degrees,
-the weights, the support check and the connectivity test are array expressions
-over the (n, n) adjacency array. A graph builds its weights once, on first use.
+time. Past construction, the degrees, the weights, the support check and the
+connectivity test are array expressions over the (n, n) adjacency array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -38,15 +35,11 @@ class Graph:
     def __post_init__(self):
         if not (is_int(self.n_agents) and self.n_agents >= 2):
             raise ValueError(f"n_agents must be an integer >= 2, got {self.n_agents!r}")
-        pairs = list(self.edges)
-        E = _int_pairs(pairs)
-        if E is None or not ((0 <= E[:, 0]) & (E[:, 0] < E[:, 1])
-                             & (E[:, 1] < self.n_agents)).all():
-            for (i, j) in pairs:  # some edge is bad: name the first
-                if not (is_int(i) and is_int(j) and 0 <= i < j < self.n_agents):
-                    raise ValueError(f"bad edge ({i}, {j}) for {self.n_agents} agents")
+        for (i, j) in self.edges:
+            if not (is_int(i) and is_int(j) and 0 <= i < j < self.n_agents):
+                raise ValueError(f"bad edge ({i}, {j}) for {self.n_agents} agents")
         object.__setattr__(self, "n_agents", int(self.n_agents))
-        object.__setattr__(self, "edges", frozenset(zip(*E.T.tolist())))
+        object.__setattr__(self, "edges", frozenset((int(i), int(j)) for (i, j) in self.edges))
         if not self._connected():
             raise ValueError("graph must be connected")
 
@@ -62,33 +55,9 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.n_agents, self.n_agents))
-        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * len(self.edges))
-        i, j = ends.reshape(-1, 2).T
+        i, j = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
         A[i, j] = A[j, i] = 1.0
         return A
-
-    @cached_property
-    def _weights(self) -> "MixingMatrix":
-        """The Metropolis weights of `metropolis_weights`, built on first use."""
-        A = self.adjacency()
-        deg = A.sum(axis=1)
-        W = A / (1.0 + np.maximum.outer(deg, deg))
-        np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-        W.flags.writeable = False
-        return MixingMatrix(W=W, source_graph=self)
-
-
-def _int_pairs(pairs: list) -> np.ndarray | None:
-    """The pairs as an (m, 2) int64 array, or None unless each is two integers
-    (Python or numpy, not bool: an array would take True for 1)."""
-    try:
-        if set(map(len, pairs)) <= {2} and all(
-                issubclass(t, (int, np.integer)) and t is not bool
-                for t in set(map(type, chain.from_iterable(pairs)))):
-            return np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs)).reshape(-1, 2)
-    except (TypeError, OverflowError):  # not pairs, or an endpoint beyond int64
-        pass
-    return None
 
 
 def build_graph(kind: str, n: int, edge_prob: float = 0.5, rng: Rng | None = None) -> Graph:
@@ -181,7 +150,9 @@ class MixingMatrix:
 
 
 def metropolis_weights(g: Graph) -> MixingMatrix:
-    """Metropolis rule: w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal absorbs the rest.
-
-    Built once per graph and kept on it; its W is read-only."""
-    return g._weights
+    """Metropolis rule: w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal absorbs the rest."""
+    A = g.adjacency()
+    deg = A.sum(axis=1)
+    W = A / (1.0 + np.maximum.outer(deg, deg))
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
+    return MixingMatrix(W=W, source_graph=g)

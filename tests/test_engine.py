@@ -458,6 +458,18 @@ class TestInvariantChecker:
         assert set(first_violations(tr)) == {"alpha_monotone"}
 
 
+def _row_from_columns(tr, k):
+    """Row k of a trace read straight from its columns, None where a value does
+    not exist: the residual without an optimum, a baseline's row-0 stepsizes and
+    its levels."""
+    none = (None,) * tr.n_agents
+    return engine.TraceRecord(
+        k, None if tr.residual is None else float(tr.residual[k]), float(tr.consensus_error[k]),
+        none if k == 0 and tr.level is None else tuple(float(a) for a in tr.alpha[k]),
+        none if tr.level is None else tuple(float(v) for v in tr.level[k]),
+        tuple(bool(u) for u in tr.level_updated[k]), bool(tr.diverged[k]))
+
+
 class TestColumnarTrace:
     def test_record_view(self, triangle):
         tr = run(triangle, Dpsla(), 20, seed=0)
@@ -497,16 +509,21 @@ class TestColumnarTrace:
     @pytest.mark.parametrize("alg", [Dpsla(), Dgd(), NaivePolyak()],
                              ids=["dpsla", "dgd", "naive"])
     @pytest.mark.parametrize("oracle", [True, False], ids=["optimum", "no-optimum"])
-    def test_iteration_equals_index_reads(self, paper0, T, alg, oracle):
+    def test_rows_match_columns_across_blocks(self, paper0, T, alg, oracle):
         # iteration reads each column _RECORD_BLOCK rows at a time, indexing one row
         inst = paper0 if oracle else gen_paper_instance(rng=Rng(0))
-        recs = run(inst, alg, T, seed=0).records
-        views = [recs, recs[::-1], recs[::3], recs[::-3], recs[250:262], recs[-300:],
-                 recs[5:5], recs[300:2], recs[::-1][:0]]
-        for view in views:
+        tr = run(inst, alg, T, seed=0)
+        recs = tr.records
+        cuts = [slice(None), slice(None, None, -1), slice(None, None, 3), slice(None, None, -3),
+                slice(250, 262), slice(-300, None), slice(5, 5), slice(300, 2)]
+        views = [(recs[c], range(T + 1)[c]) for c in cuts]
+        views.append((recs[::-1][:0], range(0)))
+        for view, ks in views:
+            expect = [_row_from_columns(tr, k) for k in ks]
             # repr tells apart 0.0 and -0.0, float and numpy scalars, and compares NaNs
-            assert repr(list(view)) == repr([view[i] for i in range(len(view))])
-            assert view == [view[i] for i in range(len(view))]
+            assert repr(list(view)) == repr(expect)
+            assert repr([view[i] for i in range(len(view))]) == repr(expect)
+            assert view == expect
         assert engine._RECORD_BLOCK == 64 and [r.k for r in recs[::-1]] == list(range(T, -1, -1))
         assert (recs[0].alpha == (None,) * 4) == (not isinstance(alg, Dpsla))
 
