@@ -23,28 +23,33 @@ from dpsla.cli import main
 from dpsla.engine import Dpsla, run
 from dpsla.metrics import write_csv
 from dpsla.numerics import Rng
-from dpsla.problem import gen_paper_instance
+from dpsla.problem import ProblemInstance, gen_paper_instance, gen_triangle_demo
 from dpsla.stepsize import StepsizeConfig
 
 DATA = Path(__file__).resolve().parent / "data"
 REPRODUCE = ("main", "divergence")
 
 
-def write_trace(out: Path, n: int, dim: int, eta_cap: int | None, T: int) -> None:
-    """Trace of DPS-LA (alpha0 = 0.05) on the paper instance Rng(0), seed 0."""
-    inst = gen_paper_instance(n=n, dim=dim, rng=Rng(0))
+def write_trace(out: Path, inst: ProblemInstance, alg: Dpsla, T: int) -> None:
+    """Trace of `alg` on `inst`, seed 0."""
     inst.ensure_optimum()
-    alg = Dpsla(stepsize=StepsizeConfig(alpha0=0.05), eta_cap=eta_cap)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(run(inst, alg, T, seed=0), out / "trace.csv")
+
+
+def write_paper_trace(out: Path, n: int, dim: int, eta_cap: int | None, T: int) -> None:
+    """Trace of DPS-LA (alpha0 = 0.05) on the paper instance Rng(0), seed 0."""
+    write_trace(out, gen_paper_instance(n=n, dim=dim, rng=Rng(0)),
+                Dpsla(stepsize=StepsizeConfig(alpha0=0.05), eta_cap=eta_cap), T)
 
 
 def produce(root: Path) -> None:
     for which in REPRODUCE:
         assert main(["reproduce", which, "--out", str(root / which), "--seed", "0"]) == 0
-    write_trace(root / "uncapped", n=4, dim=16, eta_cap=None, T=200)
-    write_trace(root / "capped", n=8, dim=6, eta_cap=8, T=300)
-    write_trace(root / "wide", n=12, dim=10, eta_cap=64, T=600)
+    write_paper_trace(root / "uncapped", n=4, dim=16, eta_cap=None, T=200)
+    write_paper_trace(root / "capped", n=8, dim=6, eta_cap=8, T=300)
+    write_paper_trace(root / "wide", n=12, dim=10, eta_cap=64, T=600)
+    write_trace(root / "lp", gen_triangle_demo(), Dpsla(), T=500)
 
 
 def _files(root: Path) -> list[str]:
