@@ -12,13 +12,14 @@ loop. The system is feasible iff the LP's end point, clipped into the box,
 violates no stored constraint by more than EPS_FEAS; a row that no point of
 the box satisfies is therefore infeasible without a separate test.
 
-`add_constraint` is the validating entry point, and a witness point found by
-the LP is kept while new constraints leave it satisfied. The level windows
-(`stepsize.LevelWindows`) keep their rows in their own round-indexed arrays,
-test their witnesses and the box themselves, decide one-row windows at the
-vertex the LP would end at (`phase1_vertex`), and hand a longer window to one
-reused system as arrays through `load`, which skips the `HalfSpace` checks:
-their rows are gradients with norm above eps_grad at finite iterates.
+Every `check_feasible` solves the LP; `witness` is only the point of the last
+feasible verdict, until the rows change. `add_constraint` is the validating
+entry point. The level windows (`stepsize.LevelWindows`) keep their rows in
+their own round-indexed arrays, test their witnesses and the box themselves,
+decide one-row windows at the vertex the LP would end at (`phase1_vertex`),
+and hand a longer window to one reused system as arrays through `load`, which
+skips the `HalfSpace` checks: their rows are gradients with norm above
+eps_grad at finite iterates.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ MIN_NORMAL = 1e-12
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
 _PIVOT_CAP_FACTOR = 10_000  # iteration cap per row and column of the LP
-VERTEX_MAX_DIM = 81  # sqrt(dim) + 1 <= 10: a one-row LP ends at a box vertex (`phase1_vertex`)
 
 
 class SolverStallError(RuntimeError):
@@ -68,7 +68,7 @@ class FeasibilityVerdict:
 
 
 class InequalitySystem:
-    """Ordered half-space collection with witness caching and optional box domain."""
+    """Ordered half-space collection with an optional box domain."""
 
     def __init__(self, dim: int, bounds: tuple[np.ndarray, np.ndarray] | None = None):
         if dim < 1:
@@ -93,25 +93,16 @@ class InequalitySystem:
         return [HalfSpace(a=a, b=float(b)) for a, b in zip(self._A, self._b)]
 
     def add_constraint(self, h: HalfSpace) -> None:
-        """Append a constraint; drop the witness if the new row violates it."""
+        """Append a constraint of this system's dimension through `load`."""
         if h.a.size != self.dim:
             raise ValueError(f"dimension mismatch: system dim {self.dim}, normal dim {h.a.size}")
-        self._A = np.vstack([self._A, h.a])
-        self._b = np.append(self._b, h.b)
-        if self.witness is not None:
-            v = float(h.a @ self.witness) - h.b
-            if v > EPS_FEAS:
-                self.witness = None
-                self._witness_worst = -np.inf
-            else:
-                self._witness_worst = max(self._witness_worst, v)
+        self.load(np.vstack([self._A, h.a]), np.append(self._b, h.b))
 
     def load(self, A: np.ndarray, b: np.ndarray) -> None:
         """Replace the rows by A (m, dim) and b (m,), kept as they are and without
         the `HalfSpace` checks, and clear the witness; the bounds persist."""
         self._A, self._b = A, b
         self.witness = None
-        self._witness_worst = -np.inf  # max violation of the witness, kept incrementally
 
     def dump(self) -> str:
         """Debug text: one row "a_1 ... a_m | b" per constraint."""
@@ -120,18 +111,14 @@ class InequalitySystem:
 
     # -- feasibility ---------------------------------------------------------
 
-    def check_feasible(self, force_lp: bool = False) -> FeasibilityVerdict:
-        """Decide feasibility of the stored system (within bounds when present)."""
+    def check_feasible(self) -> FeasibilityVerdict:
+        """Decide feasibility of the stored system (within bounds when present) by its LP."""
         if not self._b.size:
             raise ValueError("check_feasible on an empty system")
-        if self.witness is not None and not force_lp:
-            return FeasibilityVerdict(feasible=True, point=self.witness.copy(),
-                                      phase1_value=self._witness_worst)
         lo, hi = self.bounds or (np.full(self.dim, -np.inf), np.full(self.dim, np.inf))
         s_value, x = _phase1_lp(self._A, self._b, lo, hi)
         if s_value <= EPS_FEAS:
-            self.witness = x.copy()
-            self._witness_worst = s_value
+            self.witness = x
             return FeasibilityVerdict(feasible=True, point=x, phase1_value=s_value)
         return FeasibilityVerdict(feasible=False, point=None, phase1_value=s_value)
 
@@ -147,12 +134,15 @@ def _phase1_lp(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     absolute simplex tolerances mean the same at every gradient scale.
     Bounded-variable primal simplex with Bland's rule over v = [x, s, slack]:
     every variable carries its own bounds, slack >= 0, and s is floored at
-    -10 * (1 + max |c|, |finite bound|), which keeps the LP bounded without
-    changing a verdict. The start puts x at lo (0 where lo is infinite), s at
-    the largest violation and the slacks in the basis; pivoting s into the
-    most violated row makes that basis feasible. The loop ends at the optimum
-    or when s reaches its floor. Returns (max_t a_t.x - b_t, x) for the final
-    x, clipped into the box.
+    -(10 + sqrt(dim)) (1 + M), M the largest |c| or |finite bound|, which keeps
+    the LP bounded without changing a verdict. In a finite box the floor never
+    binds: there |x| <= sqrt(dim) M, so every s >= max_t u_t.x - c_t the LP
+    can reach is at least -(sqrt(dim) + 1) M, at least 10 above the floor. The
+    start puts x at lo (0 where lo is infinite), s at the largest violation
+    and the slacks in the basis; pivoting s into the most violated row makes
+    that basis feasible. The loop ends at the optimum or when s reaches its
+    floor. Returns (max_t a_t.x - b_t, x) for the final x, clipped into the
+    box.
 
     The tableau is condensed: row t reads v[basis[t]] + T[t] . v[nonbasic] = const,
     so it has one column per nonbasic variable (dim + 1), not one per variable.
@@ -161,7 +151,7 @@ def _phase1_lp(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     norms = np.linalg.norm(A, axis=1)
     U, c = A / norms[:, None], b / norms
     finite = np.concatenate([c, lo[np.isfinite(lo)], hi[np.isfinite(hi)]])
-    s_floor = -10.0 * (1.0 + float(np.max(np.abs(finite))))
+    s_floor = -(10.0 + np.sqrt(dim)) * (1.0 + float(np.max(np.abs(finite))))
     x0 = np.where(np.isfinite(lo), lo, 0.0)
     viol = U @ x0 - c
     s_row = int(np.argmax(viol))
@@ -221,15 +211,14 @@ def phase1_vertex(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Value and end point of `_phase1_lp` on each one-row system a_t.x <= b_t.
 
-    For rows A (k, dim) with dim <= VERTEX_MAX_DIM and a finite box, returns
-    (values (k,), points (k, dim)) with the bits the LP returns row by row. On
-    one row the LP's start puts s in the basis and every x_j at lo_j; the
-    reduced cost of x_j is then u_j = a_j / |a|, so the loop flips each x_j
-    with u_j < -_COST_TOL to hi_j and finds nothing else movable. It stops
-    short only if s reaches its floor -10 (1 + M), M the largest |c| or
-    |bound|; but at every vertex x it visits s = u.x - c >= -(sqrt(dim) + 1) M,
-    at least 10 above the floor while sqrt(dim) + 1 <= 10. The value is the
-    row's violation at that vertex, by the dot product the LP takes.
+    For rows A (k, dim) and a finite box, returns (values (k,), points (k, dim))
+    with the bits the LP returns row by row. On one row the LP's start puts s
+    in the basis and every x_j at lo_j; the reduced cost of x_j is then
+    u_j = a_j / |a|, so the loop flips each x_j with u_j < -_COST_TOL to hi_j
+    and finds nothing else movable. It could stop short only at the floor of
+    s, which a finite box keeps out of reach at every dim (see `_phase1_lp`).
+    The value is the row's violation at that vertex, by the dot product the
+    LP takes.
     """
     X = np.where(A / np.linalg.norm(A, axis=1)[:, None] < -_COST_TOL, hi, lo)
     return np.vecdot(A, X) - b, X

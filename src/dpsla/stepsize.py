@@ -30,17 +30,18 @@ from a table built once. `decide_alpha` gives all stepsizes and Polyak values
 under one mask of the nonzero-gradient rows; a masked row divides by 1 and
 takes the lower clamp, so no sentinel marks it. `LevelWindows` keeps each
 round's rows as one row of four arrays shared by all windows, a row count per
-agent and an (n, dim) array of witness points. `record_step` tests every
-witness against its new row in one call and, in a round where some witness
-fell, the new rows of those agents against the box in another. A fallen window
-of one row whose row meets the box is decided in one array expression at the
-box vertex where its Phase-I LP would end, which gives the LP's verdict and
-witness bit for bit. The only Python loop runs over the windows of two rows
-or more whose new row meets the box: each is read with one index, loaded into
-`InequalitySystem` and checked. On the paper's workloads no window reaches
-that loop, so every level update there is decided by the box test. The levels
-of all infeasible windows are then raised at once, from one masked minimum
-over the stored rows.
+agent and an (n, dim) array of witness points; `_in_window` alone says which
+stored rows make up a window. `record_step` decides every window one way:
+it tests every witness against its new row in one call and, in a round where
+some witness fell, the new rows of those agents against the box in another.
+A fallen window of one row whose row meets the box is decided in one array
+expression at the box vertex where its Phase-I LP would end, which gives the
+LP's verdict and witness bit for bit at every dim. The only Python loop runs
+over the windows of two rows or more whose new row meets the box: each is
+read with one index, loaded into `InequalitySystem` and checked by its LP. On
+the paper's workloads no window reaches that loop, so every level update
+there is decided by the box test. The levels of all infeasible windows are
+then raised at once, from one masked minimum over the stored rows.
 """
 
 from __future__ import annotations
@@ -50,9 +51,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .feasibility import (EPS_FEAS, VERTEX_MAX_DIM, InequalitySystem, SolverStallError,
-                          phase1_vertex)
-from .numerics import require_positive
+from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError, phase1_vertex
+from .numerics import is_int, require_positive
 
 WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
 
@@ -141,14 +141,17 @@ class LevelWindows:
     Round t's G (n, dim), b, F and active (n,) are row t of four arrays, whose
     first `rows` rows are in use. Agent i's window is its last `count[i]` active
     rows, oldest first; the cap keeps at most `eta_cap` of them, and a level
-    update resets the window to zero rows. While `count[i] > 0`, `witness[i]`
-    satisfies every row of agent i's window within EPS_FEAS (and lies in the box).
+    update resets the window to zero rows. Every window lies in the finite box
+    `bounds`. While `count[i] > 0`, `witness[i]` satisfies every row of agent
+    i's window within EPS_FEAS (and lies in the box).
     """
 
-    def __init__(self, level0, dim: int, bounds: tuple[np.ndarray, np.ndarray] | None = None,
+    def __init__(self, level0, dim: int, bounds: tuple[np.ndarray, np.ndarray],
                  eta_cap: int | None = None):
-        if eta_cap is not None and eta_cap < 1:
-            raise ValueError("eta_cap must be >= 1 when set")
+        if not (eta_cap is None or (is_int(eta_cap) and eta_cap >= 1)):
+            raise ValueError(f"eta_cap must be None or an integer >= 1, got {eta_cap!r}")
+        if bounds is None:
+            raise ValueError("level windows need a box")
         self.level = np.array(level0, dtype=float)
         n = self.level.size
         self.eta_cap = eta_cap
@@ -159,15 +162,20 @@ class LevelWindows:
         self.b, self.F = np.empty((WINDOW_ROWS, n)), np.empty((WINDOW_ROWS, n))
         self.system = InequalitySystem(dim, bounds=bounds)  # reused for every check
 
+    def _in_window(self, agents) -> np.ndarray:
+        """Mask (rows,) + shape of `agents` of the stored rows in each agent's
+        window: its last `count[i]` active rows."""
+        active = self.active[:self.rows, agents]
+        newer = np.cumsum(active[::-1], axis=0)[::-1]  # active rows from each row on
+        return active & (newer <= self.count[agents])
+
     def _make_room(self) -> int:
         """Shift out the rows older than the oldest row of every window and double
         the arrays if they are still at least half full, so that their length is
         bounded by the windows, not by the run. Returns the first free row."""
-        rows, count = self.rows, self.count
-        # held[j, i]: agent i's active rows among the last j + 1; a window of c > 0
-        # rows starts where held first reaches c, so it spans that many rows plus one
-        held = np.cumsum(self.active[rows - 1::-1], axis=0)
-        keep = int(((held < count).sum(0) + (count > 0)).max())
+        rows = self.rows
+        used = np.flatnonzero(self._in_window(slice(None)).any(1))
+        keep = rows - int(used[0]) if used.size else 0
         for name in ("G", "b", "F", "active"):
             old = getattr(self, name)
             new = old if 2 * keep < rows else np.empty((2 * rows,) + old.shape[1:], old.dtype)
@@ -178,8 +186,7 @@ class LevelWindows:
 
     def window(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Agent i's window as arrays G (m, dim), b (m,) and F (m,), oldest row first."""
-        t = np.flatnonzero(self.active[:self.rows, i])
-        t = t[t.size - self.count[i]:]
+        t = np.flatnonzero(self._in_window(i))
         return self.G[t, i], self.b[t, i], self.F[t, i]
 
 
@@ -196,10 +203,10 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     witness test or a check, and both leave a point of the box on its side),
     so a new row that misses the box makes the window infeasible with no check.
     A window of one row that meets the box is decided at the box vertex where
-    its Phase-I LP would end (`phase1_vertex`, up to dim VERTEX_MAX_DIM), with
-    the LP's verdict and witness bit for bit. Only the other windows, of two
-    rows or more, are read and go to `win.system.check_feasible`; on the
-    paper's workloads there are none, and every level update is box-decided.
+    its Phase-I LP would end (`phase1_vertex`), with the LP's verdict and
+    witness bit for bit. Only the other windows, of two rows or more, are read
+    and go to `win.system.check_feasible`; on the paper's workloads there are
+    none, and every level update is box-decided.
     Every infeasible window raises its level to a convex combination of itself
     and the window's smallest f-value and is cleared. Returns the (n,) mask of
     updated levels.
@@ -214,16 +221,16 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
         np.minimum(win.count, win.eta_cap, out=win.count)
     if not updated.any():
         return updated
-    system, to_lp = win.system, updated.copy()
-    if system.bounds is not None:  # drop the windows whose new row misses the box
-        lo, hi = system.bounds
-        to_lp &= ~(np.minimum(G * lo, G * hi).sum(1) - b > EPS_FEAS)
-        if system.dim <= VERTEX_MAX_DIM:  # decide the one-row windows at their LP's vertex
-            one = np.flatnonzero(to_lp & (win.count == 1))
-            if one.size:
-                value, X = phase1_vertex(G[one], b[one], lo, hi)
-                ok = value <= EPS_FEAS
-                win.witness[one[ok]], updated[one[ok]], to_lp[one] = X[ok], False, False
+    system = win.system
+    lo, hi = system.bounds
+    # a window whose new row misses the box is infeasible; a one-row window whose
+    # row meets it is decided at the vertex where its LP would end
+    to_lp = updated & ~(np.minimum(G * lo, G * hi).sum(1) - b > EPS_FEAS)
+    one = np.flatnonzero(to_lp & (win.count == 1))
+    if one.size:
+        value, X = phase1_vertex(G[one], b[one], lo, hi)
+        ok = value <= EPS_FEAS
+        win.witness[one[ok]], updated[one[ok]], to_lp[one] = X[ok], False, False
     for i in to_lp.nonzero()[0].tolist():
         G_i, b_i, _ = win.window(i)
         system.load(G_i, b_i)
@@ -233,12 +240,10 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
             raise SolverStallError(f"agent {i}, window of {b_i.size} rows: {exc}") from exc
         if verdict.feasible:
             win.witness[i], updated[i] = verdict.point, False
-    # Each infeasible window's rows are the newest count[i] of its active rows.
     u = updated.nonzero()[0]
-    newest = win.active[t::-1, u]
-    in_window = newest & (np.cumsum(newest, axis=0) <= win.count[u])
+    low = np.where(win._in_window(u), win.F[:t + 1, u], np.inf).min(0)  # each window's smallest f
     keep, level = cfg.gamma / cfg.gamma_bar, win.level[u]
-    proposed = keep * level + (1.0 - keep) * np.where(in_window, win.F[t::-1, u], np.inf).min(0)
+    proposed = keep * level + (1.0 - keep) * low
     # The convex combination is a certified lower bound on the agent's optimal
     # value, but it only exceeds the old level when the window minimum does;
     # keep the level monotone in the residual cases (as max(level, proposed)).

@@ -8,9 +8,11 @@ the tracer's self-check: `lp` drives long uncapped windows at dim 32, `sweep`
 the capped windows, and `reproduce` is the only one that drives `cli.main`,
 the oracle spans and the naive-Polyak targets under the tracer and the set-up
 timers. None of them reaches the Phase-I LP any more: `record_step` decides
-every fallen window by the box test or at its one-row vertex, so the LP path
-counts read 0. The test only reads `bench/`: its outputs go to a temporary
-directory and no bytecode is cached.
+every fallen window by the box test or at its one-row vertex, so their LP path
+counts read 0. The triangle under the default `Dpsla()` does reach it, so one
+traced run of it checks the tracer's attribution of checks to LP solves. The
+tests only read `bench/`: their outputs go to a temporary directory and no
+bytecode is cached.
 """
 
 from __future__ import annotations
@@ -25,6 +27,23 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD = ROOT / "bench" / "workload.py"
+ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+
+# 500 traced rounds of DPS-LA on the triangle; prints the checks, the Phase-I
+# solves and the tracer's self-check errors as one JSON line
+TRACED_TRIANGLE = """
+import json, sys
+sys.path.insert(0, "bench")
+from tracer import Tracer, instrument, layer_metrics
+from workload import import_dpsla
+dp = import_dpsla()
+tracer = Tracer("triangle")
+instrument(tracer, dp)
+dp.engine.run(dp.problem.gen_triangle_demo(), dp.engine.Dpsla(), 500, seed=0)
+layers, errors = layer_metrics(tracer, 3 * 500, 0)
+print(json.dumps({"checks": layers["feasibility.checks"][0],
+                  "lp_solves": layers["feasibility.lp_solves"][0], "errors": errors}))
+"""
 
 
 @pytest.mark.skipif(not WORKLOAD.exists(), reason="bench/ is absent")
@@ -33,11 +52,20 @@ def test_traced_workload_runs_clean(tmp_path, workload):
     proc = subprocess.run(
         [sys.executable, str(WORKLOAD), "--workload", workload, "--seed", "0",
          "--out", str(tmp_path / "out"), "--trace"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+        cwd=ROOT, capture_output=True, text=True, timeout=120, env=ENV)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.strip().splitlines()[-1])
     assert doc["trace_errors"] == []
     assert doc["ops"], "the workload ran no operation"
     failed = [op for op in doc["ops"] if op["error"] is not None or op["violations"]]
     assert failed == []
+
+
+@pytest.mark.skipif(not WORKLOAD.exists(), reason="bench/ is absent")
+def test_traced_triangle_attributes_every_check_to_the_lp():
+    # its 17 windows of two to five rows are each decided by one Phase-I solve
+    proc = subprocess.run([sys.executable, "-c", TRACED_TRIANGLE], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert doc == {"checks": 17, "lp_solves": 17, "errors": []}

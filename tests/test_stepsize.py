@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dpsla import engine
 from dpsla.engine import Dpsla, run
-from dpsla.feasibility import EPS_FEAS, VERTEX_MAX_DIM, HalfSpace, InequalitySystem
+from dpsla.feasibility import EPS_FEAS, HalfSpace, InequalitySystem
 from dpsla.problem import ConstraintSet, ProblemInstance, QuadraticObjective
 from dpsla.stepsize import (WINDOW_ROWS, CSchedule, LevelWindows, StepsizeConfig,
                             decide_alpha, record_step)
@@ -253,8 +253,10 @@ class TestDecideAlpha:
 
 
 class TestRecordStep:
-    def _fresh(self, level=-500.0, dim=1, bounds=None):
-        return LevelWindows([level], dim, bounds=bounds)
+    @staticmethod
+    def _fresh(level=-500.0, eta_cap=None):
+        """One agent's windows in dim 1, on a box wide enough to decide nothing."""
+        return LevelWindows([level], 1, (np.array([-100.0]), np.array([100.0])), eta_cap=eta_cap)
 
     def test_first_constraint_kept(self):
         cfg = cfg_unit()
@@ -318,7 +320,7 @@ class TestRecordStep:
 
     def test_eta_cap_drops_oldest_and_recomputes_min(self):
         cfg = cfg_unit()
-        win = LevelWindows([-500.0], 1, eta_cap=2)
+        win = self._fresh(eta_cap=2)
         step(win, cfg, np.array([0.0]), 1.0, np.array([1.0]), 0.01)
         step(win, cfg, np.array([0.0]), 5.0, np.array([1.0]), 0.01)
         step(win, cfg, np.array([0.0]), 6.0, np.array([1.0]), 0.01)
@@ -381,7 +383,7 @@ class TestRecordStep:
         G_1, b_1, _ = win.window(1)  # a non-empty window keeps a witness
         assert (G_1 @ win.witness[1] - b_1 <= EPS_FEAS).all()
 
-    @pytest.mark.parametrize("dim", [1, 3, 17, 81])
+    @pytest.mark.parametrize("dim", [1, 3, 17, 81, 100, 200])
     def test_one_row_windows_decided_as_the_check_decides_them(self, dim, monkeypatch):
         # fresh windows, so every active agent's window is its new row: the
         # rows that meet the box are decided with no check, and the witness,
@@ -412,17 +414,15 @@ class TestRecordStep:
                 assert win.level[i] == max(level[i], keep * level[i] + (1.0 - keep) * F[i])
         assert 0 < updated.sum() < active.sum()
 
-    def test_one_row_windows_above_the_vertex_dim_reach_the_check(self, monkeypatch):
-        checked = count_checks(monkeypatch)
-        dim = VERTEX_MAX_DIM + 1
-        win = LevelWindows([-5.0], dim, bounds=(-np.ones(dim), np.ones(dim)))
-        updated = record_step(win, cfg_unit(), -np.ones((1, dim)), np.array([0.0]),
-                              np.array([1.0]), np.array([True]))
-        assert checked == [1] and not updated[0] and win.witness[0].tolist() == [1.0] * dim
-
     def test_eta_cap_validated(self):
-        with pytest.raises(ValueError):
-            LevelWindows([0.0], 1, eta_cap=0)
+        # Dpsla's rule: a float or a bool cap is refused at construction
+        for eta_cap in (0, 2.5, 2.0, True, "3"):
+            with pytest.raises(ValueError, match="eta_cap must be None or an integer >= 1"):
+                self._fresh(eta_cap=eta_cap)
+
+    def test_box_required(self):
+        with pytest.raises(ValueError, match="level windows need a box"):
+            LevelWindows([0.0], 1, None)
 
 
 class TestWindowReplay:
