@@ -9,7 +9,7 @@ from .numerics import Rng, SingularMatrixError, solve_spd
 from .problem import (ConstraintSet, OracleResult, ProblemInstance,
                       QuadraticObjective, gen_paper_instance,
                       gen_triangle_demo, solve_reference)
-from .stepsize import CSchedule, LevelWindows, StepsizeConfig, decide_alpha, record_step
+from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, record_step
 from .topology import Graph, MixingMatrix, build_graph, metropolis_weights
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __all__ = [
     "QuadraticObjective", "ConstraintSet", "ProblemInstance", "OracleResult",
     "gen_paper_instance", "gen_triangle_demo", "solve_reference",
     "HalfSpace", "InequalitySystem", "FeasibilityVerdict", "SolverStallError", "EPS_FEAS",
-    "CSchedule", "StepsizeConfig", "LevelWindows",
+    "StepsizeConfig", "LevelWindows",
     "decide_alpha", "record_step",
     "Dpsla", "Dgd", "NaivePolyak", "RunTrace", "run", "run_speedup_sweep",
     "residual", "consensus_error", "write_csv",

@@ -29,7 +29,7 @@ from .engine import (Dgd, Dpsla, NaivePolyak, first_violations, run, run_speedup
 from .metrics import write_csv, write_level_gap_csv, write_sweep_csv
 from .numerics import Rng
 from .problem import ORACLE_TOL, ProblemInstance, gen_paper_instance, gen_triangle_demo
-from .stepsize import CSchedule, StepsizeConfig
+from .stepsize import StepsizeConfig
 from .topology import GRAPH_KINDS
 
 OUT_ENV = "DPSLA_OUT"
@@ -201,11 +201,7 @@ def build_algorithm(cfg: RunConfig):
     """The spec named by `algorithm.name`; all three are built, so a bad unused field fails too."""
     a = cfg.algorithm
     with _field("algorithm"):  # these constructors' messages name the parameter
-        step = StepsizeConfig(
-            gamma=a.gamma, gamma_bar=a.gamma_bar, alpha0=a.alpha0,
-            c_schedule=CSchedule(kind=a.c_kind, scale=a.c_scale),
-            eps_grad=a.eps_grad, constraint_beta=a.constraint_beta,
-        )
+        step = StepsizeConfig(**{f.name: getattr(a, f.name) for f in fields(StepsizeConfig)})
         specs = {"dpsla": Dpsla(stepsize=step, level_init=a.level_init, eta_cap=a.eta_cap)}
     with _field("algorithm.dgd_scale"):
         specs["dgd"] = Dgd(scale=a.dgd_scale)

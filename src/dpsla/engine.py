@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -64,18 +64,10 @@ class Dpsla:
                            else tuple(level.tolist()))
 
     def describe(self) -> dict:
-        cfg = self.stepsize
-        return {
-            "name": "dpsla",
-            "gamma": cfg.gamma,
-            "gamma_bar": cfg.gamma_bar,
-            "alpha0": cfg.alpha0,
-            "c_schedule": {"kind": cfg.c_schedule.kind, "scale": cfg.c_schedule.scale},
-            "eps_grad": cfg.eps_grad,
-            "constraint_beta": cfg.constraint_beta,
-            "level_init": np.asarray(self.level_init).tolist(),
-            "eta_cap": self.eta_cap,
-        }
+        step = asdict(self.stepsize)
+        step["c_schedule"] = {"kind": step.pop("c_kind"), "scale": step.pop("c_scale")}
+        return {"name": "dpsla", **step, "level_init": np.asarray(self.level_init).tolist(),
+                "eta_cap": self.eta_cap}
 
 
 @dataclass(frozen=True)
@@ -201,7 +193,7 @@ def first_violations(trace: RunTrace, cfg: StepsizeConfig | None = None,
     if trace.level is not None:
         bad["level_monotone"] = ~(trace.level[1:] >= trace.level[:-1])
     if cfg is not None:
-        ck = cfg.c_schedule.value(np.arange(len(alphas)))[:, None]
+        ck = cfg.c_value(np.arange(len(alphas)))[:, None]
         bad["corridor"] = ~(((cfg.c0 * cfg.alpha0 / 2.0) / ck <= alphas)
                             & (alphas <= (cfg.c0 * cfg.alpha0) / ck))
     if constraint is not None and trace.states is not None:
@@ -232,7 +224,7 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
         raise ValueError("per-agent level_init needs one value per agent")
     windows = LevelWindows(level, inst.dim, bounds=inst.constraint.bounding_box(),
                            eta_cap=alg.eta_cap)
-    cap, c = np.full(n, cfg.c0 * cfg.alpha0), cfg.c_schedule.value(np.arange(rounds))
+    cap, c = np.full(n, cfg.c0 * cfg.alpha0), cfg.c_value(np.arange(rounds))
     eps_sq = cfg.eps_grad ** 2
 
     def rule(k, Z, F, G, grad_sq):

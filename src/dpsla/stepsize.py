@@ -24,16 +24,17 @@ When the window turns infeasible the level is raised to a convex combination
 of itself and the smallest objective value seen in the window, and the window
 is cleared.
 
-Everything here acts on all agents at once. `CSchedule.value` gives c_k for
-one round or for an array of rounds by the same expression, so a run reads c_k
-from a table built once. `decide_alpha` gives all stepsizes and Polyak values
-under one mask of the nonzero-gradient rows; a masked row divides by 1 and
-takes the lower clamp, so no sentinel marks it. `LevelWindows` keeps each
-round's rows as one row of four arrays shared by all windows, a row count per
-agent and an (n, dim) array of witness points; `_in_window` alone says which
-stored rows make up a window. `record_step` decides every window one way:
-it tests every witness against its new row in one call and, in a round where
-some witness fell, the new rows of those agents against the box in another.
+Everything here acts on all agents at once. `StepsizeConfig.c_value` gives
+c_k for one round or for an array of rounds by the same expression, so a run
+reads c_k from a table built once. `decide_alpha` gives all stepsizes and
+Polyak values under one mask of the nonzero-gradient rows; a masked row
+divides by 1 and takes the lower clamp, so no sentinel marks it.
+`LevelWindows` keeps each round's rows as one row of four arrays shared by all
+windows, a row count per agent and an (n, dim) array of witness points;
+`_in_window` alone says which stored rows make up a window. `record_step`
+decides every window one way: it tests every witness against its new row in
+one call and, in a round where some witness fell, the new rows of those agents
+against the box in another.
 A fallen window of one row whose row meets the box is decided in one array
 expression at the box vertex where its Phase-I LP would end, which gives the
 LP's verdict and witness bit for bit at every dim. The only Python loop runs
@@ -46,7 +47,7 @@ then raised at once, from one masked minimum over the stored rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,44 +59,24 @@ WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
 
 
 @dataclass(frozen=True)
-class CSchedule:
-    """Non-decreasing positive scaling sequence c_k."""
-
-    kind: str  # "sqrt" | "constant"
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("sqrt", "constant"):
-            raise ValueError(f"unknown c-schedule kind {self.kind!r}")
-        require_positive("c-schedule scale", self.scale)
-
-    def value(self, k: int | np.ndarray) -> float | np.ndarray:
-        """c_k for a round k >= 0, or elementwise for an integer array of rounds."""
-        if np.count_nonzero(k < 0):
-            raise ValueError("k must be >= 0")
-        return self.scale * np.sqrt(k + 1.0) if self.kind == "sqrt" else self.scale + 0.0 * k
-
-    @classmethod
-    def sqrt(cls, scale: float = 1.0) -> "CSchedule":
-        return cls(kind="sqrt", scale=scale)
-
-    @classmethod
-    def constant(cls, value: float) -> "CSchedule":
-        return cls(kind="constant", scale=value)
-
-
-@dataclass(frozen=True)
 class StepsizeConfig:
-    """Parameters of the adaptive stepsize; defaults match the benchmark setup."""
+    """Parameters of the adaptive stepsize; defaults match the benchmark setup.
+
+    The scaling sequence c_k is c_scale * sqrt(k + 1) for c_kind "sqrt" and
+    c_scale for c_kind "constant"; both are positive and non-decreasing."""
 
     gamma: float = 1.0
     gamma_bar: float = 1.5
     alpha0: float = 2.0
-    c_schedule: CSchedule = field(default_factory=lambda: CSchedule.sqrt(0.5))
+    c_kind: str = "sqrt"  # "sqrt" | "constant"
+    c_scale: float = 0.5
     eps_grad: float = 1e-12
     constraint_beta: str = "raw"  # "raw" | "clamped"
 
     def __post_init__(self):
+        if self.c_kind not in ("sqrt", "constant"):
+            raise ValueError(f"unknown c-schedule kind {self.c_kind!r}")
+        require_positive("c-schedule scale", self.c_scale)
         if not (0.0 < self.gamma < self.gamma_bar < 2.0):
             raise ValueError("need 0 < gamma < gamma_bar < 2")
         require_positive("alpha0", self.alpha0)
@@ -103,12 +84,15 @@ class StepsizeConfig:
         if self.constraint_beta not in ("raw", "clamped"):
             raise ValueError("constraint_beta must be 'raw' or 'clamped'")
 
+    def c_value(self, k: int | np.ndarray) -> float | np.ndarray:
+        """c_k for a round k >= 0, or elementwise for an integer array of rounds."""
+        if np.count_nonzero(k < 0):
+            raise ValueError("k must be >= 0")
+        return self.c_scale * np.sqrt(k + 1.0) if self.c_kind == "sqrt" else self.c_scale + 0.0 * k
+
     @cached_property
     def c0(self) -> float:
-        return self.c_schedule.value(0)
-
-    def c_value(self, k: int) -> float:
-        return self.c_schedule.value(k)
+        return self.c_value(0)
 
     @cached_property
     def beta_floor(self) -> float:

@@ -8,7 +8,8 @@ preserving the network average.
 A random graph draws all its pairs in one block and keeps those below
 `edge_prob`; only the repair of a disconnected draw links components one at a
 time. Past construction, the degrees, the weights, the support check and the
-connectivity test are array expressions over the (n, n) adjacency array.
+connectivity test are array expressions over the (n, n) adjacency array, which
+a graph builds once and keeps read-only.
 """
 
 from __future__ import annotations
@@ -40,11 +41,16 @@ class Graph:
                 raise ValueError(f"bad edge ({i}, {j}) for {self.n_agents} agents")
         object.__setattr__(self, "n_agents", int(self.n_agents))
         object.__setattr__(self, "edges", frozenset((int(i), int(j)) for (i, j) in self.edges))
+        A = np.zeros((self.n_agents, self.n_agents))
+        i, j = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
+        A[i, j] = A[j, i] = 1.0
+        A.flags.writeable = False
+        object.__setattr__(self, "_adjacency", A)
         if not self._connected():
             raise ValueError("graph must be connected")
 
     def _connected(self) -> bool:
-        adj = self.adjacency() > 0
+        adj = self._adjacency > 0
         seen = np.zeros(self.n_agents, dtype=bool)
         seen[0] = True
         frontier = seen
@@ -54,10 +60,8 @@ class Graph:
         return bool(seen.all())
 
     def adjacency(self) -> np.ndarray:
-        A = np.zeros((self.n_agents, self.n_agents))
-        i, j = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
-        A[i, j] = A[j, i] = 1.0
-        return A
+        """The (n, n) 0/1 adjacency array, built once with the graph and read-only."""
+        return self._adjacency
 
 
 def build_graph(kind: str, n: int, edge_prob: float = 0.5, rng: Rng | None = None) -> Graph:

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import pytest
 
-from dpsla.cli import (ConfigError, RunConfig, build_algorithm, build_instance,
-                       cmd_reproduce, main, parse_config)
-from dpsla.engine import Dpsla
+from dpsla.cli import (AlgorithmConfig, ConfigError, RunConfig, build_algorithm,
+                       build_instance, cmd_reproduce, main, parse_config)
+from dpsla.engine import Dgd, Dpsla, NaivePolyak
+from dpsla.stepsize import StepsizeConfig
 
 from .util import parse_csv
 
@@ -55,6 +57,8 @@ class TestParseConfig:
         ('{"algorithm":{"level_init":NaN}}', "algorithm.level_init"),
         ('{"problem":{"graph_kind":"triangle"}}', "problem.graph_kind"),
         ('{"problem":{"graph_kind":"triangle","n_agents":5}}', "problem.graph_kind"),
+        ('[]', "config root must be a JSON object"),
+        ('{"run":3}', "run: must be an object"),
     ])
     def test_wrong_json_type_rejected(self, tmp_path, capsys, text, field):
         with pytest.raises(ConfigError, match=field):
@@ -114,6 +118,16 @@ class TestBuilders:
         inst = build_instance(parse_config('{"problem":{"graph_kind":"triangle","n_agents":3}}'))
         assert inst.n_agents == 3 and len(inst.graph.edges) == 3
 
+    @pytest.mark.parametrize("text, default", [
+        ("{}", Dpsla()), ('{"algorithm":{"name":"dgd"}}', Dgd()),
+        ('{"algorithm":{"name":"naive_polyak"}}', NaivePolyak())])
+    def test_defaults_are_the_constructors_defaults(self, text, default):
+        assert build_algorithm(parse_config(text)) == default
+
+    def test_stepsize_fields_are_algorithm_fields(self):
+        # build_algorithm passes the StepsizeConfig fields by name
+        assert {f.name for f in fields(StepsizeConfig)} <= {f.name for f in fields(AlgorithmConfig)}
+
     def test_algorithm_kinds(self):
         assert isinstance(build_algorithm(parse_config("{}")), Dpsla)
         dgd = build_algorithm(parse_config('{"algorithm":{"name":"dgd","dgd_scale":3.0}}'))
@@ -132,13 +146,23 @@ class TestBuilders:
         assert clone.to_json() == inst.to_json()
 
 
+    # what the message names for the edits whose raise no other test reaches
+    _REASONS = {"constraint_dim": "constraint dimension does not match the objectives",
+                "graph_size": "graph size does not match the number of objectives",
+                "objective_kind": "unknown objective kind 'cubic'",
+                "constraint_kind": "unknown constraint kind 'simplex'",
+                "q_not_square": "Q must be square",
+                "q_asymmetric": "Q must be symmetric"}
+
     @pytest.mark.parametrize("edit", ["bad_json", "missing_key", "mixed_dims", "nan_radius",
                                       "inf_radius", "nan_constant", "optimum_f_star",
                                       "optimum_outside", "optimum_dim", "optimum_local_count",
                                       "optimum_local_value", "optimum_kkt", "optimum_not_optimal",
                                       "edges_float", "edges_frac", "edges_bool",
                                       "n_agents_float", "n_agents_str", "directory",
-                                      "missing_file", "not_utf8"])
+                                      "missing_file", "not_utf8", "constraint_dim",
+                                      "graph_size", "objective_kind", "constraint_kind",
+                                      "q_not_square", "q_asymmetric"])
     def test_malformed_custom_file_rejected(self, tmp_path, capsys, edit):
         from dpsla.problem import gen_triangle_demo
         inst = gen_triangle_demo()
@@ -161,6 +185,18 @@ class TestBuilders:
             doc["graph"]["edges"][0] = [False, True]
         if edit.startswith("n_agents"):  # the triangle has 3 agents
             doc["graph"]["n_agents"] = 3.7 if edit == "n_agents_float" else "3"
+        if edit == "constraint_dim":  # the objectives are 2-D
+            doc["constraint"]["center"] = [0.0, 0.0, 0.0]
+        if edit == "graph_size":  # a connected graph of 4 agents for 3 objectives
+            doc["graph"] = {"n_agents": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+        if edit == "objective_kind":
+            doc["objectives"][1]["kind"] = "cubic"
+        if edit == "constraint_kind":
+            doc["constraint"]["kind"] = "simplex"
+        if edit == "q_not_square":
+            doc["objectives"][0]["Q"] = [[2.0, 0.5]]
+        if edit == "q_asymmetric":
+            doc["objectives"][0]["Q"] = [[2.0, 0.5], [0.4, 3.0]]
         optimum = doc.get("optimum", {})
         if edit == "optimum_f_star":
             optimum["f_star"] += 5.0
@@ -191,7 +227,9 @@ class TestBuilders:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert main(["oracle", "--config", str(p)]) == 2
-        assert "problem.path" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "problem.path" in err
+        assert self._REASONS.get(edit, "") in err
 
 
 class TestCmdRun:

@@ -85,6 +85,10 @@ class TestDpslaRuns:
         with pytest.raises(ValueError, match="level_init must be finite and at most 1-D"):
             Dpsla(level_init=np.full((4, 1), -500.0))
 
+    def test_per_agent_level_init_needs_one_value_per_agent(self, triangle):
+        with pytest.raises(ValueError, match="one value per agent"):
+            run(triangle, Dpsla(level_init=(1.0, 2.0)), 5)
+
     @pytest.mark.parametrize("level_init", [math.nan, math.inf, -math.inf,
                                             (-10.0, math.nan, -30.0)])
     def test_non_finite_level_init_rejected(self, level_init):
@@ -129,6 +133,10 @@ class TestBaselines:
     def test_naive_oracle_target_variant(self, triangle):
         tr = run(triangle, NaivePolyak(target="oracle_fi_star"), 200, seed=0)
         assert len(tr.records) == 201
+
+    def test_naive_oracle_target_needs_the_optimum(self):
+        with pytest.raises(ValueError, match="needs the instance optimum solved"):
+            run(gen_triangle_demo(), NaivePolyak("oracle_fi_star"), 5)
 
     def test_naive_eps_grad_is_a_constant(self):
         # a settable threshold went unchecked: eps_grad=nan gave every agent a zero stepsize
@@ -201,6 +209,10 @@ class TestInitialStates:
             got = run(inst, Dgd(), 1, seed=seed, x0="uniform", keep_states=True).states[0]
             assert got.tobytes() == np.array(ref).tobytes()
 
+    def test_unknown_policy_rejected(self, triangle):
+        with pytest.raises(ValueError, match="unknown x0 policy 'bogus'"):
+            run(triangle, Dgd(), 5, x0="bogus")
+
     def test_set_up_needs_no_per_point_kernel(self, monkeypatch):
         """Instance generation, a uniform start and loading a file optimum take
         only the batched paths; the per-point kernels are the solvers' alone."""
@@ -244,6 +256,10 @@ class TestSweep:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             run_speedup_sweep([4], 40, [], alg=sweep_algorithm())
+
+    def test_short_horizon_rejected(self):
+        with pytest.raises(ValueError, match="T must be >= 2"):
+            run_speedup_sweep([4], 1, [0], alg=sweep_algorithm())
 
     def test_algorithm_required(self):
         # no default profile: Dpsla()'s gaps at the sweep horizon are numerical noise

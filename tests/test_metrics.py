@@ -128,6 +128,13 @@ class TestCsv:
         assert lines[0].count(",") + 1 == 3 + 2 * 3 + 1
         assert p.read_text().endswith("\n")
 
+    @pytest.mark.parametrize("record_every", [0, -1])
+    def test_record_every_must_be_positive(self, tmp_path, triangle, record_every):
+        p = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="record_every must be >= 1"):
+            write_csv(run(triangle, Dgd(), 3), p, record_every=record_every)
+        assert not p.exists()
+
     def test_round_trip_exact(self, tmp_path, triangle):
         tr = run(triangle, Dpsla(), 25, seed=0)
         p = tmp_path / "t.csv"

@@ -10,8 +10,7 @@ from dpsla import engine
 from dpsla.engine import Dpsla, run
 from dpsla.feasibility import EPS_FEAS, HalfSpace, InequalitySystem
 from dpsla.problem import ConstraintSet, ProblemInstance, QuadraticObjective
-from dpsla.stepsize import (WINDOW_ROWS, CSchedule, LevelWindows, StepsizeConfig,
-                            decide_alpha, record_step)
+from dpsla.stepsize import WINDOW_ROWS, LevelWindows, StepsizeConfig, decide_alpha, record_step
 from dpsla.topology import build_graph
 
 from .util import one_row_windows
@@ -19,8 +18,7 @@ from .util import one_row_windows
 
 def cfg_unit():
     # c0 = 1, alpha0 = 1 makes the base-case arithmetic transparent
-    return StepsizeConfig(gamma=1.0, gamma_bar=1.5, alpha0=1.0,
-                          c_schedule=CSchedule.sqrt(1.0))
+    return StepsizeConfig(gamma=1.0, gamma_bar=1.5, alpha0=1.0, c_scale=1.0)
 
 
 def fresh_cap(cfg, n=1):
@@ -76,33 +74,33 @@ class TestCSchedule:
         assert StepsizeConfig().c_value(0) == 0.5
 
     def test_sqrt(self):
-        assert CSchedule.sqrt(1.0).value(3) == 2.0
+        assert StepsizeConfig(c_scale=1.0).c_value(3) == 2.0
 
     def test_constant(self):
-        s = CSchedule.constant(1.0)
-        assert s.value(0) == s.value(17) == 1.0
+        s = StepsizeConfig(c_kind="constant", c_scale=1.0)
+        assert s.c_value(0) == s.c_value(17) == 1.0
 
     def test_non_decreasing(self):
-        s = CSchedule.sqrt(0.5)
-        vals = [s.value(k) for k in range(100)]
+        s = StepsizeConfig(c_scale=0.5)
+        vals = [s.c_value(k) for k in range(100)]
         assert vals == sorted(vals)
         assert all(v > 0 for v in vals)
 
     @pytest.mark.parametrize("kind", ["sqrt", "constant"])
     @pytest.mark.parametrize("scale", [0.5, 1.0, 3.7])
     def test_array_form_has_the_scalar_bits(self, kind, scale):
-        s = CSchedule(kind=kind, scale=scale)
-        table = s.value(np.arange(10 ** 5))
+        s = StepsizeConfig(c_kind=kind, c_scale=scale)
+        table = s.c_value(np.arange(10 ** 5))
         assert table.shape == (10 ** 5,)
-        assert table.tobytes() == np.array([s.value(k) for k in range(10 ** 5)]).tobytes()
+        assert table.tobytes() == np.array([s.c_value(k) for k in range(10 ** 5)]).tobytes()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CSchedule.sqrt(-1.0)
-        with pytest.raises(ValueError):
-            CSchedule.sqrt(1.0).value(np.array([3, -1]))
-        with pytest.raises(ValueError):
-            CSchedule(kind="linear")
+        with pytest.raises(ValueError, match="c-schedule scale must be positive"):
+            StepsizeConfig(c_scale=-1.0)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            StepsizeConfig(c_scale=1.0).c_value(np.array([3, -1]))
+        with pytest.raises(ValueError, match="unknown c-schedule kind 'linear'"):
+            StepsizeConfig(c_kind="linear")
 
 
 class TestConfig:
@@ -124,10 +122,10 @@ class TestConfig:
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0])
     def test_schedule_scale_must_be_finite(self, scale):
         with pytest.raises(ValueError, match="scale must be positive and finite"):
-            CSchedule.sqrt(scale)
+            StepsizeConfig(c_scale=scale)
 
     def test_c0_is_schedule_value_at_zero(self):
-        cfg = StepsizeConfig(c_schedule=CSchedule.sqrt(0.5))
+        cfg = StepsizeConfig(c_scale=0.5)
         assert cfg.c0 == 0.5
 
 

@@ -68,6 +68,13 @@ class TestBuildGraph:
         assert len(g.edges) == 3
         assert g.adjacency().sum(axis=1).tolist() == [1.0, 2.0, 2.0, 1.0]
 
+    def test_adjacency_built_once_and_read_only(self):
+        g = build_graph("path", 4)
+        assert g.adjacency() is g.adjacency()
+        with pytest.raises(ValueError, match="read-only"):
+            g.adjacency()[0, 3] = 1.0
+        assert g.adjacency()[0, 3] == 0.0
+
     def test_long_path_accepted(self):
         # the connectivity test grows its frontier one hop per step: 299 steps here
         g = build_graph("path", 300)
