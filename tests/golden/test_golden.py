@@ -1,8 +1,9 @@
 """Byte-for-byte regression against the golden traces in `data/`.
 
 The goldens pin the simulator's observable behaviour for fixed configs and
-seeds: the CSVs and manifests of `dpsla reproduce main --seed 0` and
-`dpsla reproduce divergence --seed 0`, the trace of one uncapped DPS-LA run
+seeds: the CSVs and manifests of `dpsla reproduce main --seed 0`,
+`dpsla reproduce divergence --seed 0` and `dpsla reproduce speedup` (40 runs,
+n = 4..32, seeds 0..9), the trace of one uncapped DPS-LA run
 whose windows grow long, the trace of one run whose windows are capped at 8
 rows, so the oldest row is evicted thousands of times, and a wide run (12
 agents, dim 10, windows capped at 64) long enough to span several blocks of
@@ -27,7 +28,7 @@ from dpsla.problem import ProblemInstance, gen_paper_instance, gen_triangle_demo
 from dpsla.stepsize import StepsizeConfig
 
 DATA = Path(__file__).resolve().parent / "data"
-REPRODUCE = ("main", "divergence")
+REPRODUCE = ("main", "divergence", "speedup")  # speedup runs its own seeds
 
 
 def write_trace(out: Path, inst: ProblemInstance, alg: Dpsla, T: int) -> None:
@@ -45,7 +46,8 @@ def write_paper_trace(out: Path, n: int, dim: int, eta_cap: int | None, T: int) 
 
 def produce(root: Path) -> None:
     for which in REPRODUCE:
-        assert main(["reproduce", which, "--out", str(root / which), "--seed", "0"]) == 0
+        seed = [] if which == "speedup" else ["--seed", "0"]
+        assert main(["reproduce", which, "--out", str(root / which), *seed]) == 0
     write_paper_trace(root / "uncapped", n=4, dim=16, eta_cap=None, T=200)
     write_paper_trace(root / "capped", n=8, dim=6, eta_cap=8, T=300)
     write_paper_trace(root / "wide", n=12, dim=10, eta_cap=64, T=600)

@@ -23,20 +23,15 @@ def brute_force_margin(halfspaces: list[HalfSpace], grid_lim: float = 50.0,
     b = np.array([h.b for h in halfspaces])
     xs = np.linspace(-grid_lim, grid_lim, grid_points)
     gx, gy = np.meshgrid(xs, xs)
-    cands = [np.column_stack([gx.ravel(), gy.ravel()])]
-    inter = []
-    for i in range(len(halfspaces)):
-        for j in range(i + 1, len(halfspaces)):
-            M = np.stack([A[i], A[j]])
-            det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-            if abs(det) < 1e-12:
-                continue
-            inter.append(np.linalg.solve(M, np.array([b[i], b[j]])))
-    if inter:
-        cands.append(np.stack(inter))
-    C = np.vstack(cands)
-    violations = C @ A.T - b
-    return float(np.max(violations, axis=1).min())
+    i, j = np.triu_indices(len(halfspaces), 1)  # every pair i < j, in row order
+    M = np.stack([A[i], A[j]], axis=1)  # (pairs, 2, 2)
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    solvable = ~(np.abs(det) < 1e-12)
+    rhs = np.stack([b[i], b[j]], axis=1)[solvable]
+    inter = np.linalg.solve(M[solvable], rhs[..., None])[..., 0]
+    C = np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), inter])
+    violations = A @ C.T - b[:, None]  # (constraints, candidates)
+    return float(violations.max(axis=0).min())
 
 
 def brute_force_feasible(halfspaces: list[HalfSpace]) -> bool:
