@@ -1,13 +1,15 @@
 """Round-synchronous multi-agent simulator.
 
 A round is a few numpy calls on one (n, dim) state array X: mix it into the
-aggregated states Z = W X, evaluate every f_i and its gradient at its row of Z
-(`ProblemInstance._values_grads`), pick all stepsizes with one array
-expression, take the projected gradient steps Z - alpha G in one call, and
-write the round's row of the trace columns; the residual and consensus columns
-are filled once per chunk of rounds from a stack of their states. Algorithms
-differ only in the stepsize rule, so the consensus and projection paths are
-shared by construction. The DPS-LA rule masks the zero-gradient rows once,
+aggregated states Z = W X, hand Z to the stepsize rule, take the projected
+gradient steps Z - alpha G in one call, and write the round's row of the trace
+columns; the residual and consensus columns are filled once per chunk of
+rounds from a stack of their states. Algorithms differ only in the rule, so
+the consensus and projection paths are shared by construction. A rule
+evaluates only what it reads: DGD only the gradients at the rows of Z
+(`ProblemInstance._grads`), the Polyak rules the values and gradients
+(`ProblemInstance._values_grads`) and their squared norms, so a round computes
+nothing that no output reads. The DPS-LA rule masks the zero-gradient rows once,
 gets the stepsizes and Polyak values from `decide_alpha`, builds the offsets b
 of its half-spaces and records them in its level windows (`record_step`),
 which loop in Python only over the windows that go to the LP. A row whose
@@ -213,8 +215,11 @@ _VALIDATE_MESSAGES = {
 
 # -- stepsize rules --------------------------------------------------------------
 #
-# A rule maps one round's arrays to the stepsizes of all agents:
-# rule(k, Z, F, G, grad_sq) -> (alpha (n,), level_updated (n,) bool or None).
+# A rule evaluates what it reads at the aggregated states Z (n, dim) of round k
+# and picks the stepsizes of all agents:
+# rule(k, Z) -> (G (n, dim), alpha (n,), level_updated (n,) bool or None).
+# DGD reads only the gradients; the Polyak rules also read the values F and
+# grad_sq = ||g_i||^2.
 
 
 def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
@@ -225,14 +230,16 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
     windows = LevelWindows(level, inst.dim, bounds=inst.constraint.bounding_box(),
                            eta_cap=alg.eta_cap)
     cap, c = np.full(n, cfg.c0 * cfg.alpha0), cfg.c_value(np.arange(rounds))
-    eps_sq = cfg.eps_grad ** 2
+    eps_sq, values_grads = cfg.eps_grad ** 2, inst._values_grads
 
-    def rule(k, Z, F, G, grad_sq):
+    def rule(k, Z):
+        F, G = values_grads(Z)
+        grad_sq = np.vecdot(G, G)
         active = grad_sq > eps_sq  # zero-gradient rows add no half-space; their b is never read
         alpha, beta = decide_alpha(cfg, cap, F, windows.level, grad_sq, active, c[k])
         b = np.vecdot(G, Z) - beta * grad_sq / cfg.gamma_bar
         try:
-            return alpha, record_step(windows, cfg, G, b, F, active)
+            return G, alpha, record_step(windows, cfg, G, b, F, active)
         except SolverStallError as exc:
             raise SolverStallError(f"round {k}, {exc}") from exc
 
@@ -243,14 +250,15 @@ def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
     """(level array or None, rule) for an algorithm spec run for `rounds` rounds.
 
     Besides Dpsla, Dgd and NaivePolyak, any object with a method
-    `stepsizes(k, F, G, grad_sq) -> (n,) alphas` runs as a level-free rule.
+    `stepsizes(k, F, G, grad_sq) -> (n,) alphas` runs as a level-free rule;
+    it gets the values, the gradients and their squared norms of round k.
     """
-    n = inst.n_agents
+    n, values_grads = inst.n_agents, inst._values_grads
     if isinstance(alg, Dpsla):
         return _dpsla_rule(alg, inst, rounds)
-    if isinstance(alg, Dgd):
-        table = np.repeat(alg.schedule(rounds)[:, None], n, axis=1)  # (rounds, n)
-        return None, lambda k, Z, F, G, grad_sq: (table[k], None)
+    if isinstance(alg, Dgd):  # reads no value: gradients only
+        table, grads = np.repeat(alg.schedule(rounds)[:, None], n, axis=1), inst._grads
+        return None, lambda k, Z: (grads(Z), table[k], None)
     if isinstance(alg, NaivePolyak):
         if alg.target == "local_min":
             targets = np.array([minimize_local(o, inst.constraint)[1] for o in inst.objectives])
@@ -261,14 +269,19 @@ def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
 
         eps_sq = NAIVE_EPS_GRAD ** 2
 
-        def naive(k, Z, F, G, grad_sq):
+        def naive(k, Z):
+            F, G = values_grads(Z)
+            grad_sq = np.vecdot(G, G)
             ok = (grad_sq > eps_sq) & np.isfinite(grad_sq)
-            return np.where(ok, (F - targets) / np.where(ok, grad_sq, 1.0), 0.0), None
+            return G, np.where(ok, (F - targets) / np.where(ok, grad_sq, 1.0), 0.0), None
 
         return None, naive
     if hasattr(alg, "stepsizes"):
-        return None, lambda k, Z, F, G, grad_sq: (
-            np.asarray(alg.stepsizes(k, F, G, grad_sq), dtype=float), None)
+        def custom(k, Z):
+            F, G = values_grads(Z)
+            return G, np.asarray(alg.stepsizes(k, F, G, np.vecdot(G, G)), dtype=float), None
+
+        return None, custom
     raise TypeError(f"unknown algorithm spec {alg!r}")
 
 
@@ -316,14 +329,12 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
                      consensus_error=np.empty(rows),
                      states=S if keep else None)
     S[0] = X
-    values_grads, project = inst._values_grads, inst.constraint._project_rows
+    project = inst.constraint._project_rows
     alphas, levels, level_updated = trace.alpha, trace.level, trace.level_updated
 
     for r in range(1, rows):  # row r is filled by round r - 1
         Z = mix(W, X)
-        F, G = values_grads(Z)
-        grad_sq = np.vecdot(G, G)
-        alpha, updated = rule(r - 1, Z, F, G, grad_sq)
+        G, alpha, updated = rule(r - 1, Z)
         step = Z - alpha[:, None] * G
         if np.isfinite(step).all():
             X = project(step)

@@ -11,16 +11,22 @@ into groups of one kind and shape (`ObjectiveGroup`), and the constraint set
 projects every row of an (n, dim) array in one call. Each batched product is
 one gufunc call (`np.vecdot`, `np.matvec`, `np.vecmat`) whose entries run the
 same dot as the 1-D `a @ b` of the single-agent `_eval`/`_grad`/`_project`,
-so the batched rows are bitwise equal to them. Set-up is batched too: an
-instance's data is one block of draws, and the optimum's values and gradients
-come from one call at x* repeated for every agent.
+so the batched rows are bitwise equal to them. A rule that reads no value
+calls `_grads`, which runs the gradient expressions of `_values_grads` alone,
+so its rows keep their bits. A ball projection decides the usual case, every
+row inside, with one reduction: sqrt is monotone, so the largest norm is
+sqrt(max |d|^2). Set-up is batched too: an instance's data is one block of
+draws, and the optimum's values and gradients come from one call at x*
+repeated for every agent.
 
 Only the projected-gradient solvers (`solve_reference`, `minimize_local`) keep
 the per-point `_eval`, `_grad`, `_project` and `_sum_grad`; one-row batched
-calls measured slower on a 2-vCPU VM. `_project_rows` took 5.5-7.7 us against
-2.3-4.2 us inside the triangle's ball, 15.7-24.3 against 3.8-5.8 us outside;
-the oracle's 21 triangle steps 0.58-0.65 ms with a batched summed gradient
-against 0.29-0.45 ms; local minima batched 5.3-7.9 against 2.6-4.5 ms an instance.
+calls measured slower on a 2-vCPU VM. `_project_rows` took 3.2-5.7 us against
+1.0-1.1 us inside the triangle's ball, 11.6-12.2 against 1.9-2.0 us outside
+(with the one-reduction test; before it, 4.2-4.6 us inside, in the same
+session); the oracle's 21 triangle steps 0.58-0.65 ms with a batched summed
+gradient against 0.29-0.45 ms; local minima batched 5.3-7.9 against 2.6-4.5 ms
+an instance.
 """
 
 from __future__ import annotations
@@ -134,8 +140,8 @@ class ObjectiveGroup:
     Least squares keeps A (g, r, dim), its transpose as a *view* (a contiguous
     copy could change the kernel numpy picks, and `einsum` the order of the
     sums, so the last bits) and b (g, r); general quadratics keep Q, H = Q + Q'
-    (g, dim, dim), q (g, dim) and c (g,). `values` and `values_grads` are
-    `np.matvec`, `np.vecmat` and `np.vecdot` calls, one per product.
+    (g, dim, dim), q (g, dim) and c (g,). `values`, `grads` and `values_grads`
+    are `np.matvec`, `np.vecmat` and `np.vecdot` calls, one per product.
     """
 
     agents: np.ndarray  # positions of the group's objectives in the instance
@@ -178,6 +184,12 @@ class ObjectiveGroup:
             R = np.matvec(self.M, Z) - self.v
             return 0.5 * np.vecdot(R, R), np.matvec(self.MT, R)
         return self.values(Z), np.matvec(self.MT, Z) + self.v
+
+    def grads(self, Z: np.ndarray) -> np.ndarray:
+        """grad f_j(z_j) for each row z_j of Z (g, dim), with the bits of `values_grads`."""
+        if self.kind == "least_squares":
+            return np.matvec(self.MT, np.matvec(self.M, Z) - self.v)
+        return np.matvec(self.MT, Z) + self.v
 
 
 # -- constraint sets --------------------------------------------------------------
@@ -232,11 +244,14 @@ class ConstraintSet:
         if self.kind == "box":
             return Y.clip(self.lower, self.upper)
         D = Y - self.ball_center
-        norms = np.sqrt(np.vecdot(D, D))
+        sq = np.vecdot(D, D)
+        # sqrt is monotone, so the largest norm is sqrt(max |d|^2): one reduction
+        # finds every row inside (an empty Y too); a NaN fails it, as does any far row
+        if np.sqrt(sq.max(initial=0.0)) <= self.radius:
+            return Y.copy()
+        norms = np.sqrt(sq)
         out = Y.copy()
         far = ~(norms <= self.radius)
-        if not far.any():
-            return out
         D, norms = D[far], norms[far]
         over = np.isinf(norms)  # |d|^2 overflowed: scale each such row by its largest entry
         if over.any():
@@ -356,6 +371,17 @@ class ProblemInstance:
         for grp in groups:
             F[grp.agents], G[grp.agents] = grp.values_grads(Z[grp.agents])
         return F, G
+
+    def _grads(self, Z: np.ndarray) -> np.ndarray:
+        """grad f_i(z_i) (n, dim) for the rows z_i of Z (n, dim), for rules that
+        read no value; bitwise equal to `_values_grads(Z)[1]`."""
+        groups = self._groups
+        if len(groups) == 1:
+            return groups[0].grads(Z)
+        G = np.empty((self.n_agents, self.dim))
+        for grp in groups:
+            G[grp.agents] = grp.grads(Z[grp.agents])
+        return G
 
     def _sum_value(self, x: np.ndarray):
         """sum_i f_i(x) for x (dim,), or for each row of x (K, dim) as an array.

@@ -353,6 +353,7 @@ class TestBatchedRound:
         for _ in range(50):
             Z = gen.normal(scale=10.0 ** gen.uniform(-3, 3), size=(6, 3))
             F, G = inst._values_grads(Z)
+            assert inst._grads(Z).tobytes() == G.tobytes()
             for i, (o, z) in enumerate(zip(inst.objectives, Z)):
                 assert F[i] == o._eval(z)
                 assert np.array_equal(G[i], o._grad(z))
@@ -375,9 +376,29 @@ class TestBatchedRound:
             F, G = inst._values_grads(Z)
             F2, G2 = split._values_grads(Z)
             assert np.array_equal(F, F2) and np.array_equal(G, G2)
+            assert inst._grads(Z).tobytes() == G.tobytes() == split._grads(Z).tobytes()
             for i, (o, z) in enumerate(zip(objs, Z)):
                 assert F[i] == o._eval(z)
                 assert np.array_equal(G[i], o._grad(z))
+
+    @pytest.mark.parametrize("make", [gen_triangle_demo, lambda: gen_paper_instance(rng=Rng(0)),
+                                      lambda: _mixed_instance(ConstraintSet.ball(np.zeros(3), 1.5))],
+                             ids=["triangle", "paper", "mixed"])
+    def test_dgd_evaluates_no_value(self, make, monkeypatch):
+        # DGD reads only gradients; without an optimum no residual reads a value either
+        inst = make()
+        want = run(inst, Dgd(), 40, seed=0, x0="uniform", keep_states=True)
+
+        def no_value(*args):
+            raise AssertionError("DGD evaluated an objective value")
+
+        monkeypatch.setattr(ObjectiveGroup, "values", no_value)
+        monkeypatch.setattr(ObjectiveGroup, "values_grads", no_value)
+        got = run(inst, Dgd(), 40, seed=0, x0="uniform", keep_states=True)
+        for col in ("alpha", "consensus_error", "states"):
+            assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
+        with pytest.raises(AssertionError, match="objective value"):
+            run(inst, NaivePolyak(), 1)
 
     def test_ball_rows_all_inside_give_a_new_array(self):
         cs = ConstraintSet.ball([1.0, -2.0], 2.0)
@@ -630,9 +651,9 @@ class TestRoundBudget:
         run(inst, alg, 3)  # fill the instance's cached stacks before counting
         return (count(2 * T) - count(T)) / T
 
-    # measured 16.2, 9.1, 11.1 and 13.1 with numpy 2.4 and Python 3.11; the test
+    # measured 16.2, 9.1, 10.1 and 13.1 with numpy 2.4 and Python 3.11; the test
     # ids name the shape only, so that a new budget keeps them
-    BUDGETS = {"dpsla_main": 17, "dgd_main": 10, "dgd_triangle": 12, "naive_triangle": 14}
+    BUDGETS = {"dpsla_main": 17, "dgd_main": 10, "dgd_triangle": 11, "naive_triangle": 14}
 
     @pytest.mark.parametrize("shape", BUDGETS)
     def test_calls_per_round(self, shape, triangle):

@@ -119,6 +119,35 @@ class TestConstraintSet:
         assert one.tolist() == [4.0, 0.0]
         assert rows[1:].tobytes() == cs._project_rows(Y[1:]).tobytes()
 
+    # offsets from the centre of a radius-5 ball: norms exactly 5, one ulp past 5,
+    # and rows with no finite norm; `inside` is what the one-reduction test decides
+    UP = math.nextafter(5.0, math.inf)
+    EDGES = {
+        "on_boundary": ([[3.0, 4.0], [-4.0, 3.0], [0.0, -5.0], [5.0, 0.0], [0.5, 0.5]], True),
+        "one_ulp_out": ([[3.0, 4.0], [UP, 0.0], [0.0, -UP], [0.5, 0.5]], False),
+        "nan": ([[0.5, 0.5], [math.nan, 0.0], [3.0, 4.0]], False),
+        "inf": ([[math.inf, 0.0], [0.5, 0.5], [0.0, -math.inf], [math.inf, math.inf]], False),
+        "overflow": ([[1e200, 0.0], [0.5, 0.5], [-1e160, 1e160]], False),
+        "no_rows": (np.empty((0, 2)), True),
+    }
+
+    @pytest.mark.parametrize("case", EDGES)
+    def test_ball_rows_edges_match_per_row(self, case):
+        offsets, inside = self.EDGES[case]
+        cs = ConstraintSet.ball([1.0, -2.0], 5.0)
+        Y = cs.center() + np.asarray(offsets, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = Y - cs.ball_center
+            norms = np.sqrt(np.vecdot(D, D))
+            P = cs._project_rows(Y)
+            ref = np.array([cs._project(y) for y in Y]).reshape(Y.shape)
+        assert bool(np.all(norms <= cs.radius)) == inside
+        if case in ("on_boundary", "one_ulp_out"):  # the norms are what the case names
+            assert set(norms.tolist()) - {math.sqrt(0.5)} == (
+                {5.0} if inside else {5.0, float(np.nextafter(5.0, 6.0))})
+        assert P is not Y and P.shape == Y.shape
+        assert P.tobytes() == ref.tobytes()
+
 
 class TestGenerators:
     def test_paper_instance_shapes_and_ranges(self):
