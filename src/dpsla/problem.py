@@ -22,11 +22,10 @@ repeated for every agent.
 Only the projected-gradient solvers (`solve_reference`, `minimize_local`) keep
 the per-point `_eval`, `_grad`, `_project` and `_sum_grad`; one-row batched
 calls measured slower on a 2-vCPU VM. `_project_rows` took 3.2-5.7 us against
-1.0-1.1 us inside the triangle's ball, 11.6-12.2 against 1.9-2.0 us outside
-(with the one-reduction test; before it, 4.2-4.6 us inside, in the same
-session); the oracle's 21 triangle steps 0.58-0.65 ms with a batched summed
-gradient against 0.29-0.45 ms; local minima batched 5.3-7.9 against 2.6-4.5 ms
-an instance.
+1.0-1.1 us inside the triangle's ball, 11.6-12.2 against 1.9-2.0 us outside;
+the oracle's 21 triangle steps 0.58-0.65 ms with a batched summed gradient
+against 0.29-0.45 ms; local minima batched 5.3-7.9 against 2.6-4.5 ms an
+instance.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ class TestConstraintSet:
         assert rows[1:].tobytes() == cs._project_rows(Y[1:]).tobytes()
 
     # offsets from the centre of a radius-5 ball: norms exactly 5, one ulp past 5,
-    # and rows with no finite norm; `inside` is what the one-reduction test decides
+    # and rows whose |d|^2 is not finite; `inside` is what the one-reduction test decides
     UP = math.nextafter(5.0, math.inf)
     EDGES = {
         "on_boundary": ([[3.0, 4.0], [-4.0, 3.0], [0.0, -5.0], [5.0, 0.0], [0.5, 0.5]], True),
@@ -143,8 +143,7 @@ class TestConstraintSet:
             ref = np.array([cs._project(y) for y in Y]).reshape(Y.shape)
         assert bool(np.all(norms <= cs.radius)) == inside
         if case in ("on_boundary", "one_ulp_out"):  # the norms are what the case names
-            assert set(norms.tolist()) - {math.sqrt(0.5)} == (
-                {5.0} if inside else {5.0, float(np.nextafter(5.0, 6.0))})
+            assert set(norms.tolist()) - {math.sqrt(0.5)} == ({5.0} if inside else {5.0, self.UP})
         assert P is not Y and P.shape == Y.shape
         assert P.tobytes() == ref.tobytes()
 
