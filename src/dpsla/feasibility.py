@@ -15,11 +15,12 @@ the box satisfies is therefore infeasible without a separate test.
 Every `check_feasible` solves the LP; `witness` is only the point of the last
 feasible verdict, until the rows change. `add_constraint` is the validating
 entry point. The level windows (`stepsize.LevelWindows`) keep their rows in
-their own round-indexed arrays, test their witnesses and the box themselves,
-decide one-row windows at the vertex the LP would end at (`phase1_vertex`),
-and hand a longer window to one reused system as arrays through `load`, which
-skips the `HalfSpace` checks: their rows are gradients with norm above
-eps_grad at finite iterates.
+their own round-indexed arrays and test their witnesses themselves. They test
+a fallen window's new row at its minimizer over the box, which decides a
+window whose row misses the box and every one-row window; only a longer window
+goes to one reused system, as arrays through `load`, which skips the
+`HalfSpace` checks: their rows are gradients with norm above eps_grad at
+finite iterates.
 """
 
 from __future__ import annotations
@@ -205,23 +206,6 @@ def _phase1_lp(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
         raise SolverStallError(f"simplex exceeded {cap} pivots")
     x = np.clip(v[:dim], lo, hi)
     return float(np.max(A @ x - b)), x
-
-
-def phase1_vertex(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and end point of `_phase1_lp` on each one-row system a_t.x <= b_t.
-
-    For rows A (k, dim) and a finite box, returns (values (k,), points (k, dim))
-    with the bits the LP returns row by row. On one row the LP's start puts s
-    in the basis and every x_j at lo_j; the reduced cost of x_j is then
-    u_j = a_j / |a|, so the loop flips each x_j with u_j < -_COST_TOL to hi_j
-    and finds nothing else movable. It could stop short only at the floor of
-    s, which a finite box keeps out of reach at every dim (see `_phase1_lp`).
-    The value is the row's violation at that vertex, by the dot product the
-    LP takes.
-    """
-    X = np.where(A / np.linalg.norm(A, axis=1)[:, None] < -_COST_TOL, hi, lo)
-    return np.vecdot(A, X) - b, X
 
 
 def _pivot(T, row, col):

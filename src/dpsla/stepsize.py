@@ -34,10 +34,10 @@ windows, a row count per agent and an (n, dim) array of witness points;
 `_in_window` alone says which stored rows make up a window. `record_step`
 decides every window one way: it tests every witness against its new row in
 one call and, in a round where some witness fell, the new rows of those agents
-against the box in another.
-A fallen window of one row whose row meets the box is decided in one array
-expression at the box vertex where its Phase-I LP would end, which gives the
-LP's verdict and witness bit for bit at every dim. The only Python loop runs
+at their minimizers over the box in another. A new row that exceeds its offset
+there by more than EPS_FEAS makes the window infeasible; otherwise a window of
+one row is feasible and takes the minimizer as its witness, which satisfies
+the row by the dot product the witness test takes. The only Python loop runs
 over the windows of two rows or more whose new row meets the box: each is
 read with one index, loaded into `InequalitySystem` and checked by its LP. On
 the paper's workloads no window reaches that loop, so every level update
@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError, phase1_vertex
+from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError
 from .numerics import is_int, require_positive
 
 WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
@@ -185,12 +185,12 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     feasible, and a round in which every witness survives only stores its rows.
     For the others only the new row can miss the box (every older row passed a
     witness test or a check, and both leave a point of the box on its side),
-    so a new row that misses the box makes the window infeasible with no check.
-    A window of one row that meets the box is decided at the box vertex where
-    its Phase-I LP would end (`phase1_vertex`), with the LP's verdict and
-    witness bit for bit. Only the other windows, of two rows or more, are read
-    and go to `win.system.check_feasible`; on the paper's workloads there are
-    none, and every level update is box-decided.
+    so a new row that misses the box, tested at its minimizer over the box,
+    makes the window infeasible with no check. A window of one row that meets
+    the box is feasible, and that minimizer becomes its witness. Only the
+    other windows, of two rows or more, are read and go to
+    `win.system.check_feasible`; on the paper's workloads there are none, and
+    every level update is box-decided.
     Every infeasible window raises its level to a convex combination of itself
     and the window's smallest f-value and is cleared. Returns the (n,) mask of
     updated levels.
@@ -207,15 +207,13 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
         return updated
     system = win.system
     lo, hi = system.bounds
-    # a window whose new row misses the box is infeasible; a one-row window whose
-    # row meets it is decided at the vertex where its LP would end
-    to_lp = updated & ~(np.minimum(G * lo, G * hi).sum(1) - b > EPS_FEAS)
-    one = np.flatnonzero(to_lp & (win.count == 1))
-    if one.size:
-        value, X = phase1_vertex(G[one], b[one], lo, hi)
-        ok = value <= EPS_FEAS
-        win.witness[one[ok]], updated[one[ok]], to_lp[one] = X[ok], False, False
-    for i in to_lp.nonzero()[0].tolist():
+    # each new row's minimizer over the box: a window whose row it misses is
+    # infeasible, and a one-row window whose row it meets takes it as witness
+    X = np.where(G < 0, hi, lo)
+    meets = updated & (np.vecdot(G, X) - b <= EPS_FEAS)
+    one = meets & (win.count == 1)
+    win.witness[one], updated[one] = X[one], False
+    for i in (meets & ~one).nonzero()[0].tolist():
         G_i, b_i, _ = win.window(i)
         system.load(G_i, b_i)
         try:

@@ -7,8 +7,11 @@ as a refactor drops or renames one of those names or breaks a path count of
 the tracer's self-check: `lp` drives long uncapped windows at dim 32, `sweep`
 the capped windows, and `reproduce` is the only one that drives `cli.main`,
 the oracle spans and the naive-Polyak targets under the tracer and the set-up
-timers. None of them reaches the Phase-I LP any more: `record_step` decides
-every fallen window by the box test or at its one-row vertex, so their LP path
+timers. Each traced run on seed 0 must also reproduce the output digests in
+`bench/reference_digests.json`, which the benchmark compares its untraced runs
+with. None of the workloads reaches the Phase-I LP any more: `record_step`
+decides every fallen window at its new row's minimizer over the box, which
+settles a row that misses the box and every one-row window, so their LP path
 counts read 0. The triangle under the default `Dpsla()` does reach it, so one
 traced run of it checks the tracer's attribution of checks to LP solves. The
 tests only read `bench/`: their outputs go to a temporary directory and no
@@ -27,6 +30,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOAD = ROOT / "bench" / "workload.py"
+DIGESTS = ROOT / "bench" / "reference_digests.json"
 ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 
 # 500 traced rounds of DPS-LA on the triangle; prints the checks, the Phase-I
@@ -59,6 +63,9 @@ def test_traced_workload_runs_clean(tmp_path, workload):
     assert doc["ops"], "the workload ran no operation"
     failed = [op for op in doc["ops"] if op["error"] is not None or op["violations"]]
     assert failed == []
+    # seed 0 is the benchmark's reference seed, so every output matches its digest
+    reference = json.loads(DIGESTS.read_text())[workload]
+    assert {op["name"]: op["digest"] for op in doc["ops"]} == reference
 
 
 @pytest.mark.skipif(not WORKLOAD.exists(), reason="bench/ is absent")

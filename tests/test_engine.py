@@ -593,8 +593,8 @@ def _main_instance():
 
 
 class TestSimplexCalls:
-    """Phase-I LP solves per run: the paper shapes decide every window by the
-    box test or a one-row vertex, while the triangle still reaches the LP."""
+    """Phase-I LP solves per run: the paper shapes decide every fallen window at
+    its new row's box minimizer, while the triangle still reaches the LP."""
 
     @pytest.fixture
     def lp_rows(self, monkeypatch):

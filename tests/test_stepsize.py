@@ -361,7 +361,7 @@ class TestRecordStep:
 
     def test_box_infeasible_new_row_skips_the_check(self, monkeypatch):
         # on the box [-1, 1]: round 0 gives both agents x <= 0.5, a one-row
-        # window decided with no check at the vertex -1; in round 1 agent 0
+        # window decided with no check at its box minimizer -1; in round 1 agent 0
         # adds x <= -5, which no point of the box satisfies, and agent 1 adds
         # x >= 0.2, which only its witness misses
         checked = count_checks(monkeypatch)
@@ -383,9 +383,9 @@ class TestRecordStep:
 
     @pytest.mark.parametrize("dim", [1, 3, 17, 81, 100, 200])
     def test_one_row_windows_decided_as_the_check_decides_them(self, dim, monkeypatch):
-        # fresh windows, so every active agent's window is its new row: the
-        # rows that meet the box are decided with no check, and the witness,
-        # verdict, level and count are those of the window's own check
+        # fresh windows, so every active agent's window is its new row: each is
+        # decided with no LP by the exact one-row check, at the row's minimizer
+        # over the box, which becomes the witness iff it satisfies the row
         rng = np.random.default_rng(dim)
         cfg, n = cfg_unit(), 40
         G, b, lo, hi = one_row_windows(rng, n, dim)
@@ -400,17 +400,27 @@ class TestRecordStep:
             if not active[i]:
                 assert not updated[i] and win.count[i] == 0 and win.level[i] == level[i]
                 continue
-            system = InequalitySystem(dim, bounds=(lo, hi))
-            system.load(G[i:i + 1], b[i:i + 1])
-            verdict = system.check_feasible()
-            assert updated[i] == (not verdict.feasible)
-            assert win.count[i] == verdict.feasible
-            if verdict.feasible:
-                assert win.witness[i].tobytes() == verdict.point.tobytes()
+            x = np.where(G[i] < 0, hi, lo)
+            feasible = np.vecdot(G[i], x) - b[i] <= EPS_FEAS
+            assert updated[i] == (not feasible)
+            assert win.count[i] == feasible
+            if feasible:
+                assert win.witness[i].tobytes() == x.tobytes()
                 assert win.level[i] == level[i]
             else:
                 assert win.level[i] == max(level[i], keep * level[i] + (1.0 - keep) * F[i])
         assert 0 < updated.sum() < active.sum()
+
+    def test_one_row_window_met_by_a_box_point_stays_feasible(self):
+        # g = (1, -5e-10) on [0, 1000]^2: the box point (0, 1000) satisfies
+        # g.x <= -1e-7 by 4e-7, so the window must keep its level, although the
+        # second component lies above the LP's reduced-cost cut-off of -1e-9
+        win = LevelWindows([-5.0], 2, bounds=(np.zeros(2), np.full(2, 1000.0)))
+        updated = record_step(win, cfg_unit(), np.array([[1.0, -5e-10]]), np.array([-1e-7]),
+                              np.array([3.0]), np.array([True]))
+        assert updated.tolist() == [False]
+        assert win.level.tolist() == [-5.0] and win.count.tolist() == [1]
+        assert win.witness.tolist() == [[0.0, 1000.0]]
 
     def test_eta_cap_validated(self):
         # Dpsla's rule: a float or a bool cap is refused at construction
