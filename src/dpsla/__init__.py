@@ -10,13 +10,13 @@ from .problem import (ConstraintSet, OracleResult, ProblemInstance,
                       QuadraticObjective, gen_paper_instance,
                       gen_triangle_demo, solve_reference)
 from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, record_step
-from .topology import Graph, MixingMatrix, build_graph, metropolis_weights
+from .topology import Graph, build_graph, metropolis_weights
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Rng", "solve_spd", "SingularMatrixError",
-    "Graph", "MixingMatrix", "build_graph", "metropolis_weights",
+    "Graph", "build_graph", "metropolis_weights",
     "QuadraticObjective", "ConstraintSet", "ProblemInstance", "OracleResult",
     "gen_paper_instance", "gen_triangle_demo", "solve_reference",
     "HalfSpace", "InequalitySystem", "FeasibilityVerdict", "SolverStallError", "EPS_FEAS",

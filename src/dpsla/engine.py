@@ -187,7 +187,7 @@ def first_violations(trace: RunTrace, cfg: StepsizeConfig | None = None,
     * `level_monotone`, only when the run has levels: levels never decrease;
     * `corridor`, with `cfg`: c0 alpha0 / (2 c_k) <= alpha_{i,k} <= c0 alpha0 / c_k;
     * `feasible`, with `constraint` and a trace that kept its states: every
-      iterate lies in the set within 1e-12.
+      iterate lies in the set (`ConstraintSet.contains`).
     """
     alphas = trace.alpha[1:]
     bad = {"alpha_monotone": np.vstack([np.zeros((1, alphas.shape[1]), dtype=bool),
@@ -196,7 +196,7 @@ def first_violations(trace: RunTrace, cfg: StepsizeConfig | None = None,
         bad["level_monotone"] = ~(trace.level[1:] >= trace.level[:-1])
     if cfg is not None:
         ck = cfg.c_value(np.arange(len(alphas)))[:, None]
-        bad["corridor"] = ~(((cfg.c0 * cfg.alpha0 / 2.0) / ck <= alphas)
+        bad["corridor"] = ~((cfg.beta_floor / ck <= alphas)
                             & (alphas <= (cfg.c0 * cfg.alpha0) / ck))
     if constraint is not None and trace.states is not None:
         S = trace.states[1:]
@@ -247,12 +247,8 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
 
 
 def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
-    """(level array or None, rule) for an algorithm spec run for `rounds` rounds.
-
-    Besides Dpsla, Dgd and NaivePolyak, any object with a method
-    `stepsizes(k, F, G, grad_sq) -> (n,) alphas` runs as a level-free rule;
-    it gets the values, the gradients and their squared norms of round k.
-    """
+    """(level array or None, rule) for a Dpsla, Dgd or NaivePolyak spec run for
+    `rounds` rounds; any other spec is a TypeError."""
     n, values_grads = inst.n_agents, inst._values_grads
     if isinstance(alg, Dpsla):
         return _dpsla_rule(alg, inst, rounds)
@@ -276,12 +272,6 @@ def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
             return G, np.where(ok, (F - targets) / np.where(ok, grad_sq, 1.0), 0.0), None
 
         return None, naive
-    if hasattr(alg, "stepsizes"):
-        def custom(k, Z):
-            F, G = values_grads(Z)
-            return G, np.asarray(alg.stepsizes(k, F, G, np.vecdot(G, G)), dtype=float), None
-
-        return None, custom
     raise TypeError(f"unknown algorithm spec {alg!r}")
 
 
@@ -315,7 +305,7 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     n, rows, keep = inst.n_agents, iterations + 1, keep_states or validate
-    W = metropolis_weights(inst.graph).W
+    W = metropolis_weights(inst.graph)
     X = _initial_states(inst, x0, Rng(seed))
     if not inst.constraint._contains_rows(X).all():
         raise ValueError("initial states must be feasible")

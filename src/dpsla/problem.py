@@ -41,7 +41,7 @@ from .numerics import Rng, as_mat, as_vec, require_positive, solve_spd
 from .topology import Graph, build_graph
 
 PSD_EIG_TOL = -1e-10
-MEMBERSHIP_TOL = 1e-12  # slack of `contains` on the boundary
+MEMBERSHIP_TOL = 1e-12  # slack of `contains` on the boundary; a ball scales it by its size
 ORACLE_TOL = 1e-10  # projected-gradient fixed-point residual of the reference solvers
 ORACLE_MAX_ITER = 1_000_000
 POWER_ITERATIONS = 200  # of `estimate_lipschitz`
@@ -265,6 +265,9 @@ class ConstraintSet:
         tol = MEMBERSHIP_TOL
         if self.kind == "box":
             return np.all((X >= self.lower - tol) & (X <= self.upper + tol), axis=1)
+        # a row projected onto the sphere carries the rounding of the ball's
+        # coordinates, so the slack scales with the radius and the center
+        tol *= max(1.0, self.radius, float(np.abs(self.ball_center).max()))
         D = X - self.ball_center
         return np.sqrt(np.vecdot(D, D)) <= self.radius + tol
 
@@ -473,9 +476,8 @@ class ProblemInstance:
 # -- generators -------------------------------------------------------------------
 
 
-def gen_paper_instance(n: int = 4, dim: int = 6, rows_per_agent: int = 2,
-                       rng: Rng | None = None, graph_kind: str = "random",
-                       edge_prob: float = 0.5) -> ProblemInstance:
+def gen_paper_instance(n: int = 4, dim: int = 6, rows_per_agent: int = 2, *, rng: Rng,
+                       graph_kind: str = "random", edge_prob: float = 0.5) -> ProblemInstance:
     """Random least-squares instance with a shifted sine-patterned box.
 
     A_i entries are U(0, 0.1), b_i entries U(0, 5). The box is placed relative
@@ -485,8 +487,6 @@ def gen_paper_instance(n: int = 4, dim: int = 6, rows_per_agent: int = 2,
     """
     if n < 2 or dim < 1 or rows_per_agent < 1:
         raise ValueError("need n >= 2, dim >= 1, rows_per_agent >= 1")
-    if rng is None:
-        raise ValueError("gen_paper_instance needs an Rng")
     k = rows_per_agent * dim  # row i of the draw is agent i's A_i, row-major, then b_i
     data = rng.uniform_array((n, k + rows_per_agent), 0.0,
                              np.repeat([0.1, 5.0], [k, rows_per_agent]))

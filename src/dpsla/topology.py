@@ -1,26 +1,29 @@
 """Agent communication graphs and the Metropolis doubly stochastic mixing matrix.
 
-Graphs are undirected, connected and fixed for the whole run. The mixing
-matrix built here is symmetric, nonnegative and doubly stochastic, with a
-strictly positive diagonal, so repeated mixing contracts disagreement while
-preserving the network average.
+Graphs are undirected, connected and fixed for the whole run. The Metropolis
+weights w_ij = A_ij / (1 + max(deg_i, deg_j)), with the diagonal taking the
+rest of each row, are symmetric, nonnegative and doubly stochastic, positive
+exactly on the edges and the diagonal, by construction: A is a symmetric 0/1
+array with a zero diagonal, and each row's off-diagonal sum is below 1. So
+repeated mixing contracts disagreement while preserving the network average.
+Nothing checks this at run time; `tests/test_topology.py::TestMetropolisWeights`
+(`test_doubly_stochastic_families`, `test_support_pattern`) checks it on every
+graph kind.
 
 A random graph draws all its pairs in one block and keeps those below
 `edge_prob`; only the repair of a disconnected draw links components one at a
-time. Past construction, the degrees, the weights, the support check and the
-connectivity test are array expressions over the (n, n) adjacency array, which
-a graph builds once and keeps read-only.
+time. Past construction, the degrees, the weights and the connectivity test
+are array expressions over the (n, n) adjacency array, which a graph builds
+once and keeps read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import Rng, is_int
-
-STOCHASTIC_TOL = 1e-12
 
 GRAPH_KINDS = ("triangle", "complete", "ring", "path", "random")
 
@@ -123,40 +126,14 @@ def _repair_connectivity(edges: set, n: int, rng: Rng) -> set:
     return edges
 
 
-@dataclass(frozen=True)
-class MixingMatrix:
-    """Doubly stochastic weight matrix over a graph; validated on construction."""
+def metropolis_weights(g: Graph) -> np.ndarray:
+    """Metropolis rule: w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal absorbs the rest.
 
-    W: np.ndarray
-    source_graph: Graph = field(repr=False)
-
-    def __post_init__(self):
-        W, g = self.W, self.source_graph
-        n = g.n_agents
-        if W.shape != (n, n):
-            raise ValueError("weight matrix shape does not match the graph")
-        if np.any(W < 0):
-            raise ValueError("weights must be nonnegative")
-        if not np.allclose(W, W.T, rtol=0.0, atol=STOCHASTIC_TOL):
-            raise ValueError("weight matrix must be symmetric")
-        ones = np.ones(n)
-        if np.max(np.abs(W @ ones - ones)) > STOCHASTIC_TOL:
-            raise ValueError("row sums must equal 1")
-        if np.max(np.abs(W.T @ ones - ones)) > STOCHASTIC_TOL:
-            raise ValueError("column sums must equal 1")
-        support = (g.adjacency() > 0) | np.eye(n, dtype=bool)
-        bad = np.argwhere(np.where(support, W <= 0, W != 0))
-        if len(bad):  # name the first offending entry in row-major order
-            i, j = bad[0]
-            if support[i, j]:
-                raise ValueError(f"weight w[{i},{j}] must be positive on the graph support")
-            raise ValueError(f"weight w[{i},{j}] must be zero off the graph support")
-
-
-def metropolis_weights(g: Graph) -> MixingMatrix:
-    """Metropolis rule: w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal absorbs the rest."""
+    Returns the (n, n) weight array, read-only like `Graph.adjacency()`.
+    """
     A = g.adjacency()
     deg = A.sum(axis=1)
     W = A / (1.0 + np.maximum.outer(deg, deg))
     np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    return MixingMatrix(W=W, source_graph=g)
+    W.flags.writeable = False
+    return W

@@ -63,13 +63,13 @@ def test_criterion_01_mixing_matrix_correctness():
                for n in (10, 25, 50)]
     ok = True
     for g in graphs:
-        W = metropolis_weights(g).W
+        W = metropolis_weights(g)
         ones = np.ones(g.n_agents)
         ok &= bool(np.all(W >= 0))
         ok &= bool(np.allclose(W, W.T, atol=1e-15))
         ok &= float(np.max(np.abs(W @ ones - ones))) <= 1e-12
         ok &= float(np.max(np.abs(W.T @ ones - ones))) <= 1e-12
-    tri = metropolis_weights(build_graph("triangle", 3)).W
+    tri = metropolis_weights(build_graph("triangle", 3))
     # every edge weight is exactly 1/3; the diagonal (1 - sum of the row's
     # edge weights) may differ from fl(1/3) by one rounding of that sum
     off = ~np.eye(3, dtype=bool)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -144,36 +145,47 @@ class TestBaselines:
         with pytest.raises(TypeError, match="eps_grad"):
             NaivePolyak(eps_grad=math.nan)
 
-    def test_dgd_custom_rule(self, triangle):
-        # a custom shared schedule runs through the `stepsizes` protocol
-        tr = run(triangle, _ReplayController([[0.1] * 3] * 10), 10, seed=0)
-        assert tr.records[5].alpha == (0.1, 0.1, 0.1)
+    def test_unknown_spec_is_a_type_error(self, triangle):
+        spec = object()
+        with pytest.raises(TypeError, match=f"^unknown algorithm spec {re.escape(repr(spec))}$"):
+            run(triangle, spec, 5)
 
 
-class _ReplayController:
-    """Stub stepsize rule replaying a fixed (round, agent) stepsize table."""
+class _Replay:
+    """Stub spec replaying a fixed (round, agent) stepsize table; the engine
+    runs it only under the `replayable` fixture."""
 
     def __init__(self, table):
-        self.table = table
-
-    def stepsizes(self, k, F, G, grad_sq):
-        return self.table[k]
+        self.table = np.asarray(table, dtype=float)
 
 
+@pytest.fixture
+def replayable(monkeypatch):
+    """Let `run` take a `_Replay` spec: its rule reads the gradients as the
+    Polyak rules do and returns the table's row of round k."""
+    stepsize_rule = engine._stepsize_rule
+
+    def rule(alg, inst, rounds):
+        if isinstance(alg, _Replay):
+            return None, lambda k, Z: (inst._values_grads(Z)[1], alg.table[k], None)
+        return stepsize_rule(alg, inst, rounds)
+
+    monkeypatch.setattr(engine, "_stepsize_rule", rule)
+
+
+@pytest.mark.usefixtures("replayable")
 class TestSharedTemplate:
     def test_replaying_dpsla_alphas_reproduces_its_trajectory(self, paper0):
         """dgd-style fixed schedules and dpsla share one consensus/projection
-        path: feeding dpsla's recorded stepsizes through a stub controller
-        yields the identical iterate sequence."""
+        path: feeding dpsla's recorded stepsizes through a stub rule yields
+        the identical iterate sequence."""
         tr = run(paper0, Dpsla(), 40, seed=0, keep_states=True)
-        alphas = [tr.records[k + 1].alpha for k in range(40)]
-        replay = run(paper0, _ReplayController(alphas), 40, seed=0, keep_states=True)
-        for xs_a, xs_b in zip(tr.states, replay.states):
-            for xa, xb in zip(xs_a, xs_b):
-                assert np.array_equal(xa, xb)
+        replay = run(paper0, _Replay(tr.alpha[1:]), 40, seed=0, keep_states=True)
+        assert np.array_equal(replay.alpha[1:], tr.alpha[1:])
+        assert np.array_equal(replay.states, tr.states)
 
     def test_mixing_preserves_average_with_zero_steps(self, paper0):
-        zero = _ReplayController([[0.0] * 4 for _ in range(30)])
+        zero = _Replay(np.zeros((30, 4)))
         tr = run(paper0, zero, 30, seed=0, keep_states=True)
         first = np.mean(np.stack(tr.states[0]), axis=0)
         for states in tr.states:
@@ -208,6 +220,15 @@ class TestInitialStates:
                    for _ in range(inst.n_agents)]
             got = run(inst, Dgd(), 1, seed=seed, x0="uniform", keep_states=True).states[0]
             assert got.tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize("radius", [4.0, 1e3, 1e6, 1e9])
+    def test_uniform_start_in_a_large_ball_is_feasible(self, radius):
+        # with an absolute slack, 48 of these 200 seeds failed at r=1e6
+        objectives = [QuadraticObjective.quadratic(np.eye(2), [float(i), 0.0]) for i in range(4)]
+        inst = ProblemInstance(objectives, ConstraintSet.ball([0.0, 0.0], radius),
+                               build_graph("ring", 4))
+        for seed in range(200):
+            run(inst, Dgd(), 3, seed=seed, x0="uniform")
 
     def test_unknown_policy_rejected(self, triangle):
         with pytest.raises(ValueError, match="unknown x0 policy 'bogus'"):
@@ -327,7 +348,7 @@ def _mixed_instance(constraint) -> ProblemInstance:
 
 def _reference_round(inst, W, xs, alphas):
     """One round agent by agent through the single-vector paths."""
-    zs = list(W.W @ np.stack(xs))
+    zs = list(W @ np.stack(xs))
     out = []
     for i, z in enumerate(zs):
         step = z - alphas[i] * inst.objectives[i]._grad(z)
@@ -336,11 +357,13 @@ def _reference_round(inst, W, xs, alphas):
 
 
 def _contains_reference(cs, x):
-    """The per-point membership test with slack 1e-12; the reference for
+    """The per-point membership test with slack 1e-12, for a ball times its
+    largest size (1, the radius or a center coordinate); the reference for
     `contains` and `_contains_rows`."""
     if cs.kind == "box":
         return bool(np.all(x >= cs.lower - 1e-12) and np.all(x <= cs.upper + 1e-12))
-    return float(np.linalg.norm(x - cs.ball_center)) <= cs.radius + 1e-12
+    scale = max(1.0, cs.radius, *np.abs(cs.ball_center))
+    return float(np.linalg.norm(x - cs.ball_center)) <= cs.radius + 1e-12 * scale
 
 
 class TestBatchedRound:
@@ -419,7 +442,7 @@ class TestBatchedRound:
             ref = _reference_round(inst, W, xs, tr.records[k + 1].alpha)
             for i, (x_new, x_ref) in enumerate(zip(tr.states[k + 1], ref)):
                 assert np.array_equal(x_new, x_ref), (k, i)
-                z = (W.W @ np.stack(xs))[i]
+                z = (W @ np.stack(xs))[i]
                 step = z - tr.records[k + 1].alpha[i] * inst.objectives[i]._grad(z)
                 if np.linalg.norm(step - inst.constraint.ball_center) > inst.constraint.radius:
                     projected += 1
@@ -442,17 +465,15 @@ class TestBatchedRound:
             assert [cs.contains(x) for x in X] == ref
             assert False in ref and True in ref
 
+    @pytest.mark.usefixtures("replayable")
     def test_infinite_step_holds_one_agent(self, triangle):
-        class OneInfinite:
-            def stepsizes(self, k, F, G, grad_sq):
-                return [0.1, math.inf, 0.1]
-
-        tr = run(triangle, OneInfinite(), 3, seed=0, x0="uniform", keep_states=True)
+        one_infinite = _Replay([[0.1, math.inf, 0.1]] * 3)
+        tr = run(triangle, one_infinite, 3, seed=0, x0="uniform", keep_states=True)
         W = metropolis_weights(triangle.graph)
         assert not tr.records[0].diverged
         assert all(r.diverged for r in tr.records[1:])
         for k in range(3):
-            Z = W.W @ tr.states[k]
+            Z = W @ tr.states[k]
             assert np.array_equal(tr.states[k + 1][1], Z[1])  # held at z
             ref = _reference_round(triangle, W, list(tr.states[k]), [0.1, math.inf, 0.1])
             for i in (0, 2):

@@ -226,6 +226,33 @@ class TestPhase1Vertex:
         assert s == np.max(G @ hi - b)
 
 
+class TestTwoRowWindow:
+    """A feasible window of two rows that the LP calls infeasible: the open
+    `_phase1_lp` defect that ROADMAP item 6's certificate would flag.
+
+    Row 0 is a `tests/util.one_row_windows` row (dim 2) that meets the box at
+    its corner hi; row 1 holds on the whole box. The row's x_2 coefficient is
+    about -2.3e-11 of its norm, within the LP's cost tolerance, so the LP ends
+    with x_2 at lo, where row 0 is violated by 5.5e-8.
+    """
+
+    A = np.array([[-584.8457234440508, -1.3569314442603039e-08],
+                  [0.04464902585188473, -1.0114974569203767]])
+    b = np.array([-2191.371454121958, 1.2339919334315979])
+    lo = np.array([0.08220097529707716, -0.10943964154719017])
+    hi = np.array([3.7469222501340496, 4.7951261485701036])
+
+    def test_the_box_corner_meets_both_rows(self):
+        assert np.max(self.A @ self.hi - self.b) < -EPS_FEAS  # -1.1e-8
+
+    @pytest.mark.xfail(strict=True, reason="open defect: _phase1_lp calls some feasible "
+                       "two-row windows infeasible (ROADMAP item 6)")
+    def test_check_finds_the_window_feasible(self):
+        system = InequalitySystem(2, bounds=(self.lo, self.hi))
+        system.load(self.A, self.b)
+        assert system.check_feasible().feasible
+
+
 class TestReset:
     """Loading an empty window resets a system."""
 

@@ -104,6 +104,21 @@ class TestConstraintSet:
                 lhs = np.linalg.norm(cs.project(u) - cs.project(v))
                 assert lhs <= np.linalg.norm(u - v) + 1e-12
 
+    # (center, radius, distance past the sphere that must be rejected)
+    @pytest.mark.parametrize("center, radius, out", [
+        ([0.0, 0.0], 4.0, 4e-6), ([0.0, 0.0], 1e3, 1e-3), ([0.0, 0.0], 1e6, 1.0),
+        ([0.0, 0.0], 1e9, 1e3), ([1e6, -1e6], 1.0, 1e-4)])
+    def test_ball_membership_slack_scales_with_the_ball(self, center, radius, out):
+        # rows projected onto the sphere carry a rounding error of the ball's size,
+        # which an absolute slack of 1e-12 rejected for about a third of them at r=1e6
+        cs = ConstraintSet.ball(center, radius)
+        gen = np.random.default_rng(7)
+        U = gen.normal(size=(2000, 2))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        P = cs._project_rows(cs.center() + 3.0 * radius * U)
+        assert cs._contains_rows(P).all()
+        assert not cs._contains_rows(cs.center() + (radius + out) * U).any()
+
     def test_bad_box(self):
         with pytest.raises(ValueError):
             ConstraintSet.box([1.0, 0.0], [0.0, 1.0])
@@ -156,6 +171,12 @@ class TestGenerators:
             assert obj.A.shape == (2, 6)
             assert np.all(obj.A >= 0) and np.all(obj.A < 0.1)
             assert np.all(obj.b >= 0) and np.all(obj.b < 5.0)
+
+    def test_paper_instance_needs_an_rng_keyword(self):
+        with pytest.raises(TypeError, match="rng"):
+            gen_paper_instance()
+        with pytest.raises(TypeError):
+            gen_paper_instance(4, 6, 2, Rng(0))
 
     def test_paper_instance_bounds_formula(self):
         inst = gen_paper_instance(rng=Rng(1))
