@@ -17,6 +17,20 @@ step is not finite holds its z and marks the run as diverged. Every agent's
 update depends only on the previous round's states; the run is single threaded
 and deterministic for a fixed (instance, algorithm, seed).
 
+A run often reaches a fixed point long before its last round: on the paper's
+box the clip holds the iterates at a vertex, and naive Polyak's stepsizes read
+Z alone. Every 16th round the loop tests whether the new state repeats the
+previous one bit for bit (`tobytes`, since -0.0 == 0.0). If it does, it asks
+the rule for the stepsizes of the remaining rounds: naive Polyak answers its
+current ones, DGD the rest of its schedule, and DPS-LA cap / c_k, but only
+after a round in which no witness fell (`LevelWindows.quiet`), because then F,
+G, the levels, the caps and every verdict repeat with Z. `_settled` accepts the
+answer when it equals the current stepsizes bit for bit, on any set, or, on a
+box, when the projected steps at each agent's smallest and largest remaining
+stepsize land on the state again. The loop then writes the remaining rows in
+bulk, with the bits that simulating them gives, and `RunTrace.settled` names
+the first of them.
+
 With a handful of agents the number of calls per round, not their size, sets
 the cost of a run, so the loop keeps them few: it looks up what it needs once,
 mixes by the bare `np.matmul` (X is finite by construction), tests the whole
@@ -124,6 +138,7 @@ class RunTrace:
     diverged: np.ndarray  # (T+1,) bool: some round so far produced a non-finite step
     residual: np.ndarray | None  # (T+1,); None without an oracle
     consensus_error: np.ndarray  # (T+1,)
+    settled: int | None  # first row written without simulating its round; None if none
     states: np.ndarray | None = None  # (T+1, n, dim), only when keep_states=True
 
     @property
@@ -219,7 +234,11 @@ _VALIDATE_MESSAGES = {
 # and picks the stepsizes of all agents:
 # rule(k, Z) -> (G (n, dim), alpha (n,), level_updated (n,) bool or None).
 # DGD reads only the gradients; the Polyak rules also read the values F and
-# grad_sq = ||g_i||^2.
+# grad_sq = ||g_i||^2. Its companion remaining(k, alpha) is asked only after
+# round k - 1 repeated the state it started from, with alpha that round's
+# stepsizes: it gives the stepsizes of rounds k..rounds-1, (rounds - k, n) or
+# one (1, n) row for all of them, if the rule fixes them as long as the states
+# repeat, and None if it does not.
 
 
 def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
@@ -243,18 +262,23 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
         except SolverStallError as exc:
             raise SolverStallError(f"round {k}, {exc}") from exc
 
-    return windows.level, rule
+    def remaining(k, alpha):
+        # with no fallen witness, F, G, the levels, the caps and every witness
+        # verdict repeat with Z, and only c_k moves the stepsizes
+        return cap / c[k:, None] if windows.quiet else None
+
+    return windows.level, rule, remaining
 
 
 def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
-    """(level array or None, rule) for a Dpsla, Dgd or NaivePolyak spec run for
-    `rounds` rounds; any other spec is a TypeError."""
+    """(level array or None, rule, remaining) for a Dpsla, Dgd or NaivePolyak
+    spec run for `rounds` rounds; any other spec is a TypeError."""
     n, values_grads = inst.n_agents, inst._values_grads
     if isinstance(alg, Dpsla):
         return _dpsla_rule(alg, inst, rounds)
     if isinstance(alg, Dgd):  # reads no value: gradients only
         table, grads = np.repeat(alg.schedule(rounds)[:, None], n, axis=1), inst._grads
-        return None, lambda k, Z: (grads(Z), table[k], None)
+        return None, lambda k, Z: (grads(Z), table[k], None), lambda k, alpha: table[k:]
     if isinstance(alg, NaivePolyak):
         if alg.target == "local_min":
             targets = np.array([minimize_local(o, inst.constraint)[1] for o in inst.objectives])
@@ -271,13 +295,41 @@ def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
             ok = (grad_sq > eps_sq) & np.isfinite(grad_sq)
             return G, np.where(ok, (F - targets) / np.where(ok, grad_sq, 1.0), 0.0), None
 
-        return None, naive
+        # the stepsizes read Z alone, so every later round repeats this one
+        return None, naive, lambda k, alpha: alpha[None]
     raise TypeError(f"unknown algorithm spec {alg!r}")
 
 
 # -- run loop --------------------------------------------------------------------
 
 _CHUNK = 256  # rounds whose states are buffered before their metrics are computed
+_SETTLE_EVERY = 16  # rounds between two tests of whether the state repeats
+
+
+def _settled(rest, alpha: np.ndarray, Z: np.ndarray, G: np.ndarray, X: np.ndarray,
+             constraint: ConstraintSet) -> bool:
+    """Whether every remaining round lands on X again, once the last round took
+    its states from Z with stepsizes `alpha`, gradients G and landed on X, the
+    state it started from.
+
+    `rest` is the rule's answer: the stepsizes of the remaining rounds, or None
+    where the rule does not fix them. Stepsizes equal to `alpha` bit for bit
+    repeat the round on any set. Other stepsizes settle only on a box, and only
+    when the projected steps at each agent's smallest and largest remaining
+    stepsize are finite and land on X: clipping and IEEE rounding are monotone,
+    so every stepsize in between lands there too.
+    """
+    if rest is None:
+        return False
+    if (rest.view(np.int64) == alpha.view(np.int64)).all():
+        return True
+    if constraint.kind != "box":
+        return False
+    for a in (rest.min(0), rest.max(0)):
+        step = Z - a[:, None] * G
+        if not (np.isfinite(step).all() and constraint._project_rows(step).tobytes() == X.tobytes()):
+            return False
+    return True
 
 
 def _initial_states(inst: ProblemInstance, policy: str, rng: Rng) -> np.ndarray:
@@ -298,34 +350,40 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
     k-1 together with the stepsizes applied and any level updates made during
     that round. The metric columns are computed once per `_CHUNK` rounds from
     a buffer of their states; only `keep_states` and `validate` keep them all.
+    Every `_SETTLE_EVERY` rows the run tests whether the new state repeats the
+    previous one bit for bit; if it does and `_settled` finds that every
+    remaining round lands on it again, the remaining rows are written at once
+    and `RunTrace.settled` names the first of them.
     With `validate=True` the run raises AssertionError naming the first round
     and agent that breaks iterate feasibility or, for DPS-LA, the stepsize
     corridor or alpha or level monotonicity (`first_violations`).
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    if not (is_int(iterations) and iterations >= 1):
+        raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
     n, rows, keep = inst.n_agents, iterations + 1, keep_states or validate
     W = metropolis_weights(inst.graph)
     X = _initial_states(inst, x0, Rng(seed))
     if not inst.constraint._contains_rows(X).all():
         raise ValueError("initial states must be feasible")
-    level, rule = _stepsize_rule(alg, inst, iterations)
+    level, rule, remaining = _stepsize_rule(alg, inst, iterations)
     S = np.empty((rows if keep else min(rows, _CHUNK), n, inst.dim))
     trace = RunTrace(alpha=np.full((rows, n), np.nan if level is None else alg.stepsize.alpha0),
                      level=None if level is None else np.tile(level, (rows, 1)),
                      level_updated=np.zeros((rows, n), dtype=bool),
                      diverged=np.zeros(rows, dtype=bool),
                      residual=None if inst.optimum is None else np.empty(rows),
-                     consensus_error=np.empty(rows),
+                     consensus_error=np.empty(rows), settled=None,
                      states=S if keep else None)
     S[0] = X
-    project = inst.constraint._project_rows
+    constraint = inst.constraint
+    project = constraint._project_rows
     alphas, levels, level_updated = trace.alpha, trace.level, trace.level_updated
 
     for r in range(1, rows):  # row r is filled by round r - 1
         Z = mix(W, X)
         G, alpha, updated = rule(r - 1, Z)
         step = Z - alpha[:, None] * G
+        prev = X
         if np.isfinite(step).all():
             X = project(step)
         else:  # hold position on non-finite rows; the trace keeps the divergence flag
@@ -337,12 +395,25 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
         if levels is not None:
             levels[r], level_updated[r] = level, updated
         S[r if keep else r % _CHUNK] = X
-        if r % _CHUNK == _CHUNK - 1 or r == iterations:  # the chunk's metrics
+        settle = (r % _SETTLE_EVERY == 0 and r < iterations and X.tobytes() == prev.tobytes()
+                  and _settled(rest := remaining(r, alpha), alpha, Z, G, X, constraint))
+        if settle or r % _CHUNK == _CHUNK - 1 or r == iterations:  # the chunk's metrics
             lo = r - r % _CHUNK
             block = S[lo:r + 1] if keep else S[:r + 1 - lo]
             trace.consensus_error[lo:r + 1] = consensus_error(block)
             if trace.residual is not None:
                 trace.residual[lo:r + 1] = residual(inst, block)
+        if settle:  # rows r+1.. repeat X; level_updated stays False and diverged as it is
+            trace.settled = r + 1
+            alphas[r + 1:] = rest
+            if levels is not None:
+                levels[r + 1:] = level
+            if keep:
+                S[r + 1:] = X
+            trace.consensus_error[r + 1:] = consensus_error(X)
+            if trace.residual is not None:
+                trace.residual[r + 1:] = residual(inst, X)
+            break
 
     if validate:
         cfg = alg.stepsize if isinstance(alg, Dpsla) else None
@@ -385,12 +456,18 @@ def run_speedup_sweep(agent_counts: Sequence[int], T: int, seeds: Sequence[int],
     network size. Instances are regenerated per (n, seed) by `gen_paper_instance`
     with its default shape and graph, so total data grows with n."""
     counts, seeds = list(agent_counts), list(seeds)
+    for n in counts:
+        if not (is_int(n) and n >= 2):
+            raise ValueError(f"agent_counts must hold integers >= 2, got {n!r}")
     if any(a >= b for a, b in zip(counts, counts[1:])):
         raise ValueError("agent_counts must be strictly ascending")
     if not seeds:
         raise ValueError("seeds must not be empty")
-    if T < 2:
-        raise ValueError("T must be >= 2")
+    for seed in seeds:  # a seed fills the bits above an agent count's 16 of the instance seed
+        if not (is_int(seed) and 0 <= seed < 2 ** 48):
+            raise ValueError(f"seeds must be integers in [0, 2**48), got {seed!r}")
+    if not (is_int(T) and T >= 2):
+        raise ValueError(f"T must be an integer >= 2, got {T!r}")
     rows = []
     means = {}
     M = T // 2

@@ -127,7 +127,10 @@ class LevelWindows:
     rows, oldest first; the cap keeps at most `eta_cap` of them, and a level
     update resets the window to zero rows. Every window lies in the finite box
     `bounds`. While `count[i] > 0`, `witness[i]` satisfies every row of agent
-    i's window within EPS_FEAS (and lies in the box).
+    i's window within EPS_FEAS (and lies in the box). `quiet` says whether every
+    witness held in the last round `record_step` took; a quiet round changes no
+    level, no witness and no verdict, so a round that repeats its inputs
+    repeats it.
     """
 
     def __init__(self, level0, dim: int, bounds: tuple[np.ndarray, np.ndarray],
@@ -142,6 +145,7 @@ class LevelWindows:
         self.count = np.zeros(n, dtype=np.int64)  # rows in each window
         self.witness = np.zeros((n, dim))
         self.rows = 0  # rounds held in G, b, F and active
+        self.quiet = False  # no witness fell in the last recorded round
         self.G, self.active = np.empty((WINDOW_ROWS, n, dim)), np.empty((WINDOW_ROWS, n), bool)
         self.b, self.F = np.empty((WINDOW_ROWS, n)), np.empty((WINDOW_ROWS, n))
         self.system = InequalitySystem(dim, bounds=bounds)  # reused for every check
@@ -182,7 +186,8 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     (beta / gamma_bar) ||g||^2 with beta the Polyak value written into the
     constraint (raw or lower-clamped per config), and the b of the other agents
     is ignored (NaN is fine). An agent whose witness survives its new row stays
-    feasible, and a round in which every witness survives only stores its rows.
+    feasible, and a round in which every witness survives only stores its rows
+    and sets `win.quiet`.
     For the others only the new row can miss the box (every older row passed a
     witness test or a check, and both leave a point of the box on its side),
     so a new row that misses the box, tested at its minimizer over the box,
@@ -203,7 +208,8 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     win.count += active
     if win.eta_cap is not None:
         np.minimum(win.count, win.eta_cap, out=win.count)
-    if not updated.any():
+    win.quiet = not updated.any()
+    if win.quiet:
         return updated
     system = win.system
     lo, hi = system.bounds

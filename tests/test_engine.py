@@ -162,12 +162,14 @@ class _Replay:
 @pytest.fixture
 def replayable(monkeypatch):
     """Let `run` take a `_Replay` spec: its rule reads the gradients as the
-    Polyak rules do and returns the table's row of round k."""
+    Polyak rules do and returns the table's row of round k, and it answers the
+    table's remaining rows when the state repeats."""
     stepsize_rule = engine._stepsize_rule
 
     def rule(alg, inst, rounds):
         if isinstance(alg, _Replay):
-            return None, lambda k, Z: (inst._values_grads(Z)[1], alg.table[k], None)
+            return (None, lambda k, Z: (inst._values_grads(Z)[1], alg.table[k], None),
+                    lambda k, alpha: alg.table[k:])
         return stepsize_rule(alg, inst, rounds)
 
     monkeypatch.setattr(engine, "_stepsize_rule", rule)
@@ -279,7 +281,7 @@ class TestSweep:
             run_speedup_sweep([4], 40, [], alg=sweep_algorithm())
 
     def test_short_horizon_rejected(self):
-        with pytest.raises(ValueError, match="T must be >= 2"):
+        with pytest.raises(ValueError, match="T must be an integer >= 2, got 1$"):
             run_speedup_sweep([4], 1, [0], alg=sweep_algorithm())
 
     def test_algorithm_required(self):
@@ -586,7 +588,9 @@ class TestColumnarTrace:
         assert (recs[0].alpha == (None,) * 4) == (not isinstance(alg, Dpsla))
 
     def test_metrics_per_chunk(self, paper0, monkeypatch):
-        # without kept states the metrics see at most _CHUNK rounds at a time
+        # without kept states the metrics see at most _CHUNK rounds at a time;
+        # the run is held from settling, which it does at row 65
+        monkeypatch.setattr(engine, "_settled", lambda *args: False)
         blocks = []
 
         def spy(xs):
@@ -639,20 +643,194 @@ class TestSimplexCalls:
         assert len(lp_rows) >= 10 and min(lp_rows) >= 2
 
 
+def _main_instance_seed(seed):
+    cfg = cli.parse_config(json.dumps({"problem": {"seed": seed}}))
+    inst = cli.build_instance(cfg)
+    inst.ensure_optimum()
+    return inst, cli.build_algorithm(cfg)
+
+
+_COLUMNS = ("alpha", "level", "level_updated", "diverged", "residual", "consensus_error", "states")
+
+
+def _same_rows(got, want, rows=None):
+    """Every trace column of `got` has the bits of `want`'s first `rows` rows."""
+    for col in _COLUMNS:
+        a, b = getattr(got, col), getattr(want, col)
+        assert (a is None) == (b is None), col
+        if a is not None:
+            assert a.tobytes() == b[:rows].tobytes(), col
+
+
+@pytest.fixture
+def never_settle(monkeypatch):
+    """Runs simulate every round."""
+    monkeypatch.setattr(engine, "_settled", lambda *args: False)
+
+
+@pytest.fixture
+def settle_checks(monkeypatch):
+    """(row, rule's answer is None, settled) of every `_settled` call from now on."""
+    calls, settled = [], engine._settled
+
+    def spy(rest, alpha, Z, G, X, constraint):
+        result = settled(rest, alpha, Z, G, X, constraint)
+        calls.append((rest is None, result))
+        return result
+
+    monkeypatch.setattr(engine, "_settled", spy)
+    return calls
+
+
+def _settle_corpus():
+    """(name, instance, algorithm, T, run keywords) of the runs whose settled
+    traces are compared with fully simulated ones."""
+    cases = []
+    for seed in range(10):  # `reproduce main`
+        inst, alg = _main_instance_seed(seed)
+        cases += [(f"main{seed}-dpsla", inst, alg, 300, {}),
+                  (f"main{seed}-dgd", inst, Dgd(), 300, {})]
+    tri = gen_triangle_demo()  # `reproduce divergence`
+    tri.ensure_optimum(1e-11)
+    cases += [("tri-dgd", tri, Dgd(), 500, {}), ("tri-naive", tri, NaivePolyak(), 500, {})]
+    for n in range(3, 7):
+        inst = gen_paper_instance(n=n, rng=Rng(100 + n))
+        inst.ensure_optimum()
+        cases += [(f"paper{n}-cap{cap}", inst, Dpsla(eta_cap=cap), 300, {}) for cap in (None, 1, 3)]
+        cases += [(f"paper{n}-uniform", inst, Dpsla(), 300, {"x0": "uniform", "seed": n}),
+                  (f"paper{n}-naive", inst, NaivePolyak(), 300, {"x0": "uniform", "seed": n})]
+    inst, _ = _main_instance_seed(0)
+    for name, cfg in (("clamped", StepsizeConfig(constraint_beta="clamped")),
+                      ("constant", StepsizeConfig(c_kind="constant")),
+                      ("constant-small", StepsizeConfig(c_kind="constant", alpha0=0.2))):
+        cases.append((name, inst, Dpsla(stepsize=cfg), 300, {}))
+    return cases
+
+
+class TestSettle:
+    """A run whose state repeats writes its remaining rows with the bits that
+    simulating them gives."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return _settle_corpus()
+
+    def test_settled_rows_equal_simulated_rows(self, corpus, monkeypatch):
+        settled = {}
+        for name, inst, alg, T, kw in corpus:
+            got = run(inst, alg, T, keep_states=True, **kw)
+            bare = run(inst, alg, T, **kw)
+            settled[name] = got.settled
+            with monkeypatch.context() as m:
+                m.setattr(engine, "_settled", lambda *args: False)
+                want = run(inst, alg, T, keep_states=True, **kw)
+            assert want.settled is None
+            _same_rows(got, want)
+            assert bare.settled == got.settled and bare.states is None
+            bare.states = want.states
+            _same_rows(bare, want)
+        # where the data says the corpus settles: naive Polyak on the triangle
+        # repeats its state from row 49, and the check at row 64 settles it
+        assert settled["tri-naive"] == 65
+        assert settled["main0-dpsla"] == 65 and settled["main9-dgd"] == 225
+        assert settled["main0-dgd"] is None and settled["tri-dgd"] is None
+        assert sum(v is not None for v in settled.values()) >= len(settled) // 2
+
+    @pytest.mark.parametrize("case", ["main0-dpsla", "main9-dgd", "tri-naive", "constant"])
+    def test_rows_of_a_short_run_begin_the_long_run(self, corpus, case):
+        _, inst, alg, T, kw = next(c for c in corpus if c[0] == case)
+        long = run(inst, alg, T, keep_states=True, **kw)
+        for short_T in (T // 4, T // 2 + 1):
+            short = run(inst, alg, short_T, keep_states=True, **kw)
+            _same_rows(short, long, short_T + 1)
+
+    def test_no_settling_in_a_round_where_a_witness_fell(self, settle_checks):
+        # main seed 0 repeats its state at rows 32 and 48, where a witness fell
+        inst, alg = _main_instance_seed(0)
+        tr = run(inst, alg, 64, keep_states=True)
+        assert tr.settled is None
+        assert (True, False) in settle_checks
+        assert all(tr.states[r].tobytes() == tr.states[r - 1].tobytes() for r in (32, 48))
+
+    def test_no_settling_on_a_ball_with_shrinking_stepsizes(self, settle_checks):
+        # three agents pulled to (2, 0) from inside the unit ball: the state sits
+        # at (1, 0) and repeats, yet DGD and DPS-LA with c_k = sqrt(k+1) shrink
+        # their stepsizes, which a ball projection settles only by equality;
+        # with a constant c_k the rounds repeat and the run settles
+        objectives = [QuadraticObjective.least_squares(np.eye(2), [2.0, 0.0])] * 3
+        inst = ProblemInstance(objectives, ConstraintSet.ball([0.0, 0.0], 1.0),
+                               build_graph("ring", 3))
+        for alg in (Dgd(), Dpsla()):
+            tr = run(inst, alg, 100, keep_states=True)
+            assert tr.settled is None
+            assert tr.states[-1].tolist() == [[1.0, 0.0]] * 3
+        assert (False, False) in settle_checks
+        const = Dpsla(stepsize=StepsizeConfig(c_kind="constant"))
+        assert run(inst, const, 100).settled is not None
+
+    @pytest.mark.usefixtures("replayable")
+    def test_no_settling_on_a_box_whose_last_stepsize_leaves_the_state(self, settle_checks):
+        # main seed 9's DGD settles at row 225; with its last stepsize 1e-300
+        # the last step lands on Z, which lies inside the box, so the clip no
+        # longer holds the state in place
+        inst, _ = _main_instance_seed(9)
+        T = 300
+        table = np.repeat(Dgd().schedule(T)[:, None], inst.n_agents, axis=1)
+        assert run(inst, _Replay(table), T).settled == 225
+        table[-1] = 1e-300
+        tr = run(inst, _Replay(table), T, keep_states=True)
+        assert tr.settled is None and (False, False) in settle_checks
+        assert tr.states[-2].tobytes() == tr.states[-3].tobytes()
+        assert tr.states[-1].tobytes() != tr.states[-2].tobytes()
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("iterations", [True, 2.0, 0, -3])
+    def test_run_iterations(self, triangle, iterations):
+        # True ran one round; 2.0 raised a bare TypeError
+        with pytest.raises(ValueError,
+                           match=re.escape(f"iterations must be an integer >= 1, got {iterations!r}")):
+            run(triangle, Dgd(), iterations)
+
+    def test_numpy_integers_accepted(self, triangle):
+        assert run(triangle, Dgd(), np.int64(3)).alpha.shape == (4, 3)
+        assert [r[:2] for r in run_speedup_sweep([np.int32(3)], np.int64(4), [np.uint8(2)],
+                                                 sweep_algorithm()).rows] == [(3, 2)]
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, 2 ** 48])
+    def test_sweep_seeds(self, seed):
+        # 1.5 ran and reported seed 1; -1 was reported as "got -65533"
+        with pytest.raises(ValueError, match=re.escape(f"seeds must be integers in [0, 2**48), got {seed!r}")):
+            run_speedup_sweep([3], 4, [0, seed], sweep_algorithm())
+
+    @pytest.mark.parametrize("T", [4.0, True, 1])
+    def test_sweep_horizon(self, T):
+        with pytest.raises(ValueError, match=re.escape(f"T must be an integer >= 2, got {T!r}")):
+            run_speedup_sweep([3], T, [0], sweep_algorithm())
+
+    @pytest.mark.parametrize("n", [3.0, 1, np.float64(4)])
+    def test_sweep_agent_counts(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"agent_counts must hold integers >= 2, got {n!r}")):
+            run_speedup_sweep([2, n], 4, [0], sweep_algorithm())
+
+
 class TestRoundBudget:
-    """Calls that dpsla's own frames make per round of `run`.
+    """Calls that dpsla's own frames make per simulated round of `run`.
 
     A profile hook counts every call whose calling Python frame belongs to a
     dpsla source file, in a T-round and a 2T-round run; the difference
     divided by T leaves out the set-up. What numpy's Python wrappers call in
     turn is not counted, so a budget moves when dpsla's per-round code
-    changes, not when numpy's wrappers do. The four shapes
-    are the `reproduce main` instance (seed 0) under DPS-LA and DGD, and the
-    triangle under DGD and naive Polyak."""
+    changes, not when numpy's wrappers do. The counted runs never settle, so
+    every round is simulated; the test of whether the state repeats, made
+    every 16th round, adds 0.125 calls per round. The four shapes are the
+    `reproduce main` instance (seed 0) under DPS-LA with `sweep_algorithm()`
+    and under DGD, and the triangle under DGD and, for T=16, naive Polyak,
+    which settles at row 65."""
 
     ROOT = os.path.dirname(dpsla.__file__) + os.sep
 
-    def calls_per_round(self, inst, alg, T=256):
+    def calls_per_round(self, inst, alg, T):
         def count(rounds):
             calls = 0
 
@@ -664,24 +842,27 @@ class TestRoundBudget:
 
             sys.setprofile(hook)
             try:
-                run(inst, alg, rounds)
+                trace = run(inst, alg, rounds)
             finally:
                 sys.setprofile(None)
+            assert trace.settled is None
             return calls
 
         run(inst, alg, 3)  # fill the instance's cached stacks before counting
         return (count(2 * T) - count(T)) / T
 
-    # measured 16.2, 9.1, 10.1 and 13.1 with numpy 2.4 and Python 3.11; the test
+    # measured 16.3, 9.2, 10.2 and 13.1 with numpy 2.4 and Python 3.11; the test
     # ids name the shape only, so that a new budget keeps them
     BUDGETS = {"dpsla_main": 17, "dgd_main": 10, "dgd_triangle": 11, "naive_triangle": 14}
 
     @pytest.mark.parametrize("shape", BUDGETS)
     def test_calls_per_round(self, shape, triangle):
+        T = 256
         if shape.endswith("main"):
-            inst, alg = _main_instance()
-            alg = alg if shape.startswith("dpsla") else Dgd(scale=2.0)
+            inst, _ = _main_instance()
+            alg = sweep_algorithm() if shape.startswith("dpsla") else Dgd(scale=2.0)
+        elif shape.startswith("dgd"):
+            inst, alg = triangle, Dgd(scale=2.0)
         else:
-            inst = triangle
-            alg = Dgd(scale=2.0) if shape.startswith("dgd") else NaivePolyak(target="local_min")
-        assert self.calls_per_round(inst, alg) <= self.BUDGETS[shape]
+            inst, alg, T = triangle, NaivePolyak(target="local_min"), 16
+        assert self.calls_per_round(inst, alg, T) <= self.BUDGETS[shape]

@@ -223,7 +223,8 @@ class TestLines:
         diverged = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
         tr = RunTrace(alpha=table[:, 2:2 + n], level=None if baseline else table[:, 2 + n:2 + 2 * n],
                       level_updated=np.zeros((rows, n), dtype=bool), diverged=diverged,
-                      residual=None if baseline else table[:, 0], consensus_error=table[:, 1])
+                      residual=None if baseline else table[:, 0], consensus_error=table[:, 1],
+                      settled=None)
         p = tmp_path_factory.mktemp("csv") / "t.csv"
         write_csv(tr, p, record_every=record_every)
         ks = sorted({*range(0, rows, record_every), rows - 1})

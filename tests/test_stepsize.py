@@ -381,6 +381,22 @@ class TestRecordStep:
         G_1, b_1, _ = win.window(1)  # a non-empty window keeps a witness
         assert (G_1 @ win.witness[1] - b_1 <= EPS_FEAS).all()
 
+    def test_quiet_only_when_every_witness_holds(self):
+        # a round is quiet when no active agent's witness falls; updating no
+        # level is not enough: a fresh window and a window the LP keeps feasible
+        # update none, yet a witness fell in both
+        cfg = cfg_unit()
+        win = LevelWindows([-5.0, -5.0], 1, bounds=(np.array([-1.0]), np.array([1.0])))
+        active, G, F = np.array([True, True]), np.array([[1.0], [1.0]]), np.array([1.0, 2.0])
+        rounds = [(G, [0.5, 0.5], active), (G, [0.5, 0.5], active),
+                  (np.array([[1.0], [-1.0]]), [0.5, -0.2], active),
+                  (np.array([[1.0], [-1.0]]), [0.5, -0.2], active),
+                  (G, [-5.0, -5.0], np.array([False, False]))]
+        got = [(record_step(win, cfg, g, np.array(b), F, a).any(), win.quiet)
+               for g, b, a in rounds]
+        assert got == [(False, False), (False, True), (False, False), (False, True),
+                       (False, True)]
+
     @pytest.mark.parametrize("dim", [1, 3, 17, 81, 100, 200])
     def test_one_row_windows_decided_as_the_check_decides_them(self, dim, monkeypatch):
         # fresh windows, so every active agent's window is its new row: each is
