@@ -175,6 +175,12 @@ def replayable(monkeypatch):
     monkeypatch.setattr(engine, "_stepsize_rule", rule)
 
 
+@pytest.fixture
+def never_settle(monkeypatch):
+    """Runs simulate every round."""
+    monkeypatch.setattr(engine, "_settled", lambda *args: False)
+
+
 @pytest.mark.usefixtures("replayable")
 class TestSharedTemplate:
     def test_replaying_dpsla_alphas_reproduces_its_trajectory(self, paper0):
@@ -587,10 +593,10 @@ class TestColumnarTrace:
         assert engine._RECORD_BLOCK == 64 and [r.k for r in recs[::-1]] == list(range(T, -1, -1))
         assert (recs[0].alpha == (None,) * 4) == (not isinstance(alg, Dpsla))
 
+    @pytest.mark.usefixtures("never_settle")
     def test_metrics_per_chunk(self, paper0, monkeypatch):
         # without kept states the metrics see at most _CHUNK rounds at a time;
         # the run is held from settling, which it does at row 65
-        monkeypatch.setattr(engine, "_settled", lambda *args: False)
         blocks = []
 
         def spy(xs):
@@ -610,8 +616,8 @@ class TestColumnarTrace:
             assert tr.residual[k] == residual(paper0, kept.states[k])
 
 
-def _main_instance():
-    cfg = cli.parse_config(json.dumps({"problem": {"seed": 0}}))
+def _main_instance(seed=0):
+    cfg = cli.parse_config(json.dumps({"problem": {"seed": seed}}))
     inst = cli.build_instance(cfg)
     inst.ensure_optimum()
     return inst, cli.build_algorithm(cfg)
@@ -643,13 +649,6 @@ class TestSimplexCalls:
         assert len(lp_rows) >= 10 and min(lp_rows) >= 2
 
 
-def _main_instance_seed(seed):
-    cfg = cli.parse_config(json.dumps({"problem": {"seed": seed}}))
-    inst = cli.build_instance(cfg)
-    inst.ensure_optimum()
-    return inst, cli.build_algorithm(cfg)
-
-
 _COLUMNS = ("alpha", "level", "level_updated", "diverged", "residual", "consensus_error", "states")
 
 
@@ -660,12 +659,6 @@ def _same_rows(got, want, rows=None):
         assert (a is None) == (b is None), col
         if a is not None:
             assert a.tobytes() == b[:rows].tobytes(), col
-
-
-@pytest.fixture
-def never_settle(monkeypatch):
-    """Runs simulate every round."""
-    monkeypatch.setattr(engine, "_settled", lambda *args: False)
 
 
 @pytest.fixture
@@ -687,7 +680,7 @@ def _settle_corpus():
     traces are compared with fully simulated ones."""
     cases = []
     for seed in range(10):  # `reproduce main`
-        inst, alg = _main_instance_seed(seed)
+        inst, alg = _main_instance(seed)
         cases += [(f"main{seed}-dpsla", inst, alg, 300, {}),
                   (f"main{seed}-dgd", inst, Dgd(), 300, {})]
     tri = gen_triangle_demo()  # `reproduce divergence`
@@ -699,7 +692,7 @@ def _settle_corpus():
         cases += [(f"paper{n}-cap{cap}", inst, Dpsla(eta_cap=cap), 300, {}) for cap in (None, 1, 3)]
         cases += [(f"paper{n}-uniform", inst, Dpsla(), 300, {"x0": "uniform", "seed": n}),
                   (f"paper{n}-naive", inst, NaivePolyak(), 300, {"x0": "uniform", "seed": n})]
-    inst, _ = _main_instance_seed(0)
+    inst, _ = _main_instance(0)
     for name, cfg in (("clamped", StepsizeConfig(constraint_beta="clamped")),
                       ("constant", StepsizeConfig(c_kind="constant")),
                       ("constant-small", StepsizeConfig(c_kind="constant", alpha0=0.2))):
@@ -746,7 +739,7 @@ class TestSettle:
 
     def test_no_settling_in_a_round_where_a_witness_fell(self, settle_checks):
         # main seed 0 repeats its state at rows 32 and 48, where a witness fell
-        inst, alg = _main_instance_seed(0)
+        inst, alg = _main_instance(0)
         tr = run(inst, alg, 64, keep_states=True)
         assert tr.settled is None
         assert (True, False) in settle_checks
@@ -755,8 +748,9 @@ class TestSettle:
     def test_no_settling_on_a_ball_with_shrinking_stepsizes(self, settle_checks):
         # three agents pulled to (2, 0) from inside the unit ball: the state sits
         # at (1, 0) and repeats, yet DGD and DPS-LA with c_k = sqrt(k+1) shrink
-        # their stepsizes, which a ball projection settles only by equality;
-        # with a constant c_k the rounds repeat and the run settles
+        # their stepsizes, and the ball projection of (1 + 2a, 0) rounds to
+        # 1 - 2**-53 for some a: DPS-LA's state repeats at row 64 and leaves it
+        # at row 69. With a constant c_k the rounds repeat and the run settles.
         objectives = [QuadraticObjective.least_squares(np.eye(2), [2.0, 0.0])] * 3
         inst = ProblemInstance(objectives, ConstraintSet.ball([0.0, 0.0], 1.0),
                                build_graph("ring", 3))
@@ -765,6 +759,8 @@ class TestSettle:
             assert tr.settled is None
             assert tr.states[-1].tolist() == [[1.0, 0.0]] * 3
         assert (False, False) in settle_checks
+        assert tr.states[64].tobytes() == tr.states[63].tobytes()
+        assert tr.states[69].tolist() == [[1.0 - 2.0 ** -53, 0.0]] * 3
         const = Dpsla(stepsize=StepsizeConfig(c_kind="constant"))
         assert run(inst, const, 100).settled is not None
 
@@ -773,7 +769,7 @@ class TestSettle:
         # main seed 9's DGD settles at row 225; with its last stepsize 1e-300
         # the last step lands on Z, which lies inside the box, so the clip no
         # longer holds the state in place
-        inst, _ = _main_instance_seed(9)
+        inst, _ = _main_instance(9)
         T = 300
         table = np.repeat(Dgd().schedule(T)[:, None], inst.n_agents, axis=1)
         assert run(inst, _Replay(table), T).settled == 225
