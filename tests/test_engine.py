@@ -663,7 +663,7 @@ def _same_rows(got, want, rows=None):
 
 @pytest.fixture
 def settle_checks(monkeypatch):
-    """(row, rule's answer is None, settled) of every `_settled` call from now on."""
+    """(the rule's answer is None, the run settled) of every `_settled` call from now on."""
     calls, settled = [], engine._settled
 
     def spy(rest, alpha, Z, G, X, constraint):
@@ -731,9 +731,10 @@ class TestSettle:
 
     @pytest.mark.parametrize("case", ["main0-dpsla", "main9-dgd", "tri-naive", "constant"])
     def test_rows_of_a_short_run_begin_the_long_run(self, corpus, case):
+        # the rows of run(T) are the first T + 1 rows of run(2T)
         _, inst, alg, T, kw = next(c for c in corpus if c[0] == case)
-        long = run(inst, alg, T, keep_states=True, **kw)
-        for short_T in (T // 4, T // 2 + 1):
+        long = run(inst, alg, 2 * T, keep_states=True, **kw)
+        for short_T in (T // 4 + 1, T):
             short = run(inst, alg, short_T, keep_states=True, **kw)
             _same_rows(short, long, short_T + 1)
 
