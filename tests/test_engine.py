@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -294,6 +295,30 @@ class TestSweep:
         # no default profile: Dpsla()'s gaps at the sweep horizon are numerical noise
         with pytest.raises(TypeError, match="alg"):
             run_speedup_sweep([4], 40, [0])
+
+    # sha256 prefixes of the columns' bytes in the bench `sweep` runs (seed 0),
+    # whose CSV rows hold one gap each and so cannot show a fault in the levels
+    SWEEP_COLUMNS = {
+        8: {"alpha": "bb98b0dae12bfdfd", "level": "57805527c761cef5",
+            "level_updated": "c109f89e26dc5817"},
+        16: {"alpha": "d3d6c48373745295", "level": "269d8721c290a206",
+             "level_updated": "e522fdc141c74808"},
+        32: {"alpha": "e9024f1a072811ba", "level": "1a75dec69beddf73",
+             "level_updated": "e3e8200785f95c4c"},
+    }
+
+    def test_bench_sweep_columns_pinned(self, monkeypatch):
+        traces, call = [], engine.run
+
+        def keep(*args, **kwargs):
+            traces.append(call(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(engine, "run", keep)
+        run_speedup_sweep([8, 16, 32], 600, [0], sweep_algorithm())
+        got = {t.n_agents: {c: hashlib.sha256(getattr(t, c).tobytes()).hexdigest()[:16]
+                            for c in ("alpha", "level", "level_updated")} for t in traces}
+        assert got == self.SWEEP_COLUMNS
 
 
 class TestValidateMode:
