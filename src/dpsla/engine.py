@@ -31,12 +31,18 @@ stepsize land on the state again. The loop then writes the remaining rows in
 bulk, with the bits that simulating them gives, and `RunTrace.settled` names
 the first of them.
 
-With a handful of agents the number of calls per round, not their size, sets
-the cost of a run, so the loop keeps them few: it looks up what it needs once,
-mixes by the bare `np.matmul` (X is finite by construction), tests the whole
-step with one `np.isfinite(step).all()`, DGD reads its stepsizes and DPS-LA
+With a handful of agents the calls of a round, not their size, set the cost
+of a run: how many there are, and what each pays for numpy's Python wrappers
+and for boxing Python scalars. So the loop keeps them few and cheap. It looks
+up what it needs once, mixes by the bare `np.matmul` (X is finite by
+construction), tests the whole step by `np.count_nonzero` of `np.isfinite`
+(`.all()` goes through a Python wrapper), DGD reads its stepsizes and DPS-LA
 its c_k from tables computed once per run, and the rules mask zero-gradient
-rows rather than switch `np.errstate`. It calls `mix`, `decide_alpha`, `record_step`,
+rows rather than switch `np.errstate`. The DPS-LA rule takes G.G, G.Z and
+G.witness in one `np.vecdot` pass over a (3, n, dim) operand whose last slice
+holds the witnesses (`LevelWindows.operand`), and holds the run's constants as
+0-d float64 arrays, which an array operation takes faster than Python floats,
+with the same bits. The loop calls `mix`, `decide_alpha`, `record_step`,
 `residual` and `consensus_error` through their module-level names, so that a
 tracer can rebind them.
 """
@@ -47,6 +53,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -249,16 +256,24 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
     windows = LevelWindows(level, inst.dim, bounds=inst.constraint.bounding_box(),
                            eta_cap=alg.eta_cap)
     cap, c = np.full(n, cfg.c0 * cfg.alpha0), cfg.c_value(np.arange(rounds))
-    eps_sq, values_grads = cfg.eps_grad ** 2, inst._values_grads
+    # the constants of the round as 0-d float64 arrays, which an array operation
+    # takes faster than a Python float, with the same bits; `decide_alpha` reads
+    # gamma, beta_floor and constraint_beta from `boxed` as from the config
+    boxed = SimpleNamespace(gamma=np.array(cfg.gamma), beta_floor=np.array(cfg.beta_floor),
+                            constraint_beta=cfg.constraint_beta)
+    eps_sq, gamma_bar = np.array(cfg.eps_grad ** 2), np.array(cfg.gamma_bar)
+    values_grads, S = inst._values_grads, windows.operand
 
     def rule(k, Z):
         F, G = values_grads(Z)
-        grad_sq = np.vecdot(G, G)
+        S[0], S[1] = G, Z  # S[2] is the witnesses: one pass takes every dot product of G
+        D = np.vecdot(G, S)
+        grad_sq, gw = D[0], D[2]
         active = grad_sq > eps_sq  # zero-gradient rows add no half-space; their b is never read
-        alpha, beta = decide_alpha(cfg, cap, F, windows.level, grad_sq, active, c[k])
-        b = np.vecdot(G, Z) - beta * grad_sq / cfg.gamma_bar
+        alpha, beta = decide_alpha(boxed, cap, F, windows.level, grad_sq, active, c[k])
+        b = D[1] - beta * grad_sq / gamma_bar
         try:
-            return G, alpha, record_step(windows, cfg, G, b, F, active)
+            return G, alpha, record_step(windows, cfg, G, b, F, active, gw)
         except SolverStallError as exc:
             raise SolverStallError(f"round {k}, {exc}") from exc
 
@@ -292,8 +307,9 @@ def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
         def naive(k, Z):
             F, G = values_grads(Z)
             grad_sq = np.vecdot(G, G)
+            alpha = np.zeros(n)  # the stepsize of a row outside `ok`
             ok = (grad_sq > eps_sq) & np.isfinite(grad_sq)
-            return G, np.where(ok, (F - targets) / np.where(ok, grad_sq, 1.0), 0.0), None
+            return G, np.divide(F - targets, grad_sq, out=alpha, where=ok), None
 
         # the stepsizes read Z alone, so every later round repeats this one
         return None, naive, lambda k, alpha: alpha[None]
@@ -361,6 +377,7 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
     if not (is_int(iterations) and iterations >= 1):
         raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
     n, rows, keep = inst.n_agents, iterations + 1, keep_states or validate
+    size = n * inst.dim
     W = metropolis_weights(inst.graph)
     X = _initial_states(inst, x0, Rng(seed))
     if not inst.constraint._contains_rows(X).all():
@@ -384,7 +401,7 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
         G, alpha, updated = rule(r - 1, Z)
         step = Z - alpha[:, None] * G
         prev = X
-        if np.isfinite(step).all():
+        if np.count_nonzero(np.isfinite(step)) == size:
             X = project(step)
         else:  # hold position on non-finite rows; the trace keeps the divergence flag
             finite = np.isfinite(step).all(axis=1)

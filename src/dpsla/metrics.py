@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import is_int
 from .problem import ProblemInstance
 
 CLIP = 1e12
@@ -92,8 +93,8 @@ def _write_lines(path, lines: list[str]) -> None:
 
 def write_csv(trace, path, record_every: int = 1) -> None:
     """Emit the trace; row k is written iff k % record_every == 0 or k is final."""
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    if not (is_int(record_every) and record_every >= 1):
+        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
     n, rows = trace.n_agents, len(trace.alpha)
     ks = sorted({*range(0, rows, record_every), rows - 1})
     missing = np.full((rows, n), np.nan)

@@ -45,6 +45,7 @@ MEMBERSHIP_TOL = 1e-12  # slack of `contains` on the boundary; a ball scales it 
 ORACLE_TOL = 1e-10  # projected-gradient fixed-point residual of the reference solvers
 ORACLE_MAX_ITER = 1_000_000
 POWER_ITERATIONS = 200  # of `estimate_lipschitz`
+_HALF = np.array(0.5)  # 0-d: an array operation takes it faster than the float 0.5, same bits
 
 
 class OracleConvergenceError(RuntimeError):
@@ -181,7 +182,7 @@ class ObjectiveGroup:
         """f_j(z_j) and grad f_j(z_j) for each row z_j of Z (g, dim)."""
         if self.kind == "least_squares":
             R = np.matvec(self.M, Z) - self.v
-            return 0.5 * np.vecdot(R, R), np.matvec(self.MT, R)
+            return _HALF * np.vecdot(R, R), np.matvec(self.MT, R)
         return self.values(Z), np.matvec(self.MT, Z) + self.v
 
     def grads(self, Z: np.ndarray) -> np.ndarray:

@@ -27,14 +27,17 @@ is cleared.
 Everything here acts on all agents at once. `StepsizeConfig.c_value` gives
 c_k for one round or for an array of rounds by the same expression, so a run
 reads c_k from a table built once. `decide_alpha` gives all stepsizes and
-Polyak values under one mask of the nonzero-gradient rows; a masked row
-divides by 1 and takes the lower clamp, so no sentinel marks it.
+Polyak values under one mask of the nonzero-gradient rows: a masked row skips
+the divide, which leaves gamma (F - level), the bits of dividing it by 1, and
+takes the lower clamp, so no sentinel marks it and no division by zero warns.
 `LevelWindows` keeps each round's rows as one row of four arrays shared by all
-windows, a row count per agent and an (n, dim) array of witness points;
+windows, a row count per agent and an (n, dim) array of witness points, the
+last slice of a (3, n, dim) operand: the engine's rule writes G and Z into the
+other two and takes G.G, G.Z and G.witness in one `np.vecdot` pass.
 `_in_window` alone says which stored rows make up a window. `record_step`
-decides every window one way: it tests every witness against its new row in
-one call and, in a round where some witness fell, the new rows of those agents
-at their minimizers over the box in another. A new row that exceeds its offset
+decides every window one way: it tests every witness against its new row by
+those dots and, in a round where some witness fell, the new rows of those
+agents at their minimizers over the box in one call. A new row that exceeds its offset
 there by more than EPS_FEAS makes the window infeasible; otherwise a window of
 one row is feasible and takes the minimizer as its witness, which satisfies
 the row by the dot product the witness test takes. The only Python loop runs
@@ -56,6 +59,8 @@ from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError
 from .numerics import is_int, require_positive
 
 WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
+# 0-d float64: an array operation takes it faster than the Python float, with the same bits
+_EPS_FEAS = np.array(EPS_FEAS)
 
 
 @dataclass(frozen=True)
@@ -106,16 +111,19 @@ def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, F: np.ndarray, level: np.
     """Stepsizes and Polyak values of every agent for the round whose c-value is c_k.
 
     beta = gamma (F - level) / ||g||^2 may be negative; a row outside `active`
-    (zero gradient) divides by 1 and takes the lower clamp c0 alpha0 / 2. `cap`
-    (n,) carries c_{k-1} alpha_{i,k-1}, starts at c0 alpha0 and is updated in
-    place. The max/min keep Python's max(beta, floor) and min(inner, cap), so a
-    NaN beta propagates.
+    (zero gradient) keeps gamma (F - level), as if divided by 1, and takes the
+    lower clamp c0 alpha0 / 2. `cap` (n,) carries c_{k-1} alpha_{i,k-1}, starts
+    at c0 alpha0 and is updated in place. The max/min keep Python's
+    max(beta, floor) and min(inner, cap), so a NaN beta propagates.
+    Only `cfg.gamma`, `cfg.beta_floor` and `cfg.constraint_beta` are read; the
+    engine passes the two numbers as 0-d arrays, which give the same bits.
     Returns (alpha, beta), beta lower-clamped if `cfg.constraint_beta` is "clamped".
     """
-    beta = cfg.gamma * (F - level) / np.where(active, grad_sq, 1.0)
+    beta = cfg.gamma * (F - level)
+    np.divide(beta, grad_sq, out=beta, where=active)
     floor = cfg.beta_floor
     inner = np.where(active, np.maximum(beta, floor), floor)
-    cap[...] = np.where(cap < inner, cap, inner)  # min(inner, cap)
+    np.copyto(cap, inner, where=~(cap < inner))  # cap = where(cap < inner, cap, inner)
     return cap / c_k, inner if cfg.constraint_beta == "clamped" else beta
 
 
@@ -127,7 +135,9 @@ class LevelWindows:
     rows, oldest first; the cap keeps at most `eta_cap` of them, and a level
     update resets the window to zero rows. Every window lies in the finite box
     `bounds`. While `count[i] > 0`, `witness[i]` satisfies every row of agent
-    i's window within EPS_FEAS (and lies in the box). `quiet` says whether every
+    i's window within EPS_FEAS (and lies in the box); `witness` is the last
+    slice of `operand` (3, n, dim), whose first two a caller may fill with G
+    and Z to take every dot product of G in one pass. `quiet` says whether every
     witness held in the last round `record_step` took; a quiet round changes no
     level, no witness and no verdict, so a round that repeats its inputs
     repeats it.
@@ -141,9 +151,10 @@ class LevelWindows:
             raise ValueError("level windows need a box")
         self.level = np.array(level0, dtype=float)
         n = self.level.size
-        self.eta_cap = eta_cap
+        self.eta_cap = None if eta_cap is None else np.array(eta_cap)  # 0-d, as `_EPS_FEAS`
         self.count = np.zeros(n, dtype=np.int64)  # rows in each window
-        self.witness = np.zeros((n, dim))
+        self.operand = np.zeros((3, n, dim))
+        self.witness = self.operand[2]
         self.rows = 0  # rounds held in G, b, F and active
         self.quiet = False  # no witness fell in the last recorded round
         self.G, self.active = np.empty((WINDOW_ROWS, n, dim)), np.empty((WINDOW_ROWS, n), bool)
@@ -179,15 +190,15 @@ class LevelWindows:
 
 
 def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.ndarray,
-                F: np.ndarray, active: np.ndarray) -> np.ndarray:
+                F: np.ndarray, active: np.ndarray, gw: np.ndarray) -> np.ndarray:
     """Append one round's half-spaces G[i].x <= b[i], check the windows, update the levels.
 
     Only the `active` agents (nonzero gradient) add a row; b[i] = g.z -
     (beta / gamma_bar) ||g||^2 with beta the Polyak value written into the
     constraint (raw or lower-clamped per config), and the b of the other agents
-    is ignored (NaN is fine). An agent whose witness survives its new row stays
-    feasible, and a round in which every witness survives only stores its rows
-    and sets `win.quiet`.
+    is ignored (NaN is fine). `gw` (n,) holds G[i] . win.witness[i]. An agent
+    whose witness survives its new row stays feasible, and a round in which
+    every witness survives only stores its rows and sets `win.quiet`.
     For the others only the new row can miss the box (every older row passed a
     witness test or a check, and both leave a point of the box on its side),
     so a new row that misses the box, tested at its minimizer over the box,
@@ -203,12 +214,13 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     t = win.rows if win.rows < win.b.shape[0] else win._make_room()
     win.G[t], win.b[t], win.F[t], win.active[t] = G, b, F, active
     win.rows = t + 1
-    # the fallen agents (an empty window has no witness), until a check finds a new witness
-    updated = active & ((win.count == 0) | (np.vecdot(G, win.witness) - b > EPS_FEAS))
+    # the fallen agents (an empty window, count 0, has no witness), until a check
+    # finds a new witness
+    updated = active & (np.logical_not(win.count) | (gw - b > _EPS_FEAS))
     win.count += active
     if win.eta_cap is not None:
         np.minimum(win.count, win.eta_cap, out=win.count)
-    win.quiet = not updated.any()
+    win.quiet = not np.count_nonzero(updated)
     if win.quiet:
         return updated
     system = win.system
@@ -216,7 +228,7 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     # each new row's minimizer over the box: a window whose row it misses is
     # infeasible, and a one-row window whose row it meets takes it as witness
     X = np.where(G < 0, hi, lo)
-    meets = updated & (np.vecdot(G, X) - b <= EPS_FEAS)
+    meets = updated & (np.vecdot(G, X) - b <= _EPS_FEAS)
     one = meets & (win.count == 1)
     win.witness[one], updated[one] = X[one], False
     for i in (meets & ~one).nonzero()[0].tolist():

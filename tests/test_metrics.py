@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,9 +132,24 @@ class TestCsv:
     @pytest.mark.parametrize("record_every", [0, -1])
     def test_record_every_must_be_positive(self, tmp_path, triangle, record_every):
         p = tmp_path / "t.csv"
-        with pytest.raises(ValueError, match="record_every must be >= 1"):
+        with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
             write_csv(run(triangle, Dgd(), 3), p, record_every=record_every)
         assert not p.exists()
+
+    @pytest.mark.parametrize("record_every", [2.5, 2.0, True, "2"])
+    def test_record_every_must_be_an_integer(self, tmp_path, triangle, record_every):
+        # 2.5 failed inside range() with a bare TypeError, and True was taken as 1
+        p = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                f"record_every must be an integer >= 1, got {record_every!r}")):
+            write_csv(run(triangle, Dgd(), 3), p, record_every=record_every)
+        assert not p.exists()
+
+    def test_record_every_takes_a_numpy_integer(self, tmp_path, triangle):
+        tr = run(triangle, Dgd(), 5)
+        write_csv(tr, tmp_path / "a.csv", record_every=np.int64(2))
+        write_csv(tr, tmp_path / "b.csv", record_every=2)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_round_trip_exact(self, tmp_path, triangle):
         tr = run(triangle, Dpsla(), 25, seed=0)

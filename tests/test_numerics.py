@@ -157,3 +157,16 @@ class TestGufuncKernels:
                 for idx in np.ndindex(lead + (g,)):
                     assert np.array_equal(got[idx], Z_[idx] @ Q[idx[-1]]), \
                         f"vecmat, dim {dim}, z {name}, row {idx}"
+
+    def test_stacked_vecdot_is_the_separate_calls(self):
+        # the DPS-LA rule takes G.G, G.Z and G.witness in one call, on a (3, n, dim)
+        # operand whose slices hold G, Z and the witnesses; each row of the result
+        # must be the row of its own call
+        gen = np.random.default_rng(14)
+        for _ in range(500):
+            n, dim = int(gen.integers(2, 40)), int(gen.integers(1, 40))
+            G, Z, witness = (self.draw(gen, (n, dim)) for _ in range(3))
+            S = np.empty((3, n, dim))
+            S[0], S[1], S[2] = G, Z, witness
+            for row, B, name in zip(np.vecdot(G, S), (G, Z, witness), ("G", "Z", "witness")):
+                assert row.tobytes() == np.vecdot(G, B).tobytes(), f"G.{name}, n {n}, dim {dim}"

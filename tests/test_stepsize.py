@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ def alpha_for(cfg, cap, beta, c_k):
     return decide_alpha(cfg, cap, beta, np.zeros_like(beta), ones, ones > 0, c_k)[0]
 
 
+def record(win, cfg, G, b, F, active):
+    """`record_step` with the witness dots G[i] . witness[i], which the engine's
+    rule takes from its stacked dot pass."""
+    return record_step(win, cfg, G, b, F, active, np.vecdot(G, win.witness))
+
+
 def step(win, cfg, z, f_val, g, beta):
     """One round of a one-agent window, with the half-space built as the engine
     builds it: g.x <= g.z - (beta / gamma_bar) ||g||^2. Returns the new level
@@ -47,7 +54,7 @@ def step(win, cfg, z, f_val, g, beta):
     z, g = np.asarray(z, dtype=float), np.asarray(g, dtype=float)
     grad_sq = float(g @ g)
     b = float(g @ z) - float(beta) * grad_sq / cfg.gamma_bar
-    updated = record_step(win, cfg, g[None, :], np.array([b]), np.array([f_val]),
+    updated = record(win, cfg, g[None, :], np.array([b]), np.array([f_val]),
                           np.array([True]))
     return float(win.level[0]) if updated[0] else None
 
@@ -169,11 +176,11 @@ class TestRawBeta:
                                constraint=ConstraintSet.ball([0.0, 0.0], 4.0),
                                graph=build_graph("triangle", 3))
         cfg, seen = cfg_unit(), []
-        record = engine.record_step
+        call = engine.record_step
 
-        def spy(win, cfg, G, b, F, active):
+        def spy(win, cfg, G, b, F, active, gw):
             seen.append((win, np.vecdot(G, G), b.copy(), active.copy()))
-            return record(win, cfg, G, b, F, active)
+            return call(win, cfg, G, b, F, active, gw)
 
         monkeypatch.setattr(engine, "record_step", spy)
         with warnings.catch_warnings():
@@ -233,6 +240,47 @@ class TestDecideAlpha:
             else:
                 expected = beta / cfg.c_value(k)
             assert got == expected
+
+    @staticmethod
+    def where_form(cfg, cap, F, level, grad_sq, active, c_k):
+        """`decide_alpha` with each masked row divided by 1, as it was first written."""
+        beta = cfg.gamma * (F - level) / np.where(active, grad_sq, 1.0)
+        floor = cfg.beta_floor
+        inner = np.where(active, np.maximum(beta, floor), floor)
+        cap[...] = np.where(cap < inner, cap, inner)
+        return cap / c_k, inner if cfg.constraint_beta == "clamped" else beta
+
+    @pytest.mark.parametrize("constraint_beta", ["raw", "clamped"])
+    def test_masked_divide_is_the_where_form(self, constraint_beta):
+        # a masked row keeps gamma (F - level), the bits of dividing it by 1, and
+        # the masked divide raises no warning; the engine passes the config's
+        # numbers as 0-d arrays, which must give the same bits as Python floats
+        cfg = StepsizeConfig(gamma=0.7, constraint_beta=constraint_beta)
+        boxed = SimpleNamespace(gamma=np.array(cfg.gamma), beta_floor=np.array(cfg.beta_floor),
+                                constraint_beta=constraint_beta)
+        gen = np.random.default_rng(7)
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                n = int(gen.integers(1, 20))
+                F = gen.standard_normal(n) * 10.0 ** gen.integers(-5, 6, n)
+                odd = gen.random(n) < 0.3
+                F[odd] = gen.choice(special, odd.sum())
+                grad_sq = gen.random(n) * 10.0 ** gen.integers(-5, 6, n)
+                grad_sq[gen.random(n) < 0.3] = 0.0
+                level = gen.standard_normal(n) * 100.0
+                active = grad_sq > cfg.eps_grad ** 2
+                cap = fresh_cap(cfg, n) * gen.uniform(0.3, 1.0, n)
+                cap[gen.random(n) < 0.1] = np.nan  # the cap after a NaN beta
+                c_k = cfg.c_value(int(gen.integers(0, 100)))
+                want_cap = cap.copy()
+                want = self.where_form(cfg, want_cap, F, level, grad_sq, active, c_k)
+                for spec in (cfg, boxed):
+                    got_cap = cap.copy()
+                    got = decide_alpha(spec, got_cap, F, level, grad_sq, active, c_k)
+                    for a, b in zip(got + (got_cap,), want + (want_cap,)):
+                        assert a.tobytes() == b.tobytes()
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=60))
@@ -368,11 +416,11 @@ class TestRecordStep:
         cfg = cfg_unit()
         win = LevelWindows([-5.0, -5.0], 1, bounds=(np.array([-1.0]), np.array([1.0])))
         active = np.array([True, True])
-        updated = record_step(win, cfg, np.array([[1.0], [1.0]]), np.array([0.5, 0.5]),
+        updated = record(win, cfg, np.array([[1.0], [1.0]]), np.array([0.5, 0.5]),
                               np.array([1.0, 2.0]), active)
         assert not updated.any() and checked == []
         assert win.witness[:, 0].tolist() == [-1.0, -1.0]
-        updated = record_step(win, cfg, np.array([[1.0], [-1.0]]), np.array([-5.0, -0.2]),
+        updated = record(win, cfg, np.array([[1.0], [-1.0]]), np.array([-5.0, -0.2]),
                               np.array([4.0, 3.0]), active)
         assert checked == [2]  # agent 1's window reached the LP, agent 0's did not
         assert updated.tolist() == [True, False]
@@ -392,7 +440,7 @@ class TestRecordStep:
                   (np.array([[1.0], [-1.0]]), [0.5, -0.2], active),
                   (np.array([[1.0], [-1.0]]), [0.5, -0.2], active),
                   (G, [-5.0, -5.0], np.array([False, False]))]
-        got = [(record_step(win, cfg, g, np.array(b), F, a).any(), win.quiet)
+        got = [(record(win, cfg, g, np.array(b), F, a).any(), win.quiet)
                for g, b, a in rounds]
         assert got == [(False, False), (False, True), (False, False), (False, True),
                        (False, True)]
@@ -409,7 +457,7 @@ class TestRecordStep:
         active = rng.random(n) > 0.1
         win = LevelWindows(level, dim, bounds=(lo, hi))
         checked = count_checks(monkeypatch)
-        updated = record_step(win, cfg, G, b, F, active)
+        updated = record(win, cfg, G, b, F, active)
         assert checked == []
         keep = cfg.gamma / cfg.gamma_bar
         for i in range(n):
@@ -432,7 +480,7 @@ class TestRecordStep:
         # g.x <= -1e-7 by 4e-7, so the window must keep its level, although the
         # second component lies above the LP's reduced-cost cut-off of -1e-9
         win = LevelWindows([-5.0], 2, bounds=(np.zeros(2), np.full(2, 1000.0)))
-        updated = record_step(win, cfg_unit(), np.array([[1.0, -5e-10]]), np.array([-1e-7]),
+        updated = record(win, cfg_unit(), np.array([[1.0, -5e-10]]), np.array([-1e-7]),
                               np.array([3.0]), np.array([True]))
         assert updated.tolist() == [False]
         assert win.level.tolist() == [-5.0] and win.count.tolist() == [1]
@@ -495,7 +543,7 @@ class TestWindowReplay:
                 b = np.abs(G).sum(1) + 1.0
             G[~active], b[~active] = 0.0, np.nan  # zero-gradient rows; their b is ignored
             held, witness = win.count > 0, win.witness.copy()
-            updated = record_step(win, cfg, G, b, F, active)
+            updated = record(win, cfg, G, b, F, active)
             still += bool(held[active].all() and (win.count > 0)[active].all()
                           and np.array_equal(witness, win.witness))
             misses_box = np.minimum(G * box[0], G * box[1]).sum(1) - b > EPS_FEAS
