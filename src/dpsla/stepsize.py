@@ -37,14 +37,15 @@ other two and takes G.G, G.Z and G.witness in one `np.vecdot` pass.
 `_in_window` alone says which stored rows make up a window. `record_step`
 decides every window one way: it tests every witness against its new row by
 those dots and, in a round where some witness fell, the new rows of those
-agents at their minimizers over the box in one call. A new row that exceeds its offset
-there by more than EPS_FEAS makes the window infeasible; otherwise a window of
-one row is feasible and takes the minimizer as its witness, which satisfies
-the row by the dot product the witness test takes. The only Python loop runs
-over the windows of two rows or more whose new row meets the box: each is
-read with one index, loaded into `InequalitySystem` and checked by its LP. On
-the paper's workloads no window reaches that loop, so every level update
-there is decided by the box test. The levels of all infeasible windows are
+agents at their minimizers over the box in one call. A new row that exceeds
+its offset there by more than EPS_FEAS makes the window infeasible; otherwise
+a window of one row is feasible and takes the minimizer as its witness, which
+satisfies the row by the dot product the witness test takes (the stacked pass
+gives the bits of a separate `np.vecdot` call). The only Python loop runs over
+the windows of two rows or more whose new row meets the box: each is read
+with one index, loaded into `InequalitySystem` and checked by its LP. On the
+paper's workloads no window reaches that loop, so every level update there is
+decided by the box test. The levels of all infeasible windows are
 then raised at once, from one masked minimum over the stored rows.
 """
 
