@@ -227,14 +227,6 @@ def first_violations(trace: RunTrace, cfg: StepsizeConfig | None = None,
             for name, m in bad.items()}
 
 
-_VALIDATE_MESSAGES = {
-    "corridor": "alpha corridor violated",
-    "alpha_monotone": "alpha monotonicity violated",
-    "level_monotone": "level decreased",
-    "feasible": "iterate left the feasible set",
-}
-
-
 # -- stepsize rules --------------------------------------------------------------
 #
 # A rule evaluates what it reads at the aggregated states Z (n, dim) of round k
@@ -359,38 +351,36 @@ def _initial_states(inst: ProblemInstance, policy: str, rng: Rng) -> np.ndarray:
 
 
 def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
-        x0: str = "center", validate: bool = False, keep_states: bool = False) -> RunTrace:
+        x0: str = "center", keep_states: bool = False) -> RunTrace:
     """Execute `iterations` synchronous rounds and return the trace.
 
     Row 0 holds the initial iterates; row k >= 1 holds the states after round
     k-1 together with the stepsizes applied and any level updates made during
     that round. The metric columns are computed once per `_CHUNK` rounds from
-    a buffer of their states; only `keep_states` and `validate` keep them all.
-    Every `_SETTLE_EVERY` rows the run tests whether the new state repeats the
-    previous one bit for bit; if it does and `_settled` finds that every
-    remaining round lands on it again, the remaining rows are written at once
-    and `RunTrace.settled` names the first of them.
-    With `validate=True` the run raises AssertionError naming the first round
-    and agent that breaks iterate feasibility or, for DPS-LA, the stepsize
-    corridor or alpha or level monotonicity (`first_violations`).
+    a ring of that chunk's states; with `keep_states=True` each chunk is also
+    copied into `trace.states`. Every `_SETTLE_EVERY` rows the run tests
+    whether the new state repeats the previous one bit for bit; if it does and
+    `_settled` finds that every remaining round lands on it again, the
+    remaining rows are written at once and `RunTrace.settled` names the first
+    of them. `first_violations` checks the invariants of the trace.
     """
     if not (is_int(iterations) and iterations >= 1):
         raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
-    n, rows, keep = inst.n_agents, iterations + 1, keep_states or validate
+    n, rows = inst.n_agents, iterations + 1
     size = n * inst.dim
     W = metropolis_weights(inst.graph)
     X = _initial_states(inst, x0, Rng(seed))
     if not inst.constraint._contains_rows(X).all():
         raise ValueError("initial states must be feasible")
     level, rule, remaining = _stepsize_rule(alg, inst, iterations)
-    S = np.empty((rows if keep else min(rows, _CHUNK), n, inst.dim))
+    S = np.empty((min(rows, _CHUNK), n, inst.dim))  # row r of the chunk at r % _CHUNK
     trace = RunTrace(alpha=np.full((rows, n), np.nan if level is None else alg.stepsize.alpha0),
                      level=None if level is None else np.tile(level, (rows, 1)),
                      level_updated=np.zeros((rows, n), dtype=bool),
                      diverged=np.zeros(rows, dtype=bool),
                      residual=None if inst.optimum is None else np.empty(rows),
                      consensus_error=np.empty(rows), settled=None,
-                     states=S if keep else None)
+                     states=np.empty((rows, n, inst.dim)) if keep_states else None)
     S[0] = X
     constraint = inst.constraint
     project = constraint._project_rows
@@ -411,12 +401,14 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
         alphas[r] = alpha
         if levels is not None:
             levels[r], level_updated[r] = level, updated
-        S[r if keep else r % _CHUNK] = X
+        S[r % _CHUNK] = X
         settle = (r % _SETTLE_EVERY == 0 and r < iterations and X.tobytes() == prev.tobytes()
                   and _settled(rest := remaining(r, alpha), alpha, Z, G, X, constraint))
         if settle or r % _CHUNK == _CHUNK - 1 or r == iterations:  # the chunk's metrics
             lo = r - r % _CHUNK
-            block = S[lo:r + 1] if keep else S[:r + 1 - lo]
+            block = S[:r + 1 - lo]
+            if keep_states:
+                trace.states[lo:r + 1] = block
             trace.consensus_error[lo:r + 1] = consensus_error(block)
             if trace.residual is not None:
                 trace.residual[lo:r + 1] = residual(inst, block)
@@ -425,24 +417,12 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
             alphas[r + 1:] = rest
             if levels is not None:
                 levels[r + 1:] = level
-            if keep:
-                S[r + 1:] = X
+            if keep_states:
+                trace.states[r + 1:] = X
             trace.consensus_error[r + 1:] = consensus_error(X)
             if trace.residual is not None:
                 trace.residual[r + 1:] = residual(inst, X)
             break
-
-    if validate:
-        cfg = alg.stepsize if isinstance(alg, Dpsla) else None
-        found = first_violations(trace, cfg, inst.constraint)
-        checked = _VALIDATE_MESSAGES if cfg is not None else ("feasible",)
-        hits = [(found[name], order, name) for order, name in enumerate(checked)
-                if found[name] is not None]
-        if hits:
-            (k, i), _, name = min(hits)
-            raise AssertionError(f"{_VALIDATE_MESSAGES[name]} at k={k}, agent {i}")
-    if not keep_states:
-        trace.states = None
     return trace
 
 

@@ -34,7 +34,7 @@ from .numerics import as_vec
 EPS_FEAS = 1e-9
 MIN_NORMAL = 1e-12
 _PIVOT_TOL = 1e-9
-_COST_TOL = 1e-9
+_COST_TOL = 1e-11
 _PIVOT_CAP_FACTOR = 10_000  # iteration cap per row and column of the LP
 
 
@@ -142,8 +142,12 @@ def _phase1_lp(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     start puts x at lo (0 where lo is infinite), s at the largest violation
     and the slacks in the basis; pivoting s into the most violated row makes
     that basis feasible. The loop ends at the optimum or when s reaches its
-    floor. Returns (max_t a_t.x - b_t, x) for the final x, clipped into the
-    box.
+    floor. The verdict reads raw rows, and a move of x_j that a reduced cost d
+    per unit-scaled row prices at |d| can change a raw row by up to
+    |d| span_j max_t |a_t|; so x_j's reduced cost is weighted by
+    max(1, span_j max_t |a_t|) (span 1 where a bound is infinite), s's and
+    the slacks' by 1, before the optimality test against `_COST_TOL`.
+    Returns (max_t a_t.x - b_t, x) for the final x, clipped into the box.
 
     The tableau is condensed: row t reads v[basis[t]] + T[t] . v[nonbasic] = const,
     so it has one column per nonbasic variable (dim + 1), not one per variable.
@@ -161,6 +165,8 @@ def _phase1_lp(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     v = np.concatenate([x0, [s0], s0 - viol])
     lower = np.concatenate([lo, [s_floor], np.zeros(m)])
     upper = np.concatenate([hi, np.full(m + 1, np.inf)])
+    span = np.where(np.isfinite(hi - lo), hi - lo, 1.0)
+    weight = np.concatenate([np.maximum(1.0, span * norms.max()), np.ones(m + 1)])
     basis = np.arange(dim + 1, dim + 1 + m)
     nonbasic = np.arange(dim + 1)
     if s0 > s_floor:
@@ -170,7 +176,7 @@ def _phase1_lp(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
     for _ in range(cap):
         if basis[s_row] != dim:  # s left the basis at its floor
             break
-        d = -T[s_row]  # reduced costs of the nonbasic variables
+        d = -T[s_row] * weight[nonbasic]  # reduced costs of the nonbasic variables, weighted
         vn = v[nonbasic]
         movable = ((d < -_COST_TOL) & (vn < upper[nonbasic])) | \
             ((d > _COST_TOL) & (vn > lower[nonbasic]))

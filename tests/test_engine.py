@@ -35,15 +35,24 @@ def paper0():
     return inst
 
 
+def _assert_invariants_hold(trace, alg, inst):
+    """`first_violations` finds no broken invariant in a trace that kept its states."""
+    assert trace.states is not None
+    found = first_violations(trace, alg.stepsize, inst.constraint)
+    assert all(v is None for v in found.values()), found
+
+
 class TestDpslaRuns:
     def test_triangle_converges(self, triangle):
-        tr = run(triangle, Dpsla(), 500, seed=0, validate=True)
+        tr = run(triangle, Dpsla(), 500, seed=0, keep_states=True)
+        _assert_invariants_hold(tr, Dpsla(), triangle)
         res = tr.records[500].residual
         f_star = triangle.optimum.f_star
         assert res <= 1e-3 * (1 + abs(f_star))
 
     def test_paper_instance_converges_and_updates_levels(self, paper0):
-        tr = run(paper0, Dpsla(), 300, seed=0, validate=True)
+        tr = run(paper0, Dpsla(), 300, seed=0, keep_states=True)
+        _assert_invariants_hold(tr, Dpsla(), paper0)
         assert tr.records[300].residual <= 1e-6
         for i in range(4):
             assert any(r.level_updated[i] for r in tr.records)
@@ -322,9 +331,12 @@ class TestSweep:
 
 
 class TestValidateMode:
+    """Runs validated by `first_violations` on their kept states."""
+
     def test_corridor_asserted(self, paper0):
         cfg = StepsizeConfig(alpha0=1.0)
-        tr = run(paper0, Dpsla(stepsize=cfg), 120, seed=1, validate=True)
+        tr = run(paper0, Dpsla(stepsize=cfg), 120, seed=1, keep_states=True)
+        _assert_invariants_hold(tr, Dpsla(stepsize=cfg), paper0)
         for k in range(1, 121):
             ck = cfg.c_value(k - 1)
             for a in tr.records[k].alpha:
@@ -526,8 +538,10 @@ class TestInvariantChecker:
             return alpha, beta
 
         monkeypatch.setattr(engine, "decide_alpha", broken)
-        with pytest.raises(AssertionError, match="alpha corridor violated at k=7, agent 2"):
-            run(paper0, Dpsla(), 20, seed=0, validate=True)
+        tr = run(paper0, Dpsla(), 20, seed=0, keep_states=True)
+        found = first_violations(tr, Dpsla().stepsize, paper0.constraint)
+        assert found == {"alpha_monotone": (7, 2), "level_monotone": None,
+                         "corridor": (7, 2), "feasible": None}
 
     def test_first_violations_on_edited_trace(self, triangle):
         tr = run(triangle, Dpsla(), 30, seed=0, keep_states=True)

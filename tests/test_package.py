@@ -14,7 +14,7 @@ def test_every_export_resolves():
 # Settable values in the package: parameter defaults plus dataclass fields
 # written with a value. An option is a cost every caller and reader carries, so
 # a change that adds one raises this pin and says why.
-SETTABLE_VALUES_PIN = 74
+SETTABLE_VALUES_PIN = 73
 
 
 def _settable_values(source: str) -> int:

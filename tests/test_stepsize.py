@@ -486,6 +486,22 @@ class TestRecordStep:
         assert win.level.tolist() == [-5.0] and win.count.tolist() == [1]
         assert win.witness.tolist() == [[0.0, 1000.0]]
 
+    def test_a_witness_that_misses_its_new_row_by_a_little_is_replaced(self):
+        # round 0 gives x + y <= 0 on the box [-1, 1]^2, a one-row window whose
+        # witness is its box minimizer (-1, -1); round 1 adds x >= -1 + 5e-9,
+        # which that witness misses by 5e-9, more than EPS_FEAS. The window stays
+        # feasible, and its witness must satisfy both rows within EPS_FEAS
+        cfg = cfg_unit()
+        win = LevelWindows([-5.0], 2, bounds=(np.full(2, -1.0), np.ones(2)))
+        active, F = np.array([True]), np.array([1.0])
+        record(win, cfg, np.array([[1.0, 1.0]]), np.array([0.0]), F, active)
+        assert win.witness.tolist() == [[-1.0, -1.0]]
+        updated = record(win, cfg, np.array([[-1.0, 0.0]]), np.array([1.0 - 5e-9]), F, active)
+        assert not updated[0] and win.count[0] == 2
+        G_0, b_0, _ = win.window(0)
+        assert np.max(G_0 @ win.witness[0] - b_0) <= EPS_FEAS
+        assert (np.abs(win.witness[0]) <= 1.0).all()
+
     def test_eta_cap_validated(self):
         # Dpsla's rule: a float or a bool cap is refused at construction
         for eta_cap in (0, 2.5, 2.0, True, "3"):
