@@ -235,9 +235,11 @@ def first_violations(trace: RunTrace, cfg: StepsizeConfig | None = None,
 # DGD reads only the gradients; the Polyak rules also read the values F and
 # grad_sq = ||g_i||^2. Its companion remaining(k, alpha) is asked only after
 # round k - 1 repeated the state it started from, with alpha that round's
-# stepsizes: it gives the stepsizes of rounds k..rounds-1, (rounds - k, n) or
-# one (1, n) row for all of them, if the rule fixes them as long as the states
-# repeat, and None if it does not.
+# stepsizes: it gives the stepsizes of rounds k..rounds-1, (rounds - k, n),
+# (rounds - k, 1) for a stepsize shared by all agents, or one (1, n) row for
+# all of them, if the rule fixes them as long as the states repeat, and None if
+# it does not. A rule's alpha is (n,), or (1,) for a shared stepsize; the step,
+# the trace row and `_settled` broadcast it over the agents.
 
 
 def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
@@ -284,7 +286,8 @@ def _stepsize_rule(alg, inst: ProblemInstance, rounds: int):
     if isinstance(alg, Dpsla):
         return _dpsla_rule(alg, inst, rounds)
     if isinstance(alg, Dgd):  # reads no value: gradients only
-        table, grads = np.repeat(alg.schedule(rounds)[:, None], n, axis=1), inst._grads
+        # one shared stepsize a round, so the table's rows are (1,)
+        table, grads = alg.schedule(rounds)[:, None], inst._grads
         return None, lambda k, Z: (grads(Z), table[k], None), lambda k, alpha: table[k:]
     if isinstance(alg, NaivePolyak):
         if alg.target == "local_min":

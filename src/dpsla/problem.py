@@ -15,9 +15,11 @@ so the batched rows are bitwise equal to them. A rule that reads no value
 calls `_grads`, which runs the gradient expressions of `_values_grads` alone,
 so its rows keep their bits. A ball projection decides the usual case, every
 row inside, with one reduction: sqrt is monotone, so the largest norm is
-sqrt(max |d|^2). Set-up is batched too: an instance's data is one block of
-draws, and the optimum's values and gradients come from one call at x*
-repeated for every agent.
+sqrt(max |d|^2), taken by `np.maximum.reduce` and `math.sqrt`: the reduction
+`ndarray.max` runs and the same correctly rounded sqrt, without the Python
+wrapper or a numpy scalar. It still returns a copy. Set-up is batched too: an
+instance's data is one block of draws, and the optimum's values and gradients
+come from one call at x* repeated for every agent.
 
 Only the projected-gradient solvers (`solve_reference`, `minimize_local`) keep
 the per-point `_eval`, `_grad`, `_project` and `_sum_grad`; one-row batched
@@ -246,8 +248,9 @@ class ConstraintSet:
         D = Y - self.ball_center
         sq = np.vecdot(D, D)
         # sqrt is monotone, so the largest norm is sqrt(max |d|^2): one reduction
-        # finds every row inside (an empty Y too); a NaN fails it, as does any far row
-        if np.sqrt(sq.max(initial=0.0)) <= self.radius:
+        # finds every row inside (an empty Y too); a NaN fails it, as does any far row.
+        # `np.maximum.reduce` is what `sq.max` runs, without its Python wrapper
+        if math.sqrt(np.maximum.reduce(sq, initial=0.0)) <= self.radius:
             return Y.copy()
         norms = np.sqrt(sq)
         out = Y.copy()

@@ -859,10 +859,11 @@ class TestRoundBudget:
     turn is not counted, so a budget moves when dpsla's per-round code
     changes, not when numpy's wrappers do. The counted runs never settle, so
     every round is simulated; the test of whether the state repeats, made
-    every 16th round, adds 0.125 calls per round. The four shapes are the
-    `reproduce main` instance (seed 0) under DPS-LA with `sweep_algorithm()`
-    and under DGD, and the triangle under DGD and, for T=16, naive Polyak,
-    which settles at row 65."""
+    every 16th round, adds 0.125 calls per round. The five shapes are the
+    `reproduce main` instance (seed 0) under DPS-LA with `sweep_algorithm()`,
+    under DGD and, for T=32, under its own DPS-LA config, whose levels climb
+    (58 of its first 64 rounds update one; it settles at row 65), and the
+    triangle under DGD and, for T=16, naive Polyak, which settles at row 65."""
 
     ROOT = os.path.dirname(dpsla.__file__) + os.sep
 
@@ -887,14 +888,17 @@ class TestRoundBudget:
         run(inst, alg, 3)  # fill the instance's cached stacks before counting
         return (count(2 * T) - count(T)) / T
 
-    # measured 15.3, 9.2, 10.2 and 12.1 with numpy 2.4 and Python 3.11; the test
-    # ids name the shape only, so that a new budget keeps them
-    BUDGETS = {"dpsla_main": 16, "dgd_main": 10, "dgd_triangle": 11, "naive_triangle": 13}
+    # measured 15.3, 9.2, 10.2, 12.1 and 21.6 with numpy 2.4 and Python 3.11; the
+    # test ids name the shape only, so that a new budget keeps them
+    BUDGETS = {"dpsla_main": 16, "dgd_main": 10, "dgd_triangle": 11, "naive_triangle": 13,
+               "dpsla_level_climb": 22}
 
     @pytest.mark.parametrize("shape", BUDGETS)
     def test_calls_per_round(self, shape, triangle):
         T = 256
-        if shape.endswith("main"):
+        if shape == "dpsla_level_climb":
+            (inst, alg), T = _main_instance(), 32
+        elif shape.endswith("main"):
             inst, _ = _main_instance()
             alg = sweep_algorithm() if shape.startswith("dpsla") else Dgd(scale=2.0)
         elif shape.startswith("dgd"):

@@ -429,6 +429,30 @@ class TestRecordStep:
         G_1, b_1, _ = win.window(1)  # a non-empty window keeps a witness
         assert (G_1 @ win.witness[1] - b_1 <= EPS_FEAS).all()
 
+    def test_one_row_update_reads_its_new_row_beside_a_longer_window(self, monkeypatch):
+        # on the box [-1, 1]: in round 0 agent 0's row x <= -5 misses the box, so
+        # its level rises and its window is reset; agent 1 keeps x <= 0.5 at f = 1.
+        # In round 1 agent 0 has a zero gradient (its stored f of -100 is in no
+        # window) and agent 1 adds x <= 0.6. In round 2 agent 0's one-row window
+        # x <= -5 misses the box again, and agent 1's x >= 0.7 leaves its
+        # three-row window infeasible by the LP: both levels rise in one round,
+        # agent 0's from f = 7 alone, agent 1's from its oldest row's f = 1
+        checked = count_checks(monkeypatch)
+        cfg = cfg_unit()
+        keep = cfg.gamma / cfg.gamma_bar
+        win = LevelWindows([-5.0, -5.0], 1, bounds=(np.array([-1.0]), np.array([1.0])))
+        rounds = [([1.0, 1.0], [-5.0, 0.5], [1.0, 1.0], [True, True]),
+                  ([0.0, 1.0], [np.nan, 0.6], [-100.0, 5.0], [False, True]),
+                  ([1.0, -1.0], [-5.0, -0.7], [7.0, 9.0], [True, True])]
+        got = [record(win, cfg, np.array(G)[:, None], np.array(b), np.array(F),
+                      np.array(active)).tolist() for G, b, F, active in rounds]
+        assert got == [[True, False], [False, False], [True, True]]
+        assert checked == [3]  # only agent 1's window reached the LP
+        level_0 = keep * -5.0 + (1.0 - keep) * 1.0
+        assert win.level.tolist() == [keep * level_0 + (1.0 - keep) * 7.0,
+                                      keep * -5.0 + (1.0 - keep) * 1.0]
+        assert win.count.tolist() == [0, 0]
+
     def test_quiet_only_when_every_witness_holds(self):
         # a round is quiet when no active agent's witness falls; updating no
         # level is not enough: a fresh window and a window the LP keeps feasible
