@@ -27,9 +27,9 @@ after a round in which no witness fell (`LevelWindows.quiet`), because then F,
 G, the levels, the caps and every verdict repeat with Z. `_settled` accepts the
 answer when it equals the current stepsizes bit for bit, on any set, or, on a
 box, when the projected steps at each agent's smallest and largest remaining
-stepsize land on the state again. The loop then writes the remaining rows in
-bulk, with the bits that simulating them gives, and `RunTrace.settled` names
-the first of them.
+stepsize land on the state again. The loop then fills the remaining rows with
+copies of the last simulated one, except for their stepsizes, which are the
+rule's answer, and `RunTrace.settled` names the first of them.
 
 With a handful of agents the calls of a round, not their size, set the cost
 of a run: how many there are, and what each pays for numpy's Python wrappers
@@ -360,12 +360,12 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
     Row 0 holds the initial iterates; row k >= 1 holds the states after round
     k-1 together with the stepsizes applied and any level updates made during
     that round. The metric columns are computed once per `_CHUNK` rounds from
-    a ring of that chunk's states; with `keep_states=True` each chunk is also
-    copied into `trace.states`. Every `_SETTLE_EVERY` rows the run tests
-    whether the new state repeats the previous one bit for bit; if it does and
-    `_settled` finds that every remaining round lands on it again, the
-    remaining rows are written at once and `RunTrace.settled` names the first
-    of them. `first_violations` checks the invariants of the trace.
+    a ring of that chunk's states, which `keep_states=True` also copies into
+    `trace.states`. Every `_SETTLE_EVERY` rows the run tests whether the new
+    state repeats the previous one bit for bit; if it does and `_settled` finds
+    that every remaining round lands on it again, the remaining rows copy the
+    last simulated one but for their stepsizes, and `RunTrace.settled` names
+    the first of them. `first_violations` checks the invariants of the trace.
     """
     if not (is_int(iterations) and iterations >= 1):
         raise ValueError(f"iterations must be an integer >= 1, got {iterations!r}")
@@ -415,16 +415,12 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
             trace.consensus_error[lo:r + 1] = consensus_error(block)
             if trace.residual is not None:
                 trace.residual[lo:r + 1] = residual(inst, block)
-        if settle:  # rows r+1.. repeat X; level_updated stays False and diverged as it is
+        if settle:  # rows r+1.. copy row r; level_updated stays False and diverged as it is
             trace.settled = r + 1
             alphas[r + 1:] = rest
-            if levels is not None:
-                levels[r + 1:] = level
-            if keep_states:
-                trace.states[r + 1:] = X
-            trace.consensus_error[r + 1:] = consensus_error(X)
-            if trace.residual is not None:
-                trace.residual[r + 1:] = residual(inst, X)
+            for col in (levels, trace.states, trace.consensus_error, trace.residual):
+                if col is not None:
+                    col[r + 1:] = col[r]
             break
     return trace
 

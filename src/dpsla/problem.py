@@ -174,7 +174,7 @@ class ObjectiveGroup:
         return groups
 
     def values(self, Z: np.ndarray) -> np.ndarray:
-        """f_j(z_j) for each row z_j of Z (g, dim) or of each slice of Z (K, g, dim)."""
+        """f_j(z_j) for each row z_j of Z (g, dim), or of each slice of Z (K, g or 1, dim)."""
         if self.kind == "least_squares":
             R = np.matvec(self.M, Z) - self.v
             return 0.5 * np.vecdot(R, R)
@@ -390,14 +390,14 @@ class ProblemInstance:
         return G
 
     def _sum_value(self, x: np.ndarray):
-        """sum_i f_i(x) for x (dim,), or for each row of x (K, dim) as an array.
-        Agents are added in order, as sum(o._eval(x) for o in objectives) does
-        (`np.add.reduce` would sum pairwise from 8 agents on)."""
-        X = x.reshape(-1, self.dim)
+        """sum_i f_i(x) for x (dim,), or for each row of x (K, dim) as an array;
+        each group's gufuncs broadcast the (K, 1, dim) stack over its agents.
+        Agents are added in order, as sum(o._eval(x) for o in objectives) does."""
+        X = x.reshape(-1, 1, self.dim)
         F = np.empty((self.n_agents, len(X)))
         for grp in self._groups:
-            F[grp.agents] = grp.values(np.repeat(X[:, None, :], len(grp.agents), axis=1)).T
-        total = sum(F)
+            F[grp.agents] = grp.values(X).T
+        total = sum(F)  # `np.add.reduce` would sum pairwise from 8 agents on
         return float(total[0]) if x.ndim == 1 else total
 
     def _sum_grad(self, x: np.ndarray) -> np.ndarray:

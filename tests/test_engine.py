@@ -417,7 +417,7 @@ class TestBatchedRound:
     def test_mixed_objective_groups(self):
         inst = _mixed_instance(ConstraintSet.box(-np.ones(3), np.ones(3)))
         assert [g.agents.tolist() for g in inst._groups] == [[0, 3], [1, 4], [2, 5]]
-        gen = np.random.default_rng(9)
+        gen, stacks = np.random.default_rng(9), np.random.default_rng(10)
         for _ in range(50):
             Z = gen.normal(scale=10.0 ** gen.uniform(-3, 3), size=(6, 3))
             F, G = inst._values_grads(Z)
@@ -427,6 +427,10 @@ class TestBatchedRound:
                 assert np.array_equal(G[i], o._grad(z))
             x = Z[0]
             assert inst._sum_value(x) == sum(o._eval(x) for o in inst.objectives)
+            # a (K, 3) stack: each group broadcasts it over its agents
+            P = stacks.normal(scale=10.0 ** stacks.uniform(-3, 3), size=(40, 3))
+            assert inst._sum_value(P).tolist() == [sum(o._eval(p) for o in inst.objectives)
+                                                   for p in P]
 
     @pytest.mark.parametrize("make", [gen_triangle_demo,
                                       lambda: gen_paper_instance(n=5, dim=4, rng=Rng(2))])
@@ -731,6 +735,8 @@ def _settle_corpus():
         cases += [(f"paper{n}-cap{cap}", inst, Dpsla(eta_cap=cap), 300, {}) for cap in (None, 1, 3)]
         cases += [(f"paper{n}-uniform", inst, Dpsla(), 300, {"x0": "uniform", "seed": n}),
                   (f"paper{n}-naive", inst, NaivePolyak(), 300, {"x0": "uniform", "seed": n})]
+    # no optimum solved, so the trace has no residual column
+    cases.append(("paper4-no-oracle", gen_paper_instance(n=4, rng=Rng(104)), Dpsla(), 300, {}))
     inst, _ = _main_instance(0)
     for name, cfg in (("clamped", StepsizeConfig(constraint_beta="clamped")),
                       ("constant", StepsizeConfig(c_kind="constant")),
@@ -766,6 +772,7 @@ class TestSettle:
         assert settled["tri-naive"] == 65
         assert settled["main0-dpsla"] == 65 and settled["main9-dgd"] == 225
         assert settled["main0-dgd"] is None and settled["tri-dgd"] is None
+        assert settled["paper4-no-oracle"] == 81
         assert sum(v is not None for v in settled.values()) >= len(settled) // 2
 
     @pytest.mark.parametrize("case", ["main0-dpsla", "main9-dgd", "tri-naive", "constant"])

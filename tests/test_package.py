@@ -34,3 +34,59 @@ def test_settable_values_do_not_grow():
     count = sum(_settable_values(p.read_text(encoding="utf-8"))
                 for p in sorted(package.glob("*.py")))
     assert count <= SETTABLE_VALUES_PIN, f"{count} settable values, pinned at {SETTABLE_VALUES_PIN}"
+
+
+# -- leftovers: imports and private names that nothing reads ----------------------
+
+
+def _module_trees() -> dict:
+    package = Path(dpsla.__file__).parent
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+
+
+def _read_names(tree) -> set:
+    """Names a module reads: loaded names, attribute names and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in _module_trees().items():
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = set()  # a re-export counts as a use
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                    for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                unused += [f"{module}: {a.asname or a.name}" for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in loaded | exported]
+    assert unused == []
+
+
+def test_every_private_module_name_is_read():
+    trees = _module_trees()
+    read = set().union(*map(_read_names, trees.values()))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            unread += [f"{module}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unread == []
