@@ -35,8 +35,9 @@ With a handful of agents the calls of a round, not their size, set the cost
 of a run: how many there are, and what each pays for numpy's Python wrappers
 and for boxing Python scalars. So the loop keeps them few and cheap. It looks
 up what it needs once, mixes by the bare `np.matmul` (X is finite by
-construction), tests the whole step by `np.count_nonzero` of `np.isfinite`
-(`.all()` goes through a Python wrapper), DGD reads its stepsizes and DPS-LA
+construction), tests the whole step by counting `np.isfinite` with `_count`,
+the C function that `np.count_nonzero` wraps (`.all()` and `np.count_nonzero`
+go through Python wrappers), DGD reads its stepsizes and DPS-LA
 its c_k from tables computed once per run, and the rules mask zero-gradient
 rows rather than switch `np.errstate`. The DPS-LA rule takes G.G, G.Z and
 G.witness in one `np.vecdot` pass over a (3, n, dim) operand whose last slice
@@ -65,6 +66,8 @@ from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, record_step
 from .topology import metropolis_weights
 
 mix = np.matmul
+# the C function that `np.count_nonzero` calls for a whole array, without its Python wrapper
+_count = np._core.multiarray.count_nonzero
 
 NAIVE_EPS_GRAD = 1e-12  # NaivePolyak's stepsize is 0 where the gradient's norm is at most this
 
@@ -394,7 +397,7 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
         G, alpha, updated = rule(r - 1, Z)
         step = Z - alpha[:, None] * G
         prev = X
-        if np.count_nonzero(np.isfinite(step)) == size:
+        if _count(np.isfinite(step)) == size:
             X = project(step)
         else:  # hold position on non-finite rows; the trace keeps the divergence flag
             finite = np.isfinite(step).all(axis=1)

@@ -13,11 +13,14 @@ one gufunc call (`np.vecdot`, `np.matvec`, `np.vecmat`) whose entries run the
 same dot as the 1-D `a @ b` of the single-agent `_eval`/`_grad`/`_project`,
 so the batched rows are bitwise equal to them. A rule that reads no value
 calls `_grads`, which runs the gradient expressions of `_values_grads` alone,
-so its rows keep their bits. A ball projection decides the usual case, every
-row inside, with one reduction: sqrt is monotone, so the largest norm is
-sqrt(max |d|^2), taken by `np.maximum.reduce` and `math.sqrt`: the reduction
-`ndarray.max` runs and the same correctly rounded sqrt, without the Python
-wrapper or a numpy scalar. It still returns a copy. Set-up is batched too: an
+so its rows keep their bits. A box projection calls the clip ufunc `_CLIP`
+that `ndarray.clip` reaches through numpy's Python `_clip` wrapper; the ufunc
+is public only in the private `numpy._core`, and a test pins its bits against
+`np.clip`. A ball projection decides the usual case, every row inside, with
+one reduction: sqrt is monotone, so the largest norm is sqrt(max |d|^2),
+taken by `_MAX`, the `np.maximum.reduce` that `ndarray.max` runs, bound once,
+and `math.sqrt`: the same correctly rounded sqrt, without a Python wrapper or
+a numpy scalar. It still returns a copy. Set-up is batched too: an
 instance's data is one block of draws, and the optimum's values and gradients
 come from one call at x* repeated for every agent.
 
@@ -48,6 +51,10 @@ ORACLE_TOL = 1e-10  # projected-gradient fixed-point residual of the reference s
 ORACLE_MAX_ITER = 1_000_000
 POWER_ITERATIONS = 200  # of `estimate_lipschitz`
 _HALF = np.array(0.5)  # 0-d: an array operation takes it faster than the float 0.5, same bits
+# the ufunc that `ndarray.clip` reaches through numpy's Python `_clip` wrapper,
+# and the reduction that `ndarray.max` runs, bound once rather than per call
+_CLIP = np._core.umath.clip
+_MAX = np.maximum.reduce
 
 
 class OracleConvergenceError(RuntimeError):
@@ -244,13 +251,12 @@ class ConstraintSet:
     def _project_rows(self, Y: np.ndarray) -> np.ndarray:
         """`_project` applied to every row of Y (m, dim)."""
         if self.kind == "box":
-            return Y.clip(self.lower, self.upper)
+            return _CLIP(Y, self.lower, self.upper)
         D = Y - self.ball_center
         sq = np.vecdot(D, D)
         # sqrt is monotone, so the largest norm is sqrt(max |d|^2): one reduction
         # finds every row inside (an empty Y too); a NaN fails it, as does any far row.
-        # `np.maximum.reduce` is what `sq.max` runs, without its Python wrapper
-        if math.sqrt(np.maximum.reduce(sq, initial=0.0)) <= self.radius:
+        if math.sqrt(_MAX(sq, initial=0.0)) <= self.radius:
             return Y.copy()
         norms = np.sqrt(sq)
         out = Y.copy()

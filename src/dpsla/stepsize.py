@@ -49,7 +49,11 @@ decided by the box test. The levels of all infeasible windows are
 then raised at once. A window of one row is the row just stored, so its
 smallest f-value is that row's F; only the windows of two rows or more are
 read, in one masked minimum over the stored rows. On `reproduce main` 96% of
-the updates reset a window of one row.
+the updates reset a window of one row. A round in which some witness fell
+works on (n,) masks over all agents, not on index arrays: the new witnesses,
+levels and counts are masked writes (`np.copyto(..., where=)`), and every
+agent gets a proposed level, which only the updated ones take. At a few
+agents the masked writes cost less than the index gathers and scatters.
 """
 
 from __future__ import annotations
@@ -65,6 +69,8 @@ from .numerics import is_int, require_positive
 WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
 # 0-d float64: an array operation takes it faster than the Python float, with the same bits
 _EPS_FEAS = np.array(EPS_FEAS)
+# the C function that `np.count_nonzero` calls for a whole array, without its Python wrapper
+_count = np._core.multiarray.count_nonzero
 
 
 @dataclass(frozen=True)
@@ -214,8 +220,11 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     Every infeasible window raises its level to a convex combination of itself
     and the window's smallest f-value and is cleared. The smallest f-value of a
     window of one row is this round's F[i], also under `eta_cap=1`; only the
-    windows of two rows or more are read from the stored rows. Returns the (n,)
-    mask of updated levels.
+    windows of two rows or more are read from the stored rows, into a copy of
+    this round's F. The combination is computed for every agent and written,
+    like the new witnesses and the cleared counts, through the (n,) masks, so an
+    agent outside `updated` keeps its level whatever its F (inf and NaN too).
+    Returns the (n,) mask of updated levels.
     """
     t = win.rows if win.rows < win.b.shape[0] else win._make_room()
     win.G[t], win.b[t], win.F[t], win.active[t] = G, b, F, active
@@ -226,7 +235,7 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     win.count += active
     if win.eta_cap is not None:
         np.minimum(win.count, win.eta_cap, out=win.count)
-    win.quiet = not np.count_nonzero(updated)
+    win.quiet = not _count(updated)
     if win.quiet:
         return updated
     system = win.system
@@ -236,27 +245,31 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     X = np.where(G < 0, hi, lo)
     meets = updated & (np.vecdot(G, X) - b <= _EPS_FEAS)
     one = meets & (win.count == 1)
-    win.witness[one], updated[one] = X[one], False
-    for i in (meets & ~one).nonzero()[0].tolist():
-        G_i, b_i, _ = win.window(i)
-        system.load(G_i, b_i)
-        try:
-            verdict = system.check_feasible()
-        except SolverStallError as exc:
-            raise SolverStallError(f"agent {i}, window of {b_i.size} rows: {exc}") from exc
-        if verdict.feasible:
-            win.witness[i], updated[i] = verdict.point, False
-    u = updated.nonzero()[0]
-    low = win.F[t, u]  # a window of one row is the row just stored
-    many = win.count[u] > 1
-    if np.count_nonzero(many):  # each longer window's smallest f, read from the stored rows
-        m = u[many]
-        low[many] = np.where(win._in_window(m), win.F[:t + 1, m], np.inf).min(0)
-    keep, level = cfg.gamma / cfg.gamma_bar, win.level[u]
+    np.copyto(win.witness, X, where=one[:, None])
+    updated ^= one  # `one` is a subset of `updated`
+    lp = meets ^ one  # the windows of two rows or more that meet the box
+    if _count(lp):
+        for i in lp.nonzero()[0].tolist():
+            G_i, b_i, _ = win.window(i)
+            system.load(G_i, b_i)
+            try:
+                verdict = system.check_feasible()
+            except SolverStallError as exc:
+                raise SolverStallError(f"agent {i}, window of {b_i.size} rows: {exc}") from exc
+            if verdict.feasible:
+                win.witness[i], updated[i] = verdict.point, False
+    low = win.F[t]  # a window of one row is the row just stored
+    many = updated & (win.count > 1)
+    if _count(many):  # each longer window's smallest f, read from the stored rows into a copy
+        m = many.nonzero()[0]
+        low = low.copy()
+        low[m] = np.where(win._in_window(m), win.F[:t + 1, m], np.inf).min(0)
+    # every agent's proposal, written only where its level was updated
+    keep, level = cfg.gamma / cfg.gamma_bar, win.level
     proposed = keep * level + (1.0 - keep) * low
     # The convex combination is a certified lower bound on the agent's optimal
     # value, but it only exceeds the old level when the window minimum does;
     # keep the level monotone in the residual cases (as max(level, proposed)).
-    win.level[u] = np.where(proposed > level, proposed, level)
-    win.count[u] = 0
+    np.copyto(level, proposed, where=updated & (proposed > level))
+    np.copyto(win.count, 0, where=updated)
     return updated

@@ -90,3 +90,49 @@ def test_every_private_module_name_is_read():
             unread += [f"{module}: {name}" for name in names
                        if name.startswith("_") and not name.startswith("__") and name not in read]
     assert unread == []
+
+
+# -- numpy's private modules ------------------------------------------------------
+
+# `numpy._core` is private, but it holds the only entry points to the clip ufunc
+# and to the C `count_nonzero` that skip numpy's Python wrappers. The package
+# binds them once, at module level, under these names and nowhere else reaches
+# into it; `TestNumpyEntryPoints` in test_problem.py pins their bits.
+NUMPY_CORE_NAMES = {"_CLIP", "_count"}
+
+
+def _numpy_core_reaches(tree) -> list:
+    """Lines that reach `numpy._core` other than in a module-level assignment
+    to one of NUMPY_CORE_NAMES."""
+    allowed = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and {getattr(t, "id", None)
+                                             for t in node.targets} <= NUMPY_CORE_NAMES:
+            allowed.update(map(id, ast.walk(node.value)))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_core":
+            reaches = id(node) not in allowed
+        elif isinstance(node, ast.Import):
+            reaches = any(a.name.startswith("numpy._core") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            reaches = module.startswith("numpy._core") or (
+                module == "numpy" and any(a.name == "_core" for a in node.names))
+        else:
+            reaches = False
+        if reaches:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_numpy_core_reached_only_by_the_pinned_names():
+    reaches = [f"{module}:{line}" for module, tree in _module_trees().items()
+               for line in _numpy_core_reaches(tree)]
+    assert reaches == []
+    # the guard itself: a call, an import or another name is a reach
+    planted = ("_CLIP = np._core.umath.clip\n"
+               "def f(x):\n    return np._core.umath.minimum(x, 0)\n"
+               "from numpy._core import umath\n"
+               "_MIN = np._core.umath.minimum\n")
+    assert _numpy_core_reaches(ast.parse(planted)) == [3, 4, 5]

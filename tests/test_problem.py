@@ -163,6 +163,44 @@ class TestConstraintSet:
         assert P.tobytes() == ref.tobytes()
 
 
+class TestNumpyEntryPoints:
+    """The package calls the clip ufunc and the C `count_nonzero` from
+    `numpy._core`, bypassing numpy's Python wrappers; they must give the public
+    functions' bits."""
+
+    # signed zero bounds in the first four columns, finite ones in the last
+    LOWER = np.array([-0.0, 0.0, -1.0, -1.0, -3.0])
+    UPPER = np.array([1.0, 1.0, -0.0, 0.0, 2.5])
+    ROWS = {
+        "signed_zeros": [[-0.0] * 5, [0.0] * 5, [-0.0, 0.0, -0.0, 0.0, -0.0]],
+        "inf_nan": [[math.inf] * 5, [-math.inf] * 5, [math.nan] * 5,
+                    [math.nan, -math.inf, math.inf, math.nan, 0.5]],
+        "at_bounds": [LOWER.tolist(), UPPER.tolist()],
+        "one_ulp_beyond": [np.nextafter(LOWER, -math.inf).tolist(),
+                           np.nextafter(UPPER, math.inf).tolist(),
+                           np.nextafter(LOWER, math.inf).tolist(),
+                           np.nextafter(UPPER, -math.inf).tolist()],
+        "no_rows": np.empty((0, 5)),
+    }
+
+    @pytest.mark.parametrize("case", ROWS)
+    def test_box_rows_are_np_clip(self, case):
+        cs = ConstraintSet.box(self.LOWER, self.UPPER)
+        Y = np.asarray(self.ROWS[case], dtype=float).reshape(-1, 5)
+        P = cs._project_rows(Y)
+        ref = np.clip(Y, self.LOWER, self.UPPER)
+        assert P is not Y and P.shape == Y.shape and P.dtype == ref.dtype
+        assert P.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        np.array([True, False, True, True]), np.zeros((3, 2), dtype=bool),
+        np.array([[0.0, -0.0, 1.5], [math.nan, math.inf, -2.0]]), np.empty(0), np.empty((0, 3), bool)])
+    def test_count_is_np_count_nonzero(self, values):
+        from dpsla import engine, stepsize
+        expected = np.count_nonzero(values)
+        assert engine._count(values) == stepsize._count(values) == expected
+
+
 class TestGenerators:
     def test_paper_instance_shapes_and_ranges(self):
         inst = gen_paper_instance(rng=Rng(0))

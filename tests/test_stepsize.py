@@ -582,6 +582,10 @@ class TestWindowReplay:
             if quiet(k):
                 b = np.abs(G).sum(1) + 1.0
             G[~active], b[~active] = 0.0, np.nan  # zero-gradient rows; their b is ignored
+            # and their F must move no level although a fallen round computes a
+            # proposal for every agent: +inf, -inf or NaN, picked without a draw
+            idle = np.flatnonzero(~active)
+            F[idle] = np.array([np.inf, -np.inf, np.nan])[(k + idle) % 3]
             held, witness = win.count > 0, win.witness.copy()
             updated = record(win, cfg, G, b, F, active)
             still += bool(held[active].all() and (win.count > 0)[active].all()
