@@ -54,20 +54,17 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from types import SimpleNamespace
 
 import numpy as np
 
 from .feasibility import SolverStallError
 from .metrics import consensus_error, residual
-from .numerics import Rng, is_int, require_positive
+from .numerics import Rng, _count, is_int, require_positive
 from .problem import ConstraintSet, ProblemInstance, gen_paper_instance, minimize_local
 from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, record_step
 from .topology import metropolis_weights
 
 mix = np.matmul
-# the C function that `np.count_nonzero` calls for a whole array, without its Python wrapper
-_count = np._core.multiarray.count_nonzero
 
 NAIVE_EPS_GRAD = 1e-12  # NaivePolyak's stepsize is 0 where the gradient's norm is at most this
 
@@ -253,12 +250,11 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
     windows = LevelWindows(level, inst.dim, bounds=inst.constraint.bounding_box(),
                            eta_cap=alg.eta_cap)
     cap, c = np.full(n, cfg.c0 * cfg.alpha0), cfg.c_value(np.arange(rounds))
-    # the constants of the round as 0-d float64 arrays, which an array operation
-    # takes faster than a Python float, with the same bits; `decide_alpha` reads
-    # gamma, beta_floor and constraint_beta from `boxed` as from the config
-    boxed = SimpleNamespace(gamma=np.array(cfg.gamma), beta_floor=np.array(cfg.beta_floor),
-                            constraint_beta=cfg.constraint_beta)
-    eps_sq, gamma_bar = np.array(cfg.eps_grad ** 2), np.array(cfg.gamma_bar)
+    # the config's numbers that a round reads, taken once; the floats as 0-d float64
+    # arrays, which an array operation takes faster than a Python float, same bits
+    gamma, floor, gamma_bar = np.array(cfg.gamma), np.array(cfg.beta_floor), np.array(cfg.gamma_bar)
+    eps_sq, clamped = np.array(cfg.eps_grad ** 2), cfg.constraint_beta == "clamped"
+    keep = cfg.gamma / cfg.gamma_bar  # the old level's weight in a level update
     values_grads, S = inst._values_grads, windows.operand
 
     def rule(k, Z):
@@ -267,10 +263,10 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
         D = np.vecdot(G, S)
         grad_sq, gw = D[0], D[2]
         active = grad_sq > eps_sq  # zero-gradient rows add no half-space; their b is never read
-        alpha, beta = decide_alpha(boxed, cap, F, windows.level, grad_sq, active, c[k])
+        alpha, beta = decide_alpha(gamma, floor, clamped, cap, F, windows.level, grad_sq, active, c[k])
         b = D[1] - beta * grad_sq / gamma_bar
         try:
-            return G, alpha, record_step(windows, cfg, G, b, F, active, gw)
+            return G, alpha, record_step(windows, keep, G, b, F, active, gw)
         except SolverStallError as exc:
             raise SolverStallError(f"round {k}, {exc}") from exc
 

@@ -1,7 +1,8 @@
-"""Dense vector/matrix helpers and the seeded random stream used by every module.
+"""Dense vector/matrix helpers, the seeded random stream and numpy's C entry points.
 
 All systems in this project are tiny (dimension <= 32), so everything here is
-plain dense float64 arithmetic with eager validation at the API boundary.
+plain dense float64 arithmetic with eager validation at the API boundary. The
+package reaches into the private `numpy._core` here alone, for `_count` and `_CLIP`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,11 @@ import numpy as np
 
 # Cholesky pivots below this are treated as a singular / non-SPD input.
 SPD_PIVOT_TOL = 1e-12
+# the C function that `np.count_nonzero` calls for a whole array and the ufunc that
+# `ndarray.clip` reaches through its Python `_clip` wrapper: only the private
+# `numpy._core` exposes them, and a few-agent round is set by its calls' overhead
+_count = np._core.multiarray.count_nonzero
+_CLIP = np._core.umath.clip
 
 
 class SingularMatrixError(ValueError):

@@ -10,19 +10,18 @@ The simulator evaluates all agents at once: an instance stacks its objectives
 into groups of one kind and shape (`ObjectiveGroup`), and the constraint set
 projects every row of an (n, dim) array in one call. Each batched product is
 one gufunc call (`np.vecdot`, `np.matvec`, `np.vecmat`) whose entries run the
-same dot as the 1-D `a @ b` of the single-agent `_eval`/`_grad`/`_project`,
-so the batched rows are bitwise equal to them. A rule that reads no value
-calls `_grads`, which runs the gradient expressions of `_values_grads` alone,
-so its rows keep their bits. A box projection calls the clip ufunc `_CLIP`
-that `ndarray.clip` reaches through numpy's Python `_clip` wrapper; the ufunc
-is public only in the private `numpy._core`, and a test pins its bits against
+same dot as the 1-D `a @ b` of the single-agent `_eval`/`_grad`/`_project`, so
+the batched rows are bitwise equal to them. A rule that reads no value calls
+`_grads`, which runs the gradient expressions of `_values_grads` alone, so its
+rows keep their bits. A box projection calls `numerics._CLIP`, the clip ufunc
+behind numpy's Python `_clip` wrapper, whose bits a test pins against
 `np.clip`. A ball projection decides the usual case, every row inside, with
-one reduction: sqrt is monotone, so the largest norm is sqrt(max |d|^2),
-taken by `_MAX`, the `np.maximum.reduce` that `ndarray.max` runs, bound once,
-and `math.sqrt`: the same correctly rounded sqrt, without a Python wrapper or
-a numpy scalar. It still returns a copy. Set-up is batched too: an
-instance's data is one block of draws, and the optimum's values and gradients
-come from one call at x* repeated for every agent.
+one reduction: sqrt is monotone, so the largest norm is sqrt(max |d|^2), taken
+by `_MAX`, the `np.maximum.reduce` that `ndarray.max` runs, bound once, and
+`math.sqrt`: the same correctly rounded sqrt, without a Python wrapper or a
+numpy scalar. It still returns a copy. Set-up is batched too: an instance's
+data is one block of draws, and the optimum's values and gradients come from
+one call at x* repeated for every agent.
 
 Only the projected-gradient solvers (`solve_reference`, `minimize_local`) keep
 the per-point `_eval`, `_grad`, `_project` and `_sum_grad`; one-row batched
@@ -42,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import Rng, as_mat, as_vec, require_positive, solve_spd
+from .numerics import _CLIP, Rng, as_mat, as_vec, require_positive, solve_spd
 from .topology import Graph, build_graph
 
 PSD_EIG_TOL = -1e-10
@@ -51,10 +50,7 @@ ORACLE_TOL = 1e-10  # projected-gradient fixed-point residual of the reference s
 ORACLE_MAX_ITER = 1_000_000
 POWER_ITERATIONS = 200  # of `estimate_lipschitz`
 _HALF = np.array(0.5)  # 0-d: an array operation takes it faster than the float 0.5, same bits
-# the ufunc that `ndarray.clip` reaches through numpy's Python `_clip` wrapper,
-# and the reduction that `ndarray.max` runs, bound once rather than per call
-_CLIP = np._core.umath.clip
-_MAX = np.maximum.reduce
+_MAX = np.maximum.reduce  # the reduction that `ndarray.max` runs, bound once
 
 
 class OracleConvergenceError(RuntimeError):

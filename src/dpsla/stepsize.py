@@ -64,13 +64,11 @@ from functools import cached_property
 import numpy as np
 
 from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError
-from .numerics import is_int, require_positive
+from .numerics import _count, is_int, require_positive
 
 WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
 # 0-d float64: an array operation takes it faster than the Python float, with the same bits
 _EPS_FEAS = np.array(EPS_FEAS)
-# the C function that `np.count_nonzero` calls for a whole array, without its Python wrapper
-_count = np._core.multiarray.count_nonzero
 
 
 @dataclass(frozen=True)
@@ -115,26 +113,25 @@ class StepsizeConfig:
         return self.c0 * self.alpha0 / 2.0
 
 
-def decide_alpha(cfg: StepsizeConfig, cap: np.ndarray, F: np.ndarray, level: np.ndarray,
-                 grad_sq: np.ndarray, active: np.ndarray,
+def decide_alpha(gamma: float, floor: float, clamped: bool, cap: np.ndarray, F: np.ndarray,
+                 level: np.ndarray, grad_sq: np.ndarray, active: np.ndarray,
                  c_k: float) -> tuple[np.ndarray, np.ndarray]:
     """Stepsizes and Polyak values of every agent for the round whose c-value is c_k.
 
     beta = gamma (F - level) / ||g||^2 may be negative; a row outside `active`
     (zero gradient) keeps gamma (F - level), as if divided by 1, and takes the
-    lower clamp c0 alpha0 / 2. `cap` (n,) carries c_{k-1} alpha_{i,k-1}, starts
-    at c0 alpha0 and is updated in place. The max/min keep Python's
-    max(beta, floor) and min(inner, cap), so a NaN beta propagates.
-    Only `cfg.gamma`, `cfg.beta_floor` and `cfg.constraint_beta` are read; the
-    engine passes the two numbers as 0-d arrays, which give the same bits.
-    Returns (alpha, beta), beta lower-clamped if `cfg.constraint_beta` is "clamped".
+    lower clamp `floor`, the config's `beta_floor` c0 alpha0 / 2. `cap` (n,)
+    carries c_{k-1} alpha_{i,k-1}, starts at c0 alpha0 and is updated in place.
+    The max/min keep Python's max(beta, floor) and min(inner, cap), so a NaN
+    beta propagates. gamma and floor may be floats or 0-d arrays (the engine's),
+    which give the same bits. Returns (alpha, beta), beta lower-clamped if
+    `clamped` (the config's constraint_beta "clamped").
     """
-    beta = cfg.gamma * (F - level)
+    beta = gamma * (F - level)
     np.divide(beta, grad_sq, out=beta, where=active)
-    floor = cfg.beta_floor
     inner = np.where(active, np.maximum(beta, floor), floor)
     np.copyto(cap, inner, where=~(cap < inner))  # cap = where(cap < inner, cap, inner)
-    return cap / c_k, inner if cfg.constraint_beta == "clamped" else beta
+    return cap / c_k, inner if clamped else beta
 
 
 class LevelWindows:
@@ -199,7 +196,7 @@ class LevelWindows:
         return self.G[t, i], self.b[t, i], self.F[t, i]
 
 
-def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.ndarray,
+def record_step(win: LevelWindows, keep: float, G: np.ndarray, b: np.ndarray,
                 F: np.ndarray, active: np.ndarray, gw: np.ndarray) -> np.ndarray:
     """Append one round's half-spaces G[i].x <= b[i], check the windows, update the levels.
 
@@ -217,8 +214,9 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
     other windows, of two rows or more, are read and go to
     `win.system.check_feasible`; on the paper's workloads there are none, and
     every level update is box-decided.
-    Every infeasible window raises its level to a convex combination of itself
-    and the window's smallest f-value and is cleared. The smallest f-value of a
+    Every infeasible window raises its level to the convex combination
+    keep * level + (1 - keep) * (the window's smallest f-value), with the
+    weight keep = gamma / gamma_bar, and is cleared. The smallest f-value of a
     window of one row is this round's F[i], also under `eta_cap=1`; only the
     windows of two rows or more are read from the stored rows, into a copy of
     this round's F. The combination is computed for every agent and written,
@@ -265,7 +263,7 @@ def record_step(win: LevelWindows, cfg: StepsizeConfig, G: np.ndarray, b: np.nda
         low = low.copy()
         low[m] = np.where(win._in_window(m), win.F[:t + 1, m], np.inf).min(0)
     # every agent's proposal, written only where its level was updated
-    keep, level = cfg.gamma / cfg.gamma_bar, win.level
+    level = win.level
     proposed = keep * level + (1.0 - keep) * low
     # The convex combination is a certified lower bound on the agent's optimal
     # value, but it only exceeds the old level when the window minimum does;

@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,10 +25,15 @@ def fresh_cap(cfg, n=1):
     return np.full(n, cfg.c0 * cfg.alpha0)
 
 
+def decide(cfg, *args):
+    """`decide_alpha` with the numbers the engine's rule takes from `cfg`."""
+    return decide_alpha(cfg.gamma, cfg.beta_floor, cfg.constraint_beta == "clamped", *args)
+
+
 def polyak(cfg, f_val, level, grad_sq):
     """The Polyak value `decide_alpha` returns for one agent with a nonzero gradient."""
-    return decide_alpha(cfg, fresh_cap(cfg), np.array([f_val]), np.array([level]),
-                        np.array([grad_sq]), np.array([True]), cfg.c0)[1][0]
+    return decide(cfg, fresh_cap(cfg), np.array([f_val]), np.array([level]),
+                  np.array([grad_sq]), np.array([True]), cfg.c0)[1][0]
 
 
 def alpha_for(cfg, cap, beta, c_k):
@@ -38,13 +42,15 @@ def alpha_for(cfg, cap, beta, c_k):
     assert cfg.gamma == 1.0
     beta = np.asarray(beta, dtype=float)
     ones = np.ones_like(beta)
-    return decide_alpha(cfg, cap, beta, np.zeros_like(beta), ones, ones > 0, c_k)[0]
+    return decide(cfg, cap, beta, np.zeros_like(beta), ones, ones > 0, c_k)[0]
 
 
 def record(win, cfg, G, b, F, active):
-    """`record_step` with the witness dots G[i] . witness[i], which the engine's
-    rule takes from its stacked dot pass."""
-    return record_step(win, cfg, G, b, F, active, np.vecdot(G, win.witness))
+    """`record_step` with the level-update weight gamma / gamma_bar of `cfg` and the
+    witness dots G[i] . witness[i], which the engine's rule takes from its stacked
+    dot pass."""
+    return record_step(win, cfg.gamma / cfg.gamma_bar, G, b, F, active,
+                       np.vecdot(G, win.witness))
 
 
 def step(win, cfg, z, f_val, g, beta):
@@ -161,8 +167,8 @@ class TestRawBeta:
     def test_elementwise(self):
         cfg = cfg_unit()
         grad_sq = np.array([4.0, 4.0, 0.0])
-        _, beta = decide_alpha(cfg, fresh_cap(cfg, 3), np.array([3.0, 1.0, 5.0]),
-                               np.array([1.0, 1.0, 0.0]), grad_sq, grad_sq > 0, cfg.c0)
+        _, beta = decide(cfg, fresh_cap(cfg, 3), np.array([3.0, 1.0, 5.0]),
+                         np.array([1.0, 1.0, 0.0]), grad_sq, grad_sq > 0, cfg.c0)
         assert beta[:2].tolist() == [0.5, 0.0]
 
     def test_zero_gradient_row_is_inert(self, monkeypatch):
@@ -178,9 +184,9 @@ class TestRawBeta:
         cfg, seen = cfg_unit(), []
         call = engine.record_step
 
-        def spy(win, cfg, G, b, F, active, gw):
+        def spy(win, keep, G, b, F, active, gw):
             seen.append((win, np.vecdot(G, G), b.copy(), active.copy()))
-            return call(win, cfg, G, b, F, active, gw)
+            return call(win, keep, G, b, F, active, gw)
 
         monkeypatch.setattr(engine, "record_step", spy)
         with warnings.catch_warnings():
@@ -211,8 +217,8 @@ class TestDecideAlpha:
     def test_zero_gradient_is_lower_clamp(self):
         # the gap would give beta = 10, the cap, but the row is not active
         cfg = cfg_unit()
-        alpha, _ = decide_alpha(cfg, fresh_cap(cfg), np.array([10.0]), np.array([0.0]),
-                                np.array([1e-30]), np.array([False]), cfg.c_value(0))
+        alpha, _ = decide(cfg, fresh_cap(cfg), np.array([10.0]), np.array([0.0]),
+                          np.array([1e-30]), np.array([False]), cfg.c_value(0))
         assert alpha == 0.5
 
     def test_nan_beta_propagates_and_inactive_rows_take_the_floor(self):
@@ -220,9 +226,9 @@ class TestDecideAlpha:
         # and cap; the inactive rows take the lower clamp whatever F says
         cfg = cfg_unit()
         cap = fresh_cap(cfg, 4)
-        alpha, beta = decide_alpha(cfg, cap, np.array([np.nan, 0.7, np.nan, 10.0]),
-                                   np.zeros(4), np.ones(4),
-                                   np.array([True, True, False, False]), cfg.c_value(0))
+        alpha, beta = decide(cfg, cap, np.array([np.nan, 0.7, np.nan, 10.0]),
+                             np.zeros(4), np.ones(4),
+                             np.array([True, True, False, False]), cfg.c_value(0))
         assert np.isnan(alpha[0]) and np.isnan(cap[0]) and np.isnan(beta[0])
         assert alpha[1:].tolist() == [0.7, cfg.beta_floor, cfg.beta_floor]
 
@@ -242,22 +248,21 @@ class TestDecideAlpha:
             assert got == expected
 
     @staticmethod
-    def where_form(cfg, cap, F, level, grad_sq, active, c_k):
+    def where_form(gamma, floor, clamped, cap, F, level, grad_sq, active, c_k):
         """`decide_alpha` with each masked row divided by 1, as it was first written."""
-        beta = cfg.gamma * (F - level) / np.where(active, grad_sq, 1.0)
-        floor = cfg.beta_floor
+        beta = gamma * (F - level) / np.where(active, grad_sq, 1.0)
         inner = np.where(active, np.maximum(beta, floor), floor)
         cap[...] = np.where(cap < inner, cap, inner)
-        return cap / c_k, inner if cfg.constraint_beta == "clamped" else beta
+        return cap / c_k, inner if clamped else beta
 
     @pytest.mark.parametrize("constraint_beta", ["raw", "clamped"])
     def test_masked_divide_is_the_where_form(self, constraint_beta):
         # a masked row keeps gamma (F - level), the bits of dividing it by 1, and
-        # the masked divide raises no warning; the engine passes the config's
-        # numbers as 0-d arrays, which must give the same bits as Python floats
+        # the masked divide raises no warning; the engine passes gamma and the
+        # floor as 0-d arrays, which must give the same bits as Python floats
         cfg = StepsizeConfig(gamma=0.7, constraint_beta=constraint_beta)
-        boxed = SimpleNamespace(gamma=np.array(cfg.gamma), beta_floor=np.array(cfg.beta_floor),
-                                constraint_beta=constraint_beta)
+        floats = (cfg.gamma, cfg.beta_floor, constraint_beta == "clamped")
+        boxed = (np.array(cfg.gamma), np.array(cfg.beta_floor), floats[2])
         gen = np.random.default_rng(7)
         special = [np.inf, -np.inf, np.nan, 0.0, -0.0]
         with warnings.catch_warnings():
@@ -275,10 +280,10 @@ class TestDecideAlpha:
                 cap[gen.random(n) < 0.1] = np.nan  # the cap after a NaN beta
                 c_k = cfg.c_value(int(gen.integers(0, 100)))
                 want_cap = cap.copy()
-                want = self.where_form(cfg, want_cap, F, level, grad_sq, active, c_k)
-                for spec in (cfg, boxed):
+                want = self.where_form(*floats, want_cap, F, level, grad_sq, active, c_k)
+                for numbers in (floats, boxed):
                     got_cap = cap.copy()
-                    got = decide_alpha(spec, got_cap, F, level, grad_sq, active, c_k)
+                    got = decide_alpha(*numbers, got_cap, F, level, grad_sq, active, c_k)
                     for a, b in zip(got + (got_cap,), want + (want_cap,)):
                         assert a.tobytes() == b.tobytes()
 
