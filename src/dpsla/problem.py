@@ -20,16 +20,18 @@ one reduction: sqrt is monotone, so the largest norm is sqrt(max |d|^2), taken
 by `_MAX`, the `np.maximum.reduce` that `ndarray.max` runs, bound once, and
 `math.sqrt`: the same correctly rounded sqrt, without a Python wrapper or a
 numpy scalar. It still returns a copy. Set-up is batched too: an instance's
-data is one block of draws, and the optimum's values and gradients come from
-one call at x* repeated for every agent.
+data is one block of draws, whose (n, rows, dim) view gives the normal
+equations in one `np.matmul` and one `np.matvec`, and the optimum's values and
+gradients come from one call at x* repeated for every agent. Each sum over
+agents adds them in order from an exact zero, as a loop over objectives would.
 
-Only the projected-gradient solvers (`solve_reference`, `minimize_local`) keep
-the per-point `_eval`, `_grad`, `_project` and `_sum_grad`; one-row batched
-calls measured slower on a 2-vCPU VM. `_project_rows` took 3.2-5.7 us against
-1.0-1.1 us inside the triangle's ball, 11.6-12.2 against 1.9-2.0 us outside;
-the oracle's 21 triangle steps 0.58-0.65 ms with a batched summed gradient
-against 0.29-0.45 ms; local minima batched 5.3-7.9 against 2.6-4.5 ms an
-instance.
+The per-point kernels stay where one-row batched calls measured slower (2-vCPU
+VM, best of 7): `minimize_local` runs `_grad`, `_project` and `_eval` (the
+triangle's local minima 1.4-1.5 ms, batched 1.9-2.1), and `solve_reference`
+projects by `_project` (a one-row `_project_rows` 3.1 against 1.1 us inside the
+triangle's ball, 11.6 against 1.9 outside) but sums `_grads` at x repeated for
+every agent: 7-10 us a triangle step against 5-7 for a loop over `_grad`, and a
+paper oracle 0.11-0.12 against 0.13-0.14 ms at n = 8, 0.17 against 0.29 at 32.
 """
 
 from __future__ import annotations
@@ -402,12 +404,6 @@ class ProblemInstance:
         total = sum(F)  # `np.add.reduce` would sum pairwise from 8 agents on
         return float(total[0]) if x.ndim == 1 else total
 
-    def _sum_grad(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.dim)
-        for o in self.objectives:
-            g += o._grad(x)
-        return g
-
     def ensure_optimum(self, tol: float = ORACLE_TOL) -> OracleResult:
         if self.optimum is None:
             self.optimum = solve_reference(self, tol)
@@ -496,10 +492,9 @@ def gen_paper_instance(n: int = 4, dim: int = 6, rows_per_agent: int = 2, *, rng
     k = rows_per_agent * dim  # row i of the draw is agent i's A_i, row-major, then b_i
     data = rng.uniform_array((n, k + rows_per_agent), 0.0,
                              np.repeat([0.1, 5.0], [k, rows_per_agent]))
-    objectives = [QuadraticObjective.least_squares(d[:k].reshape(rows_per_agent, dim), d[k:])
-                  for d in data]
-    H = sum((o.A.T @ o.A for o in objectives), np.zeros((dim, dim)))
-    rhs = sum((o.A.T @ o.b for o in objectives), np.zeros(dim))
+    A, b = data[:, :k].reshape(n, rows_per_agent, dim), data[:, k:]
+    H = sum(np.matmul(A.mT, A), np.zeros((dim, dim)))  # agents in order, as per-object sums
+    rhs = sum(np.matvec(A.mT, b), np.zeros(dim))
     try:
         theta_unc = solve_spd(H + 1e-10 * np.eye(dim), rhs)
     except Exception as exc:
@@ -510,7 +505,7 @@ def gen_paper_instance(n: int = 4, dim: int = 6, rows_per_agent: int = 2, *, rng
     upper = theta_unc + 10.0 + offset
     graph = build_graph(graph_kind, n, edge_prob=edge_prob, rng=rng)
     return ProblemInstance(
-        objectives=objectives,
+        objectives=[QuadraticObjective.least_squares(a, v) for a, v in zip(A, b)],
         constraint=ConstraintSet.box(lower, upper),
         graph=graph,
     )
@@ -582,10 +577,10 @@ def solve_reference(inst: ProblemInstance, tol: float = ORACLE_TOL) -> OracleRes
     """
     require_positive("tol", tol)
     H = sum((o.hessian() for o in inst.objectives), np.zeros((inst.dim, inst.dim)))
-    L = estimate_lipschitz(H)
-    x0 = inst.constraint.center()
-    x, res, _ = _projected_gradient(inst._sum_grad, inst.constraint._project, x0, L, tol)
-    F, _ = inst._values_grads(np.tile(x, (inst.n_agents, 1)))
+    n, cs = inst.n_agents, inst.constraint
+    x, res, _ = _projected_gradient(lambda y: sum(inst._grads(np.tile(y, (n, 1)))), cs._project,
+                                    cs.center(), estimate_lipschitz(H), tol)
+    F, _ = inst._values_grads(np.tile(x, (n, 1)))
     return OracleResult(x_star=x, f_star=float(sum(F)), local_values=F.tolist(),
                         kkt_residual=res)
 

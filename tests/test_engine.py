@@ -20,6 +20,8 @@ from dpsla.problem import (ConstraintSet, ObjectiveGroup, ProblemInstance, Quadr
 from dpsla.stepsize import StepsizeConfig
 from dpsla.topology import build_graph, metropolis_weights
 
+from .util import mixed_instance
+
 
 @pytest.fixture(scope="module")
 def triangle():
@@ -375,22 +377,6 @@ class TestValidateMode:
             run(triangle, Dgd(), 0)
 
 
-def _mixed_instance(constraint) -> ProblemInstance:
-    """Least squares with 1 and 3 rows and general quadratics, interleaved, dim 3."""
-    gen = np.random.default_rng(4)
-
-    def ls(rows):
-        return QuadraticObjective.least_squares(gen.uniform(-1, 1, (rows, 3)), gen.uniform(-2, 2, rows))
-
-    def quad():
-        M = gen.normal(size=(3, 3))
-        return QuadraticObjective.quadratic(M @ M.T, gen.normal(size=3), float(gen.normal()))
-
-    objectives = [ls(1), quad(), ls(3), ls(1), quad(), ls(3)]
-    return ProblemInstance(objectives=objectives, constraint=constraint,
-                           graph=build_graph("ring", len(objectives)))
-
-
 def _reference_round(inst, W, xs, alphas):
     """One round agent by agent through the single-vector paths."""
     zs = list(W @ np.stack(xs))
@@ -415,7 +401,7 @@ class TestBatchedRound:
     """The array paths of a round are bitwise equal to the per-agent paths."""
 
     def test_mixed_objective_groups(self):
-        inst = _mixed_instance(ConstraintSet.box(-np.ones(3), np.ones(3)))
+        inst = mixed_instance(ConstraintSet.box(-np.ones(3), np.ones(3)))
         assert [g.agents.tolist() for g in inst._groups] == [[0, 3], [1, 4], [2, 5]]
         gen, stacks = np.random.default_rng(9), np.random.default_rng(10)
         for _ in range(50):
@@ -454,7 +440,7 @@ class TestBatchedRound:
                 assert np.array_equal(G[i], o._grad(z))
 
     @pytest.mark.parametrize("make", [gen_triangle_demo, lambda: gen_paper_instance(rng=Rng(0)),
-                                      lambda: _mixed_instance(ConstraintSet.ball(np.zeros(3), 1.5))],
+                                      lambda: mixed_instance(ConstraintSet.ball(np.zeros(3), 1.5))],
                              ids=["triangle", "paper", "mixed"])
     def test_dgd_evaluates_no_value(self, make, monkeypatch):
         # DGD reads only gradients; without an optimum no residual reads a value either
@@ -482,7 +468,7 @@ class TestBatchedRound:
         assert np.array_equal(Y, before)
 
     def test_ball_run_matches_per_agent_rounds(self):
-        inst = _mixed_instance(ConstraintSet.ball([0.5, 0.0, -0.5], 1.5))
+        inst = mixed_instance(ConstraintSet.ball([0.5, 0.0, -0.5], 1.5))
         tr = run(inst, Dgd(scale=1.0), 40, seed=0, x0="uniform", keep_states=True)
         W = metropolis_weights(inst.graph)
         projected = kept = 0
@@ -857,25 +843,58 @@ class TestIntegerArguments:
             run_speedup_sweep([2, n], 4, [0], sweep_algorithm())
 
 
-class TestRoundBudget:
-    """Calls that dpsla's own frames make per simulated round of `run`.
+def _plain(x):
+    return x.view(np.ndarray) if isinstance(x, _UfuncCounted) else x
 
-    A profile hook counts every call whose calling Python frame belongs to a
-    dpsla source file, in a T-round and a 2T-round run; the difference divided
-    by T leaves out the set-up. What numpy's Python wrappers call in turn is
-    not counted, so a budget moves when dpsla's per-round code changes, not
-    when numpy's wrappers do. A ufunc such as `np.matmul`, like any callable
-    that is neither a Python nor a builtin function, raises no profile event
-    and is not counted. A numpy function behind a C dispatcher, such as
-    `np.count_nonzero`, counts once: the dispatcher calls its Python relay,
-    which is counted, and then its Python body (if it has one), which is not.
+
+class _UfuncCounted(np.ndarray):
+    """An array that counts every ufunc call it takes part in and hands the call
+    on to numpy with plain arrays; each array a call returns is one again."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _UfuncCounted.calls += 1
+        kwargs = {k: _plain(v) for k, v in kwargs.items()}  # `where` too
+        if out is not None:
+            kwargs["out"] = tuple(map(_plain, out))
+        result = getattr(ufunc, method)(*map(_plain, inputs), **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(_UfuncCounted) if isinstance(result, np.ndarray) else result
+
+
+class TestRoundBudget:
+    """Calls per simulated round of `run`, read two ways.
+
+    The first reading counts the calls whose calling Python frame belongs to
+    a dpsla source file, with a profile hook, in a T-round and a 2T-round run;
+    the difference divided by T leaves out the set-up. What numpy's Python
+    wrappers call in turn is not counted, so a budget moves when dpsla's
+    per-round code changes, not when numpy's wrappers do. A numpy function
+    behind a C dispatcher, such as `np.count_nonzero`, counts once: the
+    dispatcher calls its Python relay, which is counted, and then its Python
+    body (if it has one), which is not. This reading misses every ufunc: a
+    ufunc such as `np.matmul`, `np.vecdot` or the clip ufunc, like any callable
+    that is neither a Python nor a builtin function, raises no profile event,
+    and neither does an arithmetic operator such as `W @ X`.
+
+    The second reading counts ufunc calls: the run's weights and initial
+    states are `_UfuncCounted` arrays (through `engine.metropolis_weights` and
+    `engine._initial_states`), so every ufunc call that takes one of them, or
+    an array a counted call returned, is counted, wherever it is made, numpy's
+    Python wrappers included. It misses whatever takes only plain arrays:
+    calls that are not ufuncs, such as `np.where` and `count_nonzero`, return
+    plain ndarrays, and so do the run's own buffers, so the calls made on those
+    are not counted.
+
     The counted runs never settle, so every round is simulated; the test of
     whether the state repeats, made every 16th round, adds 0.125 calls per
-    round. The five shapes are the `reproduce main` instance (seed 0) under
-    DPS-LA with `sweep_algorithm()`, under DGD and, for T=32, under its own
-    DPS-LA config, whose levels climb (58 of its first 64 rounds update one; it
-    settles at row 65), and the triangle under DGD and, for T=16, naive Polyak,
-    which settles at row 65."""
+    round to the first reading. The five shapes are the `reproduce main`
+    instance (seed 0) under DPS-LA with `sweep_algorithm()`, under DGD and,
+    for T=32, under its own DPS-LA config, whose levels climb (58 of its first
+    64 rounds update one; it settles at row 65), and the triangle under DGD
+    and, for T=16, naive Polyak, which settles at row 65."""
 
     ROOT = os.path.dirname(dpsla.__file__) + os.sep
     # the Python bodies behind numpy's C dispatchers
@@ -910,19 +929,57 @@ class TestRoundBudget:
     BUDGETS = {"dpsla_main": 12, "dgd_main": 7, "dgd_triangle": 10, "naive_triangle": 12,
                "dpsla_level_climb": 17}
 
+    @staticmethod
+    def build(name, triangle):
+        """(instance, algorithm, T) of a named shape."""
+        if name == "dpsla_level_climb":
+            return *_main_instance(), 32
+        if name.endswith("main"):
+            inst, _ = _main_instance()
+            return inst, sweep_algorithm() if name.startswith("dpsla") else Dgd(scale=2.0), 256
+        if name.startswith("dgd"):
+            return triangle, Dgd(scale=2.0), 256
+        return triangle, NaivePolyak(target="local_min"), 16
+
     @pytest.mark.parametrize("shape", BUDGETS)
     def test_calls_per_round(self, shape, triangle):
-        T = 256
-        if shape == "dpsla_level_climb":
-            (inst, alg), T = _main_instance(), 32
-        elif shape.endswith("main"):
-            inst, _ = _main_instance()
-            alg = sweep_algorithm() if shape.startswith("dpsla") else Dgd(scale=2.0)
-        elif shape.startswith("dgd"):
-            inst, alg = triangle, Dgd(scale=2.0)
-        else:
-            inst, alg, T = triangle, NaivePolyak(target="local_min"), 16
-        assert self.calls_per_round(inst, alg, T) <= self.BUDGETS[shape]
+        assert self.calls_per_round(*self.build(shape, triangle)) <= self.BUDGETS[shape]
+
+    @staticmethod
+    def ufunc_calls_per_round(inst, alg, T, monkeypatch):
+        weights, initial = engine.metropolis_weights, engine._initial_states
+        monkeypatch.setattr(engine, "metropolis_weights", lambda g: weights(g).view(_UfuncCounted))
+        monkeypatch.setattr(engine, "_initial_states",
+                            lambda *args: initial(*args).view(_UfuncCounted))
+
+        def count(rounds):
+            _UfuncCounted.calls = 0
+            assert run(inst, alg, rounds).settled is None
+            return _UfuncCounted.calls
+
+        run(inst, alg, 3)  # fill the instance's cached stacks before counting
+        return (count(2 * T) - count(T)) / T
+
+    # at most one call above the readings 24, 8, 9, 20 and 33.06 with numpy 2.4
+    UFUNC_BUDGETS = {"dpsla_main": 25, "dgd_main": 9, "dgd_triangle": 10, "naive_triangle": 21,
+                     "dpsla_level_climb": 34}
+
+    @pytest.mark.parametrize("shape", UFUNC_BUDGETS)
+    def test_ufunc_calls_per_round(self, shape, triangle, monkeypatch):
+        reading = self.ufunc_calls_per_round(*self.build(shape, triangle), monkeypatch)
+        assert reading <= self.UFUNC_BUDGETS[shape]
+
+    def test_a_planted_ufunc_call_counts_once(self, monkeypatch):
+        # a planted `mix` with and without an extra `W @ X`: the ufunc reading
+        # must rise by exactly one
+        inst, _ = _main_instance()
+        readings = []
+        for body in ("", "    W @ X\n"):
+            planted = {}
+            exec(f"def mix(W, X):\n{body}    return W @ X\n", planted)
+            monkeypatch.setattr(engine, "mix", planted["mix"])
+            readings.append(self.ufunc_calls_per_round(inst, Dgd(scale=2.0), 256, monkeypatch))
+        assert readings[1] == readings[0] + 1
 
     def test_a_wrapped_numpy_call_counts_once(self, monkeypatch):
         # `mix` compiled as a dpsla source, with and without a planted

@@ -10,6 +10,8 @@ from dpsla.problem import (ConstraintSet, OracleResult, ProblemInstance, Quadrat
                            minimize_local, solve_reference)
 from dpsla.topology import build_graph
 
+from .util import mixed_instance
+
 X_STAR_DEMO = np.array([6 / 215, 72 / 215])
 
 
@@ -319,6 +321,48 @@ class TestReferenceSolver:
         x1, f1 = minimize_local(inst.objectives[0], inst.constraint)
         assert np.allclose(x1, [22 / 23, 4 / 23], atol=1e-7)
         assert math.isclose(f1, inst.objectives[0].eval([22 / 23, 4 / 23]), abs_tol=1e-9)
+
+
+class TestSummationPath:
+    """Every sum over agents runs on stacked arrays, with the bits of a loop
+    over the per-agent objects that adds them in order from an exact zero."""
+
+    @pytest.mark.parametrize("case", ["triangle", "paper_n4", "paper_n32", "paper_dim32",
+                                      "mixed_ball"])
+    def test_solver_gradient_is_the_per_objective_loop(self, case, monkeypatch):
+        ball = ConstraintSet.ball([0.5, 0.0, -0.5], 1.5)
+        inst = {"triangle": gen_triangle_demo,
+                "paper_n4": lambda: gen_paper_instance(n=4, rng=Rng(4)),
+                "paper_n32": lambda: gen_paper_instance(n=32, rng=Rng(32)),
+                "paper_dim32": lambda: gen_paper_instance(n=4, dim=32, rng=Rng(5)),
+                "mixed_ball": lambda: mixed_instance(ball)}[case]()
+        assert case != "mixed_ball" or len(inst._groups) == 3
+        solve = problem._projected_gradient
+        taken = []
+        monkeypatch.setattr(problem, "_projected_gradient",
+                            lambda grad_fn, *args: taken.append(grad_fn) or solve(grad_fn, *args))
+        solve_reference(inst)
+        [grad_fn] = taken
+        gen = np.random.default_rng(0)
+        for scale in 10.0 ** np.arange(-3, 4):
+            for _ in range(4):
+                x = gen.normal(size=inst.dim) * scale
+                g = np.zeros(inst.dim)
+                for o in inst.objectives:
+                    g += o._grad(x)
+                assert grad_fn(x).tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("n", [4, 32])
+    def test_paper_box_from_per_object_normal_equations(self, n):
+        j = np.arange(1, 7)
+        offset = 10.0 + 10.0 * np.sin(j * math.pi / 120.0)
+        for seed in range(20):
+            inst = gen_paper_instance(n=n, rng=Rng(seed))
+            H = sum((o.A.T @ o.A for o in inst.objectives), np.zeros((6, 6)))
+            rhs = sum((o.A.T @ o.b for o in inst.objectives), np.zeros(6))
+            theta = numerics.solve_spd(H + 1e-10 * np.eye(6), rhs)
+            assert inst.constraint.lower.tobytes() == (theta + offset).tobytes()
+            assert inst.constraint.upper.tobytes() == (theta + 10.0 + offset).tobytes()
 
 
 def _lipschitz_reference(H, iters=200):

@@ -7,6 +7,8 @@ import math
 import numpy as np
 
 from dpsla.feasibility import HalfSpace
+from dpsla.problem import ProblemInstance, QuadraticObjective
+from dpsla.topology import build_graph
 
 
 def brute_force_margin(halfspaces: list[HalfSpace], grid_lim: float = 50.0,
@@ -79,3 +81,19 @@ def parse_csv(path) -> dict:
         for h, v in zip(header, ln.split(",")):
             cols[h].append(int(v) if h in ("k", "diverged") else float(v))
     return cols
+
+
+def mixed_instance(constraint) -> ProblemInstance:
+    """Least squares with 1 and 3 rows and general quadratics, interleaved, dim 3."""
+    gen = np.random.default_rng(4)
+
+    def ls(rows):
+        return QuadraticObjective.least_squares(gen.uniform(-1, 1, (rows, 3)), gen.uniform(-2, 2, rows))
+
+    def quad():
+        M = gen.normal(size=(3, 3))
+        return QuadraticObjective.quadratic(M @ M.T, gen.normal(size=3), float(gen.normal()))
+
+    objectives = [ls(1), quad(), ls(3), ls(1), quad(), ls(3)]
+    return ProblemInstance(objectives=objectives, constraint=constraint,
+                           graph=build_graph("ring", len(objectives)))
