@@ -232,7 +232,7 @@ def _trace_invariants(trace) -> dict:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
 def _write_manifest(out: Path, cfg: RunConfig, inst: ProblemInstance,
@@ -266,7 +266,7 @@ def _experiment(cfg: RunConfig, out_override: str | None, seed: int, runs: dict,
     return inst, out, traces
 
 
-def cmd_run(config_path: str, out_override: str | None = None) -> int:
+def cmd_run(config_path: str, out_override: str | None) -> int:
     cfg = _load_config(config_path)
     inst, out, traces = _experiment(cfg, out_override, cfg.problem.seed,
                                     {"trace.csv": build_algorithm(cfg)})
@@ -281,7 +281,7 @@ def cmd_oracle(config_path: str) -> int:
     return 0
 
 
-def cmd_reproduce(which: str, out_override: str | None = None, seed: int | None = None) -> int:
+def cmd_reproduce(which: str, out_override: str | None, seed: int | None) -> int:
     """Re-run one of the three benchmark experiments with baked-in parameters;
     `speedup` runs its own seeds 0..9 and takes no `seed` (the others default to 0)."""
     _require(seed is None or which != "speedup", "--seed", "reproduce speedup runs seeds 0..9")
@@ -313,7 +313,8 @@ def cmd_reproduce(which: str, out_override: str | None = None, seed: int | None 
         out.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(result.rows, out / "speedup.csv")
         means_lines = ["n,mean_gap"] + [f"{n},{v:.17g}" for n, v in sorted(result.means.items())]
-        (out / "speedup_mean.csv").write_text("\n".join(means_lines) + "\n", encoding="utf-8")
+        (out / "speedup_mean.csv").write_text("\n".join(means_lines) + "\n", encoding="utf-8",
+                                              newline="\n")
         _write_json(out / "manifest.json", {
             "experiment": "speedup", "T": SPEEDUP_T, "seeds": SPEEDUP_SEEDS,
             "agent_counts": SPEEDUP_AGENT_COUNTS, "algorithm": alg.describe(),

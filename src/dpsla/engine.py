@@ -146,7 +146,7 @@ class RunTrace:
     residual: np.ndarray | None  # (T+1,); None without an oracle
     consensus_error: np.ndarray  # (T+1,)
     settled: int | None  # first row written without simulating its round; None if none
-    states: np.ndarray | None = None  # (T+1, n, dim), only when keep_states=True
+    states: np.ndarray | None  # (T+1, n, dim), only when keep_states=True
 
     @property
     def n_agents(self) -> int:

@@ -5,6 +5,8 @@ solver for the constrained optimum.
 Every agent holds a convex quadratic, either in least-squares form
 f(x) = 0.5 ||A x - b||^2 or as a general convex quadratic x'Qx + q'x + c.
 The shared set is a box or a Euclidean ball; both are compact and convex.
+A problem file is `ProblemInstance.to_json`; `from_json` reads it back through
+the constructors, from the keywords of each `to_dict`, and their checks.
 
 The simulator evaluates all agents at once: an instance stacks its objectives
 into groups of one kind and shape (`ObjectiveGroup`), and the constraint set
@@ -67,41 +69,42 @@ class GenerationError(RuntimeError):
 
 
 class QuadraticObjective:
-    """Convex quadratic in least-squares or general form.
+    """Convex quadratic of kind "least_squares" or "quadratic", built from `to_dict`'s keywords.
 
     Least squares: f(x) = 0.5 ||A x - b||^2, convex by construction.
-    General:       f(x) = x'Qx + q'x + c with Q symmetric PSD.
+    General:       f(x) = x'Qx + q'x + c with Q symmetric PSD; c defaults to 0.
     """
 
-    def __init__(self, *, A=None, b=None, Q=None, q=None, c=0.0):
-        if A is not None:
-            self.kind = "least_squares"
-            self.A = as_mat(A)
-            self.b = as_vec(b, dim=self.A.shape[0])
+    def __init__(self, kind: str, **data):
+        self.kind = kind
+        if kind == "least_squares":
+            self.A = as_mat(data["A"])
+            self.b = as_vec(data["b"], dim=self.A.shape[0])
             self.dim = self.A.shape[1]
-        else:
-            self.kind = "quadratic"
-            self.Q = as_mat(Q)
+        elif kind == "quadratic":
+            self.Q = as_mat(data["Q"])
             if self.Q.shape[0] != self.Q.shape[1]:
                 raise ValueError("Q must be square")
             if not np.allclose(self.Q, self.Q.T, atol=1e-12):
                 raise ValueError("Q must be symmetric")
             if np.linalg.eigvalsh(self.Q).min() < PSD_EIG_TOL:
                 raise ValueError("Q must be positive semidefinite")
-            self.q = as_vec(q, dim=self.Q.shape[0])
-            self.c = float(c)
+            self.q = as_vec(data["q"], dim=self.Q.shape[0])
+            self.c = float(data.get("c", 0.0))
             if not math.isfinite(self.c):
                 raise ValueError("constant c must be finite")
             self.dim = self.Q.shape[0]
             self._H = self.Q + self.Q.T
+        else:
+            raise ValueError(f"unknown objective kind {kind!r}")
 
     @classmethod
     def least_squares(cls, A, b) -> "QuadraticObjective":
-        return cls(A=A, b=b)
+        return cls("least_squares", A=A, b=b)
 
     @classmethod
     def quadratic(cls, Q, q, c=0.0) -> "QuadraticObjective":
-        return cls(Q=Q, q=q, c=c)
+        return cls("quadratic", Q=Q, q=q, c=c)
 
     def eval(self, x) -> float:
         return self._eval(as_vec(x, dim=self.dim))
@@ -130,14 +133,6 @@ class QuadraticObjective:
         if self.kind == "least_squares":
             return {"kind": "least_squares", "A": self.A.tolist(), "b": self.b.tolist()}
         return {"kind": "quadratic", "Q": self.Q.tolist(), "q": self.q.tolist(), "c": self.c}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QuadraticObjective":
-        if d["kind"] == "least_squares":
-            return cls.least_squares(d["A"], d["b"])
-        if d["kind"] == "quadratic":
-            return cls.quadratic(d["Q"], d["q"], d.get("c", 0.0))
-        raise ValueError(f"unknown objective kind {d.get('kind')!r}")
 
 
 @dataclass(frozen=True)
@@ -299,14 +294,6 @@ class ConstraintSet:
             return {"kind": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
         return {"kind": "ball", "center": self.ball_center.tolist(), "radius": self.radius}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConstraintSet":
-        if d["kind"] == "box":
-            return cls.box(d["lower"], d["upper"])
-        if d["kind"] == "ball":
-            return cls.ball(d["center"], d["radius"])
-        raise ValueError(f"unknown constraint kind {d.get('kind')!r}")
-
 
 # -- instances --------------------------------------------------------------------
 
@@ -321,6 +308,12 @@ class OracleResult:
     local_values: list[float]
     kkt_residual: float
 
+    def __post_init__(self):  # a problem file gives lists and JSON numbers
+        self.x_star = as_vec(self.x_star)
+        self.f_star = float(self.f_star)
+        self.local_values = [float(v) for v in self.local_values]
+        self.kkt_residual = float(self.kkt_residual)
+
     def to_dict(self) -> dict:
         return {
             "x_star": self.x_star.tolist(),
@@ -328,15 +321,6 @@ class OracleResult:
             "local_values": list(self.local_values),
             "kkt_residual": self.kkt_residual,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OracleResult":
-        return cls(
-            x_star=as_vec(d["x_star"]),
-            f_star=float(d["f_star"]),
-            local_values=[float(v) for v in d["local_values"]],
-            kkt_residual=float(d["kkt_residual"]),
-        )
 
 
 @dataclass
@@ -422,17 +406,10 @@ class ProblemInstance:
     @classmethod
     def from_json(cls, text: str) -> "ProblemInstance":
         doc = json.loads(text)
-        graph = Graph(
-            n_agents=doc["graph"]["n_agents"],
-            edges=frozenset(tuple(e) for e in doc["graph"]["edges"]),
-        )
-        inst = cls(
-            objectives=[QuadraticObjective.from_dict(d) for d in doc["objectives"]],
-            constraint=ConstraintSet.from_dict(doc["constraint"]),
-            graph=graph,
-        )
+        inst = cls(objectives=[QuadraticObjective(**d) for d in doc["objectives"]],
+                   constraint=ConstraintSet(**doc["constraint"]), graph=Graph(**doc["graph"]))
         if "optimum" in doc:
-            inst.optimum = inst._checked_optimum(OracleResult.from_dict(doc["optimum"]))
+            inst.optimum = inst._checked_optimum(OracleResult(**doc["optimum"]))
         return inst
 
     def _checked_optimum(self, orc: OracleResult) -> OracleResult:

@@ -30,8 +30,8 @@ GRAPH_KINDS = ("triangle", "complete", "ring", "path", "random")
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected connected graph on agents 0..n_agents-1, edges (i, j) with i < j; the
-    count and the endpoints are integers, not bools, stored as Python ints for JSON."""
+    """Undirected connected graph on agents 0..n_agents-1; edges (i, j), i < j, in any iterable,
+    kept as a frozenset. The count and the endpoints are integers, not bools, kept as Python ints."""
 
     n_agents: int
     edges: frozenset

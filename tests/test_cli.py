@@ -152,7 +152,11 @@ class TestBuilders:
                 "objective_kind": "unknown objective kind 'cubic'",
                 "constraint_kind": "unknown constraint kind 'simplex'",
                 "q_not_square": "Q must be square",
-                "q_asymmetric": "Q must be symmetric"}
+                "q_asymmetric": "Q must be symmetric",
+                "objective_no_kind": "missing 1 required positional argument: 'kind'",
+                "constraint_no_kind": "missing 1 required positional argument: 'kind'",
+                "graph_extra_key": "unexpected keyword argument 'weights'",
+                "optimum_extra_key": "unexpected keyword argument 'gap'"}
 
     @pytest.mark.parametrize("edit", ["bad_json", "missing_key", "mixed_dims", "nan_radius",
                                       "inf_radius", "nan_constant", "optimum_f_star",
@@ -162,7 +166,9 @@ class TestBuilders:
                                       "n_agents_float", "n_agents_str", "directory",
                                       "missing_file", "not_utf8", "constraint_dim",
                                       "graph_size", "objective_kind", "constraint_kind",
-                                      "q_not_square", "q_asymmetric"])
+                                      "q_not_square", "q_asymmetric", "objective_no_kind",
+                                      "constraint_no_kind", "graph_extra_key",
+                                      "optimum_extra_key"])
     def test_malformed_custom_file_rejected(self, tmp_path, capsys, edit):
         from dpsla.problem import gen_triangle_demo
         inst = gen_triangle_demo()
@@ -197,7 +203,13 @@ class TestBuilders:
             doc["objectives"][0]["Q"] = [[2.0, 0.5]]
         if edit == "q_asymmetric":
             doc["objectives"][0]["Q"] = [[2.0, 0.5], [0.4, 3.0]]
+        if edit.endswith("no_kind"):  # a TypeError from the constructor, once a KeyError
+            del (doc["objectives"][0] if edit == "objective_no_kind" else doc["constraint"])["kind"]
+        if edit == "graph_extra_key":  # once ignored
+            doc["graph"]["weights"] = [[0.5, 0.5, 0.0]] * 3
         optimum = doc.get("optimum", {})
+        if edit == "optimum_extra_key":  # once ignored
+            optimum["gap"] = 0.0
         if edit == "optimum_f_star":
             optimum["f_star"] += 5.0
         if edit == "optimum_outside":
@@ -305,7 +317,7 @@ class TestCmdOracle:
 
 class TestReproduce:
     def test_divergence(self, tmp_path):
-        assert cmd_reproduce("divergence", str(tmp_path)) == 0
+        assert cmd_reproduce("divergence", str(tmp_path), None) == 0
         dgd = parse_csv(tmp_path / "dgd_trace.csv")
         naive = parse_csv(tmp_path / "naive_trace.csv")
         assert dgd["residual"][-1] <= 0.05 * dgd["residual"][0]
@@ -313,7 +325,7 @@ class TestReproduce:
         assert naive["diverged"][-1] == 1 or min(tail) >= 1e-2
 
     def test_main(self, tmp_path):
-        assert cmd_reproduce("main", str(tmp_path)) == 0
+        assert cmd_reproduce("main", str(tmp_path), None) == 0
         dpsla_cols = parse_csv(tmp_path / "dpsla_trace.csv")
         dgd_cols = parse_csv(tmp_path / "dgd_trace.csv")
         assert dpsla_cols["residual"][-1] < dgd_cols["residual"][-1]
@@ -334,7 +346,7 @@ class TestReproduce:
             return SweepResult(rows=rows, means={n: 1.0 / n for n in counts})
 
         monkeypatch.setattr("dpsla.cli.run_speedup_sweep", fake_sweep)
-        assert cmd_reproduce("speedup", str(tmp_path)) == 0
+        assert cmd_reproduce("speedup", str(tmp_path), None) == 0
         rows = parse_csv(tmp_path / "speedup.csv")
         assert set(rows) == {"n", "seed", "gap"}
         assert len(rows["n"]) == 4 * 10  # one row per (n, seed)
@@ -393,4 +405,4 @@ class TestReproduce:
 
     def test_unknown_target(self):
         with pytest.raises(ConfigError):
-            cmd_reproduce("nonsense")
+            cmd_reproduce("nonsense", None, None)

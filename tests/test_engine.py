@@ -515,6 +515,14 @@ class TestBatchedRound:
                 assert np.array_equal(tr.states[k + 1][i], ref[i])
                 assert not np.array_equal(tr.states[k + 1][i], Z[i])
 
+    @pytest.mark.usefixtures("replayable")
+    def test_divergence_flag_stays_set(self, triangle):
+        # one non-finite step in round 1 flags row 2 and every row after it,
+        # though every later step is finite
+        table = [[0.1] * 3, [0.1, math.inf, 0.1], [0.1] * 3, [0.1] * 3]
+        tr = run(triangle, _Replay(table), 4, seed=0, x0="uniform")
+        assert tr.diverged.tolist() == [False, False, True, True, True]
+
 
 class TestInvariantChecker:
     def test_validate_names_round_and_agent(self, paper0, monkeypatch):

@@ -13,7 +13,7 @@ from dpsla.numerics import Rng
 from dpsla.problem import (ConstraintSet, ProblemInstance, QuadraticObjective,
                            gen_paper_instance, gen_triangle_demo)
 
-from .util import parse_csv
+from .util import consensus_floor, parse_csv
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,28 @@ class TestStackedMetrics:
         for x, b in zip(X, batched):
             ordered = sum(o._eval(x) for o in paper9.objectives)
             assert paper9._sum_value(x) == ordered == b
+
+
+class TestConsensusFloor:
+    """The consensus errors that criteria 5c and 8b read sit on the floor of one
+    round from consensus at x*, and criterion 8a's reads 0 because its floor does."""
+
+    @pytest.mark.parametrize("alg, T, rows", [(Dgd(), 500, (100, 500)),
+                                              (Dpsla(), 2000, (500, 1000, 2000))])
+    def test_triangle_trace_on_the_floor(self, triangle, alg, T, rows):
+        trace = run(triangle, alg, T, seed=0)
+        for k in rows:
+            floor = consensus_floor(triangle, trace.alpha[k])
+            assert floor > 1e-3
+            assert math.isclose(trace.consensus_error[k], floor, rel_tol=1e-10), k
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reproduce_main_floor_is_zero(self, seed):
+        inst = gen_paper_instance(rng=Rng(seed))
+        inst.ensure_optimum()
+        trace = run(inst, Dpsla(), 300, seed=seed)
+        assert consensus_floor(inst, trace.alpha[300]) == 0.0
+        assert trace.consensus_error[300] == 0.0
 
 
 class TestConsensusError:
@@ -240,7 +262,7 @@ class TestLines:
         tr = RunTrace(alpha=table[:, 2:2 + n], level=None if baseline else table[:, 2 + n:2 + 2 * n],
                       level_updated=np.zeros((rows, n), dtype=bool), diverged=diverged,
                       residual=None if baseline else table[:, 0], consensus_error=table[:, 1],
-                      settled=None)
+                      settled=None, states=None)
         p = tmp_path_factory.mktemp("csv") / "t.csv"
         write_csv(tr, p, record_every=record_every)
         ks = sorted({*range(0, rows, record_every), rows - 1})

@@ -14,7 +14,7 @@ def test_every_export_resolves():
 # Settable values in the package: parameter defaults plus dataclass fields
 # written with a value. An option is a cost every caller and reader carries, so
 # a change that adds one raises this pin and says why.
-SETTABLE_VALUES_PIN = 73
+SETTABLE_VALUES_PIN = 64
 
 
 def _settable_values(source: str) -> int:
@@ -142,3 +142,50 @@ def test_numpy_core_reached_only_by_the_pinned_names():
                         "_MIN = np._core.umath.minimum\n")
     assert _numpy_core_reaches(planted, owner=True) == [3, 4, 5]
     assert _numpy_core_reaches(planted, owner=False) == [1, 3, 4, 5]
+
+
+# -- text files: "\n" line ends on every platform ----------------------------------
+
+# Text mode translates "\n" to os.linesep unless `newline="\n"` is given, so on
+# Windows a write without it gives CRLF where the goldens hold LF.
+
+
+def _unpinned_text_writes(tree) -> list:
+    """Lines of the `.write_text(` calls, and of the `open(` calls in a writing
+    text mode, that do not pass `newline="\n"`."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "write_text":
+            writes = True
+        elif name == "open":  # the mode is open's second argument, Path.open's first
+            at = 1 if isinstance(node.func, ast.Name) else 0
+            modes = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else ast.Constant("r")
+            writes = not isinstance(mode, ast.Constant) or (
+                "b" not in mode.value and any(c in mode.value for c in "wax+"))
+        else:
+            writes = False
+        if writes and not any(k.arg == "newline" and isinstance(k.value, ast.Constant)
+                              and k.value.value == "\n" for k in node.keywords):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_text_write_ends_lines_with_newline():
+    unpinned = [f"{module}:{line}" for module, tree in _module_trees().items()
+                for line in _unpinned_text_writes(tree)]
+    assert unpinned == []
+    # the guard itself: writing modes, positional or keyword, and write_text count;
+    # reads and binary writes do not
+    planted = ast.parse('open(p, "w", encoding="utf-8")\n'
+                        'open(p, mode="a")\n'
+                        'p.open("w")\n'
+                        'p.write_text(s)\n'
+                        'p.write_text(s, newline="\\r\\n")\n'
+                        'open(p, "w", newline="\\n")\n'
+                        'p.write_text(s, encoding="utf-8", newline="\\n")\n'
+                        'open(p)\nopen(p, "r")\nopen(p, "wb")\np.open()\n')
+    assert _unpinned_text_writes(planted) == [1, 2, 3, 4, 5]

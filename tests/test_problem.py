@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from dpsla.numerics import Rng
 from dpsla.problem import (ConstraintSet, OracleResult, ProblemInstance, QuadraticObjective,
                            estimate_lipschitz, gen_paper_instance, gen_triangle_demo,
                            minimize_local, solve_reference)
-from dpsla.topology import build_graph
+from dpsla.topology import Graph, build_graph
 
 from .util import mixed_instance
 
@@ -291,7 +292,7 @@ class TestReferenceSolver:
         H = A.T @ A
         theta_unc = np.linalg.solve(H, A.T @ b)
         cs = ConstraintSet.box(theta_unc - 1.0, theta_unc + 1.0)
-        from dpsla.topology import build_graph
+        from dpsla.topology import Graph, build_graph
         inst = ProblemInstance(objectives=objs, constraint=cs, graph=build_graph("complete", 4))
         orc = solve_reference(inst, 1e-11)
         assert np.linalg.norm(orc.x_star - theta_unc) <= 1e-7
@@ -453,3 +454,40 @@ class TestSerialization:
         x = np.array([0.3, -0.2])
         for a, b in zip(inst.objectives, clone.objectives):
             assert a.eval(x) == b.eval(x)
+
+
+class TestConstructorPath:
+    """A problem file is read back by the constructors: each object's `to_dict`
+    holds its constructor's keywords."""
+
+    @staticmethod
+    def _objects() -> dict:
+        gen = np.random.default_rng(6)
+        M = gen.normal(size=(3, 3))
+        ls = QuadraticObjective.least_squares(gen.uniform(-1, 1, (2, 3)), gen.normal(size=2))
+        return {"least_squares": ls,
+                "quadratic": QuadraticObjective.quadratic(M @ M.T, gen.normal(size=3), -1.25),
+                "quadratic_no_c": QuadraticObjective.quadratic(M @ M.T, gen.normal(size=3)),
+                "box": ConstraintSet.box([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0]),
+                "ball": ConstraintSet.ball([0.5, -1.0, 0.0], 2.5),
+                "optimum": solve_reference(gen_triangle_demo(), 1e-11)}
+
+    @pytest.mark.parametrize("name", ["least_squares", "quadratic", "quadratic_no_c", "box",
+                                      "ball", "optimum"])
+    def test_to_dict_rebuilds_by_the_constructor(self, name):
+        o = self._objects()[name]
+        clone = type(o)(**json.loads(json.dumps(o.to_dict())))  # as a problem file gives it
+        assert clone.to_dict() == o.to_dict()
+
+    def test_quadratic_without_c_has_c_zero(self):
+        o = self._objects()["quadratic_no_c"]
+        d = o.to_dict()
+        assert d.pop("c") == 0.0
+        assert QuadraticObjective(**d).to_dict() == o.to_dict()
+
+    @pytest.mark.parametrize("n", [3, 5, 9])
+    def test_graph_from_its_sorted_edges(self, n):
+        g = build_graph("random", n, edge_prob=0.4, rng=Rng(n))
+        clone = Graph(**{"n_agents": n, "edges": sorted(g.edges)})
+        assert clone == g and clone.edges == g.edges
+        assert Graph(**json.loads(json.dumps({"n_agents": n, "edges": sorted(g.edges)}))) == g

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from dpsla.feasibility import HalfSpace
+from dpsla.metrics import consensus_error
 from dpsla.problem import ProblemInstance, QuadraticObjective
 from dpsla.topology import build_graph
 
@@ -97,3 +98,13 @@ def mixed_instance(constraint) -> ProblemInstance:
     objectives = [ls(1), quad(), ls(3), ls(1), quad(), ls(3)]
     return ProblemInstance(objectives=objectives, constraint=constraint,
                            graph=build_graph("ring", len(objectives)))
+
+
+def consensus_floor(inst: ProblemInstance, alpha) -> float:
+    """Consensus error of the projected steps P(x* - alpha_i grad f_i(x*)) (n, dim)
+    from the solved optimum x*, for stepsizes `alpha` (n,): the state one round
+    reaches from exact consensus at x*. The triangle's W = J/3 mixes every agent
+    to the mean, so there the trace's consensus error sits on this floor."""
+    n, x = inst.n_agents, inst.optimum.x_star
+    G = inst._values_grads(np.tile(x, (n, 1)))[1]
+    return consensus_error(inst.constraint._project_rows(x - np.asarray(alpha)[:, None] * G))
