@@ -21,13 +21,12 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .engine import (Dgd, Dpsla, NaivePolyak, first_violations, run, run_speedup_sweep,
                      sweep_algorithm)
 from .metrics import write_csv, write_level_gap_csv, write_sweep_csv
-from .numerics import Rng
+from .numerics import Record, Rng
 from .problem import ORACLE_TOL, ProblemInstance, gen_paper_instance, gen_triangle_demo
 from .stepsize import StepsizeConfig
 from .topology import GRAPH_KINDS
@@ -43,64 +42,59 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-@dataclass
-class ProblemConfig:
-    type: str = "paper"  # paper | triangle | custom_file
-    path: str | None = None
-    n_agents: int = 4
-    dim: int = 6
-    rows_per_agent: int = 2
-    seed: int = 0
-    graph_kind: str = "random"
-    edge_prob: float = 0.5
-    x0: str = "center"
+# The sections of a config. Their keys are their constructors' parameters,
+# which `parse_config` reads with their annotations, e.g. "int" or "int | None".
 
 
-@dataclass
-class AlgorithmConfig:
-    name: str = "dpsla"  # dpsla | dgd | naive_polyak
-    gamma: float = 1.0
-    gamma_bar: float = 1.5
-    alpha0: float = 2.0
-    c_kind: str = "sqrt"
-    c_scale: float = 0.5
-    level_init: float = -500.0
-    eta_cap: int | None = None
-    constraint_beta: str = "raw"
-    eps_grad: float = 1e-12
-    dgd_scale: float = 2.0
-    naive_target: str = "local_min"
+class ProblemConfig(Record):
+    """The `problem` section; `type` is paper, triangle or custom_file."""
+
+    def __init__(self, type: str = "paper", path: str | None = None, n_agents: int = 4,
+                 dim: int = 6, rows_per_agent: int = 2, seed: int = 0,
+                 graph_kind: str = "random", edge_prob: float = 0.5, x0: str = "center"):
+        self._init(locals())
 
 
-@dataclass
-class RunSection:
-    iterations: int = 300
-    record_every: int = 1
+class AlgorithmConfig(Record):
+    """The `algorithm` section; `name` is dpsla, dgd or naive_polyak."""
+
+    def __init__(self, name: str = "dpsla", gamma: float = 1.0, gamma_bar: float = 1.5,
+                 alpha0: float = 2.0, c_kind: str = "sqrt", c_scale: float = 0.5,
+                 level_init: float = -500.0, eta_cap: int | None = None,
+                 constraint_beta: str = "raw", eps_grad: float = 1e-12, dgd_scale: float = 2.0,
+                 naive_target: str = "local_min"):
+        self._init(locals())
 
 
-@dataclass
-class OutputSection:
-    directory: str = "out"
+class RunSection(Record):
+    def __init__(self, iterations: int = 300, record_every: int = 1):
+        self._init(locals())
 
 
-@dataclass
-class RunConfig:
-    problem: ProblemConfig = field(default_factory=ProblemConfig)
-    algorithm: AlgorithmConfig = field(default_factory=AlgorithmConfig)
-    run: RunSection = field(default_factory=RunSection)
-    output: OutputSection = field(default_factory=OutputSection)
+class OutputSection(Record):
+    def __init__(self, directory: str = "out"):
+        self._init(locals())
+
+
+class RunConfig(Record):
+    def __init__(self, problem: ProblemConfig | None = None,
+                 algorithm: AlgorithmConfig | None = None, run: RunSection | None = None,
+                 output: OutputSection | None = None):
+        problem, algorithm = problem or ProblemConfig(), algorithm or AlgorithmConfig()
+        run, output = run or RunSection(), output or OutputSection()
+        self._init(locals())
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: section._asdict() for name, section in self._asdict().items()}
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-# section -> {key: annotation}, e.g. "int" or "int | None"
-_SECTION_FIELDS = {s.name: {f.name: f.type for f in fields(getattr(RunConfig(), s.name))}
-                   for s in fields(RunConfig)}
+# section -> {key: annotation}
+_SECTION_FIELDS = {name: type(section).__init__.__annotations__
+                   for name, section in RunConfig()._asdict().items()}
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
@@ -201,7 +195,7 @@ def build_algorithm(cfg: RunConfig):
     """The spec named by `algorithm.name`; all three are built, so a bad unused field fails too."""
     a = cfg.algorithm
     with _field("algorithm"):  # these constructors' messages name the parameter
-        step = StepsizeConfig(**{f.name: getattr(a, f.name) for f in fields(StepsizeConfig)})
+        step = StepsizeConfig(**{name: getattr(a, name) for name in StepsizeConfig._fields})
         specs = {"dpsla": Dpsla(stepsize=step, level_init=a.level_init, eta_cap=a.eta_cap)}
     with _field("algorithm.dgd_scale"):
         specs["dgd"] = Dgd(scale=a.dgd_scale)

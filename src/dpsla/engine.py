@@ -52,14 +52,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 import numpy as np
 
 from .feasibility import SolverStallError
 from .metrics import consensus_error, residual
-from .numerics import Rng, _count, is_int, require_positive
+from .numerics import Record, Rng, Value, _count, is_int, require_positive
 from .problem import ConstraintSet, ProblemInstance, gen_paper_instance, minimize_local
 from .stepsize import LevelWindows, StepsizeConfig, decide_alpha, record_step
 from .topology import metropolis_weights
@@ -69,58 +68,51 @@ mix = np.matmul
 NAIVE_EPS_GRAD = 1e-12  # NaivePolyak's stepsize is 0 where the gradient's norm is at most this
 
 
-@dataclass(frozen=True)
-class Dpsla:
-    """Adaptive Polyak stepsize with level adjustment."""
+class Dpsla(Value):
+    """Adaptive Polyak stepsize with level adjustment. `level_init` is stored as
+    a float, or as a tuple of floats, one per agent."""
 
-    stepsize: StepsizeConfig = field(default_factory=StepsizeConfig)
-    level_init: float | tuple = -500.0  # stored as a float, or a tuple of floats per agent
-    eta_cap: int | None = None
-
-    def __post_init__(self):
-        if not (self.eta_cap is None or (is_int(self.eta_cap) and self.eta_cap >= 1)):
-            raise ValueError(f"eta_cap must be None or an integer >= 1, got {self.eta_cap!r}")
-        level = np.asarray(self.level_init, dtype=float)  # a 1-D length is checked in the rule
+    def __init__(self, stepsize: StepsizeConfig = StepsizeConfig(),
+                 level_init: float | tuple = -500.0, eta_cap: int | None = None):
+        if not (eta_cap is None or (is_int(eta_cap) and eta_cap >= 1)):
+            raise ValueError(f"eta_cap must be None or an integer >= 1, got {eta_cap!r}")
+        level = np.asarray(level_init, dtype=float)  # a 1-D length is checked in the rule
         if level.ndim > 1 or not np.isfinite(level).all():
-            raise ValueError(f"level_init must be finite and at most 1-D, got {self.level_init!r}")
-        object.__setattr__(self, "level_init", float(level) if level.ndim == 0
-                           else tuple(level.tolist()))
+            raise ValueError(f"level_init must be finite and at most 1-D, got {level_init!r}")
+        level_init = float(level) if level.ndim == 0 else tuple(level.tolist())
+        self._init(locals())
 
     def describe(self) -> dict:
-        step = asdict(self.stepsize)
+        step = self.stepsize._asdict()
         step["c_schedule"] = {"kind": step.pop("c_kind"), "scale": step.pop("c_scale")}
         return {"name": "dpsla", **step, "level_init": np.asarray(self.level_init).tolist(),
                 "eta_cap": self.eta_cap}
 
 
-@dataclass(frozen=True)
-class Dgd:
+class Dgd(Value):
     """Distributed gradient descent with the shared diminishing schedule
     alpha_k = scale / (k + 1)."""
 
-    scale: float = 2.0
-
-    def __post_init__(self):
-        require_positive("scale", self.scale)
+    def __init__(self, scale: float = 2.0):
+        require_positive("scale", scale)
+        self._init(locals())
 
     def schedule(self, rounds: int) -> np.ndarray:
         """alpha_k for k = 0..rounds-1; each entry has the bits of scale / (k + 1.0)."""
         return self.scale / (np.arange(rounds) + 1.0)
 
 
-@dataclass(frozen=True)
-class NaivePolyak:
+class NaivePolyak(Value):
     """Unclamped per-agent Polyak stepsize against a fixed local target.
 
     `target` picks what each agent treats as its optimal value: its own
     constrained minimum ("local_min") or its value at the network optimum
     ("oracle_fi_star")."""
 
-    target: str = "local_min"
-
-    def __post_init__(self):
-        if self.target not in ("local_min", "oracle_fi_star"):
+    def __init__(self, target: str = "local_min"):
+        if target not in ("local_min", "oracle_fi_star"):
             raise ValueError("target must be 'local_min' or 'oracle_fi_star'")
+        self._init(locals())
 
 
 # Rows built from one read of each column when a trace's records are iterated;
@@ -134,19 +126,21 @@ TraceRecord = namedtuple("TraceRecord",
                          "k residual consensus_error alpha level level_updated diverged")
 
 
-@dataclass
-class RunTrace:
+class RunTrace(Record):
     """Per-round columns of a run; rows are laid out as in `run`. Row 0 holds
-    placeholder stepsizes: alpha0 for DPS-LA, nan for the baselines."""
+    placeholder stepsizes: alpha0 for DPS-LA, nan for the baselines.
 
-    alpha: np.ndarray  # (T+1, n)
-    level: np.ndarray | None  # (T+1, n); None for the baselines
-    level_updated: np.ndarray  # (T+1, n) bool
-    diverged: np.ndarray  # (T+1,) bool: some round so far produced a non-finite step
-    residual: np.ndarray | None  # (T+1,); None without an oracle
-    consensus_error: np.ndarray  # (T+1,)
-    settled: int | None  # first row written without simulating its round; None if none
-    states: np.ndarray | None  # (T+1, n, dim), only when keep_states=True
+    alpha (T+1, n); level (T+1, n), None for the baselines; level_updated
+    (T+1, n) bool; diverged (T+1,) bool: some round so far produced a
+    non-finite step; residual (T+1,), None without an oracle; consensus_error
+    (T+1,); settled: the first row written without simulating its round, None
+    if none; states (T+1, n, dim), only when keep_states=True.
+    """
+
+    def __init__(self, alpha: np.ndarray, level: np.ndarray | None, level_updated: np.ndarray,
+                 diverged: np.ndarray, residual: np.ndarray | None, consensus_error: np.ndarray,
+                 settled: int | None, states: np.ndarray | None):
+        self._init(locals())
 
     @property
     def n_agents(self) -> int:
@@ -427,10 +421,11 @@ def run(inst: ProblemInstance, alg, iterations: int, seed: int = 0,
 # -- speedup sweep -----------------------------------------------------------------
 
 
-@dataclass
-class SweepResult:
-    rows: list  # (n, seed, gap) tuples, gap in average form
-    means: dict  # n -> seed-averaged gap
+class SweepResult(Record):
+    """rows: (n, seed, gap) tuples, gap in average form; means: n -> seed-averaged gap."""
+
+    def __init__(self, rows: list, means: dict):
+        self._init(locals())
 
 
 def sweep_algorithm() -> Dpsla:

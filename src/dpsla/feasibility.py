@@ -25,11 +25,9 @@ finite iterates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import as_vec
+from .numerics import Record, Value, as_vec
 
 EPS_FEAS = 1e-9
 MIN_NORMAL = 1e-12
@@ -42,30 +40,24 @@ class SolverStallError(RuntimeError):
     """The simplex exceeded its iteration cap; treated as fatal, not as a verdict."""
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(Value):
     """One constraint a.x <= b."""
 
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        a = as_vec(self.a)
+    def __init__(self, a: np.ndarray, b: float):
+        a = as_vec(a)
         if float(np.linalg.norm(a)) <= MIN_NORMAL:
             raise ValueError("near-zero constraint normal rejected")
-        if not np.isfinite(self.b):
+        if not np.isfinite(b):
             raise ValueError("right-hand side must be finite")
-        object.__setattr__(self, "a", a)
+        self._init(locals())
 
     def violation(self, x: np.ndarray) -> float:
         return float(self.a @ x - self.b)
 
 
-@dataclass
-class FeasibilityVerdict:
-    feasible: bool
-    point: np.ndarray | None
-    phase1_value: float
+class FeasibilityVerdict(Record):
+    def __init__(self, feasible: bool, point: np.ndarray | None, phase1_value: float):
+        self._init(locals())
 
 
 class InequalitySystem:

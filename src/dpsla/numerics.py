@@ -1,4 +1,5 @@
-"""Dense vector/matrix helpers, the seeded random stream and numpy's C entry points.
+"""Dense vector/matrix helpers, the seeded random stream, numpy's C entry points
+and the base of the package's record classes.
 
 All systems in this project are tiny (dimension <= 32), so everything here is
 plain dense float64 arithmetic with eager validation at the API boundary. The
@@ -18,6 +19,51 @@ SPD_PIVOT_TOL = 1e-12
 # `numpy._core` exposes them, and a few-agent round is set by its calls' overhead
 _count = np._core.multiarray.count_nonzero
 _CLIP = np._core.umath.clip
+
+
+class Record:
+    """Base of the package's record classes, written by hand because the
+    dataclass decorator compiles the methods it generates on every import. A
+    subclass's fields are the parameters of its `__init__`, which stores each
+    under its own name, usually with `self._init(locals())`; instances compare
+    and print by their fields, as `Name(field=value, ...)`, and a changed copy
+    is built with the constructor."""
+
+    def __init_subclass__(cls):
+        if "__init__" in vars(cls):  # not in `Value`, a base
+            code = cls.__init__.__code__  # the fields: its positional parameters after self
+            cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _init(self, values: dict) -> None:
+        """Store the fields from `values`, `__init__`'s locals; other names are ignored."""
+        vars(self).update({name: values[name] for name in self._fields})
+
+    def _key(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._key()))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Value(Record):
+    """An immutable record: it refuses assignment and deletion and hashes by its
+    fields. A `functools.cached_property` still caches into its `__dict__`."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 class SingularMatrixError(ValueError):

@@ -6,7 +6,9 @@ Every agent holds a convex quadratic, either in least-squares form
 f(x) = 0.5 ||A x - b||^2 or as a general convex quadratic x'Qx + q'x + c.
 The shared set is a box or a Euclidean ball; both are compact and convex.
 A problem file is `ProblemInstance.to_json`; `from_json` reads it back through
-the constructors, from the keywords of each `to_dict`, and their checks.
+the constructors, from the keywords of each `to_dict`, and their checks. A key
+that an objective's or a set's kind does not read is a TypeError, as an unknown
+keyword is for the graph and the optimum.
 
 The simulator evaluates all agents at once: an instance stacks its objectives
 into groups of one kind and shape (`ObjectiveGroup`), and the constraint set
@@ -40,12 +42,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import _CLIP, Rng, as_mat, as_vec, require_positive, solve_spd
+from .numerics import _CLIP, Record, Rng, Value, as_mat, as_vec, require_positive, solve_spd
 from .topology import Graph, build_graph
 
 PSD_EIG_TOL = -1e-10
@@ -63,6 +64,14 @@ class OracleConvergenceError(RuntimeError):
 
 class GenerationError(RuntimeError):
     """Instance generation failed (degenerate random draw)."""
+
+
+def _no_stray_keys(what: str, given: dict, read: tuple) -> None:
+    """TypeError naming every key of `given` that a `what` does not read."""
+    stray = sorted(set(given) - set(read))
+    if stray:
+        raise TypeError(f"unexpected keyword argument(s) for a {what}: "
+                        f"{', '.join(map(repr, stray))}")
 
 
 # -- objectives -----------------------------------------------------------------
@@ -97,6 +106,8 @@ class QuadraticObjective:
             self._H = self.Q + self.Q.T
         else:
             raise ValueError(f"unknown objective kind {kind!r}")
+        _no_stray_keys(f"{kind} objective", data,
+                       ("A", "b") if kind == "least_squares" else ("Q", "q", "c"))
 
     @classmethod
     def least_squares(cls, A, b) -> "QuadraticObjective":
@@ -135,23 +146,21 @@ class QuadraticObjective:
         return {"kind": "quadratic", "Q": self.Q.tolist(), "q": self.q.tolist(), "c": self.c}
 
 
-@dataclass(frozen=True)
-class ObjectiveGroup:
-    """Objectives of one kind and shape, stacked along a leading agent axis.
+class ObjectiveGroup(Value):
+    """Objectives of one kind and shape, stacked along a leading agent axis;
+    `agents` holds their positions in the instance.
 
-    Least squares keeps A (g, r, dim), its transpose as a *view* (a contiguous
+    Least squares keeps M = A (g, r, dim), MT = A' as a *view* (a contiguous
     copy could change the kernel numpy picks, and `einsum` the order of the
-    sums, so the last bits) and b (g, r); general quadratics keep Q, H = Q + Q'
-    (g, dim, dim), q (g, dim) and c (g,). `values`, `grads` and `values_grads`
-    are `np.matvec`, `np.vecmat` and `np.vecdot` calls, one per product.
+    sums, so the last bits) and v = b (g, r); general quadratics keep M = Q,
+    MT = H = Q + Q' (g, dim, dim), v = q (g, dim) and c (g,). `values`, `grads`
+    and `values_grads` are `np.matvec`, `np.vecmat` and `np.vecdot` calls, one
+    per product.
     """
 
-    agents: np.ndarray  # positions of the group's objectives in the instance
-    kind: str
-    M: np.ndarray  # A or Q
-    MT: np.ndarray  # A' or H
-    v: np.ndarray  # b or q
-    c: np.ndarray | None = None
+    def __init__(self, agents: np.ndarray, kind: str, M: np.ndarray, MT: np.ndarray,
+                 v: np.ndarray, c: np.ndarray | None = None):
+        self._init(locals())
 
     @classmethod
     def stack(cls, objectives: list[QuadraticObjective]) -> list["ObjectiveGroup"]:
@@ -215,6 +224,8 @@ class ConstraintSet:
             self.dim = self.ball_center.size
         else:
             raise ValueError(f"unknown constraint kind {kind!r}")
+        _no_stray_keys(f"{kind} constraint", params,
+                       ("lower", "upper") if kind == "box" else ("center", "radius"))
 
     @classmethod
     def box(cls, lower, upper) -> "ConstraintSet":
@@ -298,21 +309,16 @@ class ConstraintSet:
 # -- instances --------------------------------------------------------------------
 
 
-@dataclass
-class OracleResult:
+class OracleResult(Record):
     """Reference optimum: the point, sum-form value, per-agent values, and the
     projected-gradient fixed-point residual it was solved to."""
 
-    x_star: np.ndarray
-    f_star: float
-    local_values: list[float]
-    kkt_residual: float
-
-    def __post_init__(self):  # a problem file gives lists and JSON numbers
-        self.x_star = as_vec(self.x_star)
-        self.f_star = float(self.f_star)
-        self.local_values = [float(v) for v in self.local_values]
-        self.kkt_residual = float(self.kkt_residual)
+    def __init__(self, x_star: np.ndarray, f_star: float, local_values: list[float],
+                 kkt_residual: float):  # a problem file gives lists and JSON numbers
+        self.x_star = as_vec(x_star)
+        self.f_star = float(f_star)
+        self.local_values = [float(v) for v in local_values]
+        self.kkt_residual = float(kkt_residual)
 
     def to_dict(self) -> dict:
         return {
@@ -323,24 +329,20 @@ class OracleResult:
         }
 
 
-@dataclass
-class ProblemInstance:
+class ProblemInstance(Record):
     """One multi-agent problem: objectives, shared constraint, topology, and a
     lazily solved optimum cache. Treated as immutable after generation except
     for the `optimum` cache."""
 
-    objectives: list[QuadraticObjective]
-    constraint: ConstraintSet
-    graph: Graph
-    optimum: OracleResult | None = field(default=None)
-
-    def __post_init__(self):
-        dims = {o.dim for o in self.objectives}
+    def __init__(self, objectives: list[QuadraticObjective], constraint: ConstraintSet,
+                 graph: Graph, optimum: OracleResult | None = None):
+        self._init(locals())
+        dims = {o.dim for o in objectives}
         if len(dims) != 1:
             raise ValueError("all objectives must share one decision dimension")
-        if self.constraint.dim != self.dim:
+        if constraint.dim != self.dim:
             raise ValueError("constraint dimension does not match the objectives")
-        if self.graph.n_agents != len(self.objectives):
+        if graph.n_agents != len(objectives):
             raise ValueError("graph size does not match the number of objectives")
 
     @property

@@ -58,44 +58,38 @@ agents the masked writes cost less than the index gathers and scatters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError
-from .numerics import _count, is_int, require_positive
+from .numerics import Value, _count, is_int, require_positive
 
 WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
 # 0-d float64: an array operation takes it faster than the Python float, with the same bits
 _EPS_FEAS = np.array(EPS_FEAS)
 
 
-@dataclass(frozen=True)
-class StepsizeConfig:
+class StepsizeConfig(Value):
     """Parameters of the adaptive stepsize; defaults match the benchmark setup.
 
     The scaling sequence c_k is c_scale * sqrt(k + 1) for c_kind "sqrt" and
-    c_scale for c_kind "constant"; both are positive and non-decreasing."""
+    c_scale for c_kind "constant"; both are positive and non-decreasing.
+    constraint_beta is "raw" or "clamped"."""
 
-    gamma: float = 1.0
-    gamma_bar: float = 1.5
-    alpha0: float = 2.0
-    c_kind: str = "sqrt"  # "sqrt" | "constant"
-    c_scale: float = 0.5
-    eps_grad: float = 1e-12
-    constraint_beta: str = "raw"  # "raw" | "clamped"
-
-    def __post_init__(self):
-        if self.c_kind not in ("sqrt", "constant"):
-            raise ValueError(f"unknown c-schedule kind {self.c_kind!r}")
-        require_positive("c-schedule scale", self.c_scale)
-        if not (0.0 < self.gamma < self.gamma_bar < 2.0):
+    def __init__(self, gamma: float = 1.0, gamma_bar: float = 1.5, alpha0: float = 2.0,
+                 c_kind: str = "sqrt", c_scale: float = 0.5, eps_grad: float = 1e-12,
+                 constraint_beta: str = "raw"):
+        if c_kind not in ("sqrt", "constant"):
+            raise ValueError(f"unknown c-schedule kind {c_kind!r}")
+        require_positive("c-schedule scale", c_scale)
+        if not (0.0 < gamma < gamma_bar < 2.0):
             raise ValueError("need 0 < gamma < gamma_bar < 2")
-        require_positive("alpha0", self.alpha0)
-        require_positive("eps_grad", self.eps_grad)
-        if self.constraint_beta not in ("raw", "clamped"):
+        require_positive("alpha0", alpha0)
+        require_positive("eps_grad", eps_grad)
+        if constraint_beta not in ("raw", "clamped"):
             raise ValueError("constraint_beta must be 'raw' or 'clamped'")
+        self._init(locals())
 
     def c_value(self, k: int | np.ndarray) -> float | np.ndarray:
         """c_k for a round k >= 0, or elementwise for an integer array of rounds."""

@@ -19,36 +19,30 @@ once and keeps read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numerics import Rng, is_int
+from .numerics import Rng, Value, is_int
 
 GRAPH_KINDS = ("triangle", "complete", "ring", "path", "random")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """Undirected connected graph on agents 0..n_agents-1; edges (i, j), i < j, in any iterable,
     kept as a frozenset. The count and the endpoints are integers, not bools, kept as Python ints."""
 
-    n_agents: int
-    edges: frozenset
-
-    def __post_init__(self):
-        if not (is_int(self.n_agents) and self.n_agents >= 2):
-            raise ValueError(f"n_agents must be an integer >= 2, got {self.n_agents!r}")
-        for (i, j) in self.edges:
-            if not (is_int(i) and is_int(j) and 0 <= i < j < self.n_agents):
-                raise ValueError(f"bad edge ({i}, {j}) for {self.n_agents} agents")
-        object.__setattr__(self, "n_agents", int(self.n_agents))
-        object.__setattr__(self, "edges", frozenset((int(i), int(j)) for (i, j) in self.edges))
-        A = np.zeros((self.n_agents, self.n_agents))
-        i, j = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
+    def __init__(self, n_agents: int, edges: frozenset):
+        if not (is_int(n_agents) and n_agents >= 2):
+            raise ValueError(f"n_agents must be an integer >= 2, got {n_agents!r}")
+        for (i, j) in edges:
+            if not (is_int(i) and is_int(j) and 0 <= i < j < n_agents):
+                raise ValueError(f"bad edge ({i}, {j}) for {n_agents} agents")
+        n_agents, edges = int(n_agents), frozenset((int(i), int(j)) for (i, j) in edges)
+        self._init(locals())
+        A = np.zeros((n_agents, n_agents))
+        i, j = np.array(list(edges), dtype=np.intp).reshape(-1, 2).T
         A[i, j] = A[j, i] = 1.0
         A.flags.writeable = False
-        object.__setattr__(self, "_adjacency", A)
+        vars(self)["_adjacency"] = A
         if not self._connected():
             raise ValueError("graph must be connected")
 

@@ -70,8 +70,8 @@ FAULTS = [
           "        pass", "eta_cap is ignored: windows grow without bound"),
     Fault("stepsize.py", "self.c_scale * np.sqrt(k + 1.0)", "self.c_scale * np.sqrt(k + 2.0)",
           "c_k is off by one round"),
-    Fault("stepsize.py", "0.0 < self.gamma < self.gamma_bar < 2.0",
-          "0.0 < self.gamma < self.gamma_bar <= 2.0", "gamma_bar = 2 is accepted"),
+    Fault("stepsize.py", "0.0 < gamma < gamma_bar < 2.0", "0.0 < gamma < gamma_bar <= 2.0",
+          "gamma_bar = 2 is accepted"),
     # -- the DPS-LA rule (engine.py) --
     Fault("engine.py", 'cfg.constraint_beta == "clamped"', 'cfg.constraint_beta != "clamped"',
           "inverted clamped: raw and clamped constraint_beta swap"),
@@ -96,8 +96,10 @@ FAULTS = [
           "", "an unknown objective kind is accepted"),
     Fault("problem.py", 'self.c = float(data.get("c", 0.0))', "self.c = float(0.0)",
           "a quadratic's constant c is dropped"),
-    Fault("problem.py", "        self.x_star = as_vec(self.x_star)\n", "",
+    Fault("problem.py", "self.x_star = as_vec(x_star)", "self.x_star = x_star",
           "a problem file's x_star stays a list"),
+    Fault("problem.py", "    if stray:\n", "    if False:\n",
+          "a problem file's objective and set take keys that their kinds do not read"),
     Fault("problem.py", "inst.optimum = inst._checked_optimum(OracleResult(**doc[\"optimum\"]))",
           "inst.optimum = OracleResult(**doc[\"optimum\"])",
           "a problem file's optimum is taken unchecked"),
@@ -117,6 +119,9 @@ FAULTS = [
           "float and bool edge endpoints are accepted"),
     Fault("topology.py", "W = A / (1.0 + np.maximum.outer(deg, deg))",
           "W = A / (2.0 + np.maximum.outer(deg, deg))", "other Metropolis weights"),
+    # -- value classes (numerics.py) --
+    Fault("numerics.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
+          "object.__setattr__(self, name, value)", "a frozen value takes an assignment"),
     # -- metrics and outputs (metrics.py, cli.py) --
     Fault("metrics.py", "mean = np.add.reduce(dist, axis=-1) / n",
           "mean = np.add.reduce(dist, axis=-1) / (n + 1)", "the consensus error's mean"),

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-from dataclasses import fields
 
 import pytest
 
@@ -126,7 +125,7 @@ class TestBuilders:
 
     def test_stepsize_fields_are_algorithm_fields(self):
         # build_algorithm passes the StepsizeConfig fields by name
-        assert {f.name for f in fields(StepsizeConfig)} <= {f.name for f in fields(AlgorithmConfig)}
+        assert set(StepsizeConfig._fields) <= set(AlgorithmConfig._fields)
 
     def test_algorithm_kinds(self):
         assert isinstance(build_algorithm(parse_config("{}")), Dpsla)
@@ -156,7 +155,11 @@ class TestBuilders:
                 "objective_no_kind": "missing 1 required positional argument: 'kind'",
                 "constraint_no_kind": "missing 1 required positional argument: 'kind'",
                 "graph_extra_key": "unexpected keyword argument 'weights'",
-                "optimum_extra_key": "unexpected keyword argument 'gap'"}
+                "optimum_extra_key": "unexpected keyword argument 'gap'",
+                "objective_stray_key": "unexpected keyword argument(s) for a quadratic "
+                                       "objective: 'A'",
+                "constraint_stray_key": "unexpected keyword argument(s) for a ball "
+                                        "constraint: 'lower'"}
 
     @pytest.mark.parametrize("edit", ["bad_json", "missing_key", "mixed_dims", "nan_radius",
                                       "inf_radius", "nan_constant", "optimum_f_star",
@@ -168,7 +171,8 @@ class TestBuilders:
                                       "graph_size", "objective_kind", "constraint_kind",
                                       "q_not_square", "q_asymmetric", "objective_no_kind",
                                       "constraint_no_kind", "graph_extra_key",
-                                      "optimum_extra_key"])
+                                      "optimum_extra_key", "objective_stray_key",
+                                      "constraint_stray_key"])
     def test_malformed_custom_file_rejected(self, tmp_path, capsys, edit):
         from dpsla.problem import gen_triangle_demo
         inst = gen_triangle_demo()
@@ -207,6 +211,10 @@ class TestBuilders:
             del (doc["objectives"][0] if edit == "objective_no_kind" else doc["constraint"])["kind"]
         if edit == "graph_extra_key":  # once ignored
             doc["graph"]["weights"] = [[0.5, 0.5, 0.0]] * 3
+        if edit == "objective_stray_key":  # a least-squares key on a quadratic, once ignored
+            doc["objectives"][0]["A"] = [[1.0, 0.0]]
+        if edit == "constraint_stray_key":  # a box key on the ball, once ignored
+            doc["constraint"]["lower"] = [-4.0, -4.0]
         optimum = doc.get("optimum", {})
         if edit == "optimum_extra_key":  # once ignored
             optimum["gap"] = 0.0

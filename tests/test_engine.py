@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -427,7 +426,8 @@ class TestBatchedRound:
         split = make()  # the same objectives forced into two groups: gather and scatter
         second = ObjectiveGroup.stack(objs[2:])[0]
         split.__dict__["_groups"] = [ObjectiveGroup.stack(objs[:2])[0],
-                                     dataclasses.replace(second, agents=np.arange(2, n))]
+                                     ObjectiveGroup(np.arange(2, n), second.kind, second.M,
+                                                    second.MT, second.v, second.c)]
         gen = np.random.default_rng(11)
         for _ in range(50):
             Z = gen.normal(scale=10.0 ** gen.uniform(-3, 3), size=(n, inst.dim))
