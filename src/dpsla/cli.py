@@ -25,8 +25,8 @@ from pathlib import Path
 
 from .engine import (Dgd, Dpsla, NaivePolyak, first_violations, run, run_speedup_sweep,
                      sweep_algorithm)
-from .metrics import write_csv, write_level_gap_csv, write_sweep_csv
-from .numerics import Record, Rng
+from .metrics import write_csv, write_level_gap_csv, write_means_csv, write_sweep_csv
+from .numerics import Rng, Value
 from .problem import ORACLE_TOL, ProblemInstance, gen_paper_instance, gen_triangle_demo
 from .stepsize import StepsizeConfig
 from .topology import GRAPH_KINDS
@@ -42,11 +42,11 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-# The sections of a config. Their keys are their constructors' parameters,
-# which `parse_config` reads with their annotations, e.g. "int" or "int | None".
+# The config and its sections are immutable values. A section's keys are its
+# constructor's parameters; `parse_config` reads their annotations, e.g. "int | None".
 
 
-class ProblemConfig(Record):
+class ProblemConfig(Value):
     """The `problem` section; `type` is paper, triangle or custom_file."""
 
     def __init__(self, type: str = "paper", path: str | None = None, n_agents: int = 4,
@@ -55,7 +55,7 @@ class ProblemConfig(Record):
         self._init(locals())
 
 
-class AlgorithmConfig(Record):
+class AlgorithmConfig(Value):
     """The `algorithm` section; `name` is dpsla, dgd or naive_polyak."""
 
     def __init__(self, name: str = "dpsla", gamma: float = 1.0, gamma_bar: float = 1.5,
@@ -66,22 +66,20 @@ class AlgorithmConfig(Record):
         self._init(locals())
 
 
-class RunSection(Record):
+class RunSection(Value):
     def __init__(self, iterations: int = 300, record_every: int = 1):
         self._init(locals())
 
 
-class OutputSection(Record):
+class OutputSection(Value):
     def __init__(self, directory: str = "out"):
         self._init(locals())
 
 
-class RunConfig(Record):
-    def __init__(self, problem: ProblemConfig | None = None,
-                 algorithm: AlgorithmConfig | None = None, run: RunSection | None = None,
-                 output: OutputSection | None = None):
-        problem, algorithm = problem or ProblemConfig(), algorithm or AlgorithmConfig()
-        run, output = run or RunSection(), output or OutputSection()
+class RunConfig(Value):
+    def __init__(self, problem: ProblemConfig = ProblemConfig(),
+                 algorithm: AlgorithmConfig = AlgorithmConfig(), run: RunSection = RunSection(),
+                 output: OutputSection = OutputSection()):
         self._init(locals())
 
     def to_dict(self) -> dict:
@@ -92,9 +90,7 @@ class RunConfig(Record):
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-# section -> {key: annotation}
-_SECTION_FIELDS = {name: type(section).__init__.__annotations__
-                   for name, section in RunConfig()._asdict().items()}
+_SECTIONS = {name: type(s) for name, s in RunConfig()._asdict().items()}  # name -> class
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
@@ -106,18 +102,18 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(doc) - set(_SECTION_FIELDS)
+    unknown = set(doc) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
-    cfg = RunConfig()
-    for section, allowed in _SECTION_FIELDS.items():
+    sections = {}
+    for section, cls in _SECTIONS.items():
         sub = doc.get(section, {})
         if not isinstance(sub, dict):
             raise ConfigError(f"{section}: must be an object")
+        allowed = cls.__init__.__annotations__  # key -> annotation
         extra = set(sub) - set(allowed)
         if extra:
             raise ConfigError(f"{section}: unknown key(s) {sorted(extra)}")
-        target = getattr(cfg, section)
         for key, value in sub.items():
             kind, _, nullable = allowed[key].partition(" | ")
             _require((value is None and bool(nullable))
@@ -125,7 +121,8 @@ def parse_config(text: str) -> RunConfig:
                      f"{section}.{key}", f"expected {allowed[key]}, got {type(value).__name__}")
             _require(not isinstance(value, float) or math.isfinite(value),
                      f"{section}.{key}", f"must be finite, got {value}")
-            setattr(target, key, value)
+        sections[section] = cls(**sub)
+    cfg = RunConfig(**sections)
     _validate(cfg)
     return cfg
 
@@ -283,16 +280,14 @@ def cmd_reproduce(which: str, out_override: str | None, seed: int | None) -> int
     with _field("problem.seed"):
         Rng(seed)
     if which == "divergence":  # the config's problem.seed stays 0; the runs use `seed`
-        cfg = parse_config(json.dumps({"problem": {"type": "triangle"},
-                                       "run": {"iterations": 500},
-                                       "output": {"directory": "out_divergence"}}))
+        cfg = RunConfig(ProblemConfig(type="triangle"), run=RunSection(iterations=500),
+                        output=OutputSection("out_divergence"))
         inst, out, traces = _experiment(cfg, out_override, seed, {
             "dgd_trace.csv": Dgd(), "naive_trace.csv": NaivePolyak(target="local_min")}, tol=1e-11)
         _write_manifest(out, cfg, inst, list(traces), seed=seed)
         return 0
     if which == "main":
-        cfg = parse_config(json.dumps({"problem": {"seed": seed},
-                                       "output": {"directory": "out_main"}}))
+        cfg = RunConfig(ProblemConfig(seed=seed), output=OutputSection("out_main"))
         inst, out, traces = _experiment(cfg, out_override, seed,
                                         {"dpsla_trace.csv": build_algorithm(cfg),
                                          "dgd_trace.csv": Dgd()})
@@ -306,12 +301,12 @@ def cmd_reproduce(which: str, out_override: str | None, seed: int | None) -> int
         result = run_speedup_sweep(SPEEDUP_AGENT_COUNTS, SPEEDUP_T, SPEEDUP_SEEDS, alg=alg)
         out.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(result.rows, out / "speedup.csv")
-        means_lines = ["n,mean_gap"] + [f"{n},{v:.17g}" for n, v in sorted(result.means.items())]
-        (out / "speedup_mean.csv").write_text("\n".join(means_lines) + "\n", encoding="utf-8",
-                                              newline="\n")
-        _write_json(out / "manifest.json", {
+        write_means_csv(result.means, out / "speedup_mean.csv")
+        _write_json(out / "manifest.json", {  # the algorithm as a config's section
             "experiment": "speedup", "T": SPEEDUP_T, "seeds": SPEEDUP_SEEDS,
-            "agent_counts": SPEEDUP_AGENT_COUNTS, "algorithm": alg.describe(),
+            "agent_counts": SPEEDUP_AGENT_COUNTS,
+            "algorithm": AlgorithmConfig(**alg.stepsize._asdict(), level_init=alg.level_init,
+                                         eta_cap=alg.eta_cap)._asdict(),
             "gap": "average-form min residual over the second half of the run",
             "outputs": ["speedup.csv", "speedup_mean.csv"]})
         return 0

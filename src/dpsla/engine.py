@@ -82,12 +82,6 @@ class Dpsla(Value):
         level_init = float(level) if level.ndim == 0 else tuple(level.tolist())
         self._init(locals())
 
-    def describe(self) -> dict:
-        step = self.stepsize._asdict()
-        step["c_schedule"] = {"kind": step.pop("c_kind"), "scale": step.pop("c_scale")}
-        return {"name": "dpsla", **step, "level_init": np.asarray(self.level_init).tolist(),
-                "eta_cap": self.eta_cap}
-
 
 class Dgd(Value):
     """Distributed gradient descent with the shared diminishing schedule

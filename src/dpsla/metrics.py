@@ -18,7 +18,7 @@ CSV schema (one file per run):
   dim-32 trace has 31% distinct cells. On a table whose cells are all distinct
   it is about a quarter slower than formatting each cell.
 
-A sweep additionally writes a summary CSV with header `n,seed,gap`.
+A sweep additionally writes summary CSVs with headers `n,seed,gap` and `n,mean_gap`.
 """
 
 from __future__ import annotations
@@ -109,6 +109,12 @@ def write_level_gap_csv(inst: ProblemInstance, trace, path) -> None:
     gaps = np.array(inst.optimum.local_values) - trace.level
     _write_lines(path, [",".join(["k"] + [f"gap_{i}" for i in range(trace.n_agents)])]
                  + _lines(range(len(gaps)), gaps))
+
+
+def write_means_csv(means: dict, path) -> None:
+    """Seed-averaged gaps `n,mean_gap`, one line per network size n, ascending."""
+    ns = sorted(means)
+    _write_lines(path, ["n,mean_gap"] + _lines(ns, np.array([[means[n]] for n in ns])))
 
 
 def write_sweep_csv(rows, path) -> None:

@@ -25,9 +25,9 @@ class Record:
     """Base of the package's record classes, written by hand because the
     dataclass decorator compiles the methods it generates on every import. A
     subclass's fields are the parameters of its `__init__`, which stores each
-    under its own name, usually with `self._init(locals())`; instances compare
-    and print by their fields, as `Name(field=value, ...)`, and a changed copy
-    is built with the constructor."""
+    under its own name, usually with `self._init(locals())`. Instances print as
+    `Name(field=value, ...)` and compare by their fields, an ndarray field bit for
+    bit (dtype, shape and C-order bytes); a changed copy is built with the constructor."""
 
     def __init_subclass__(cls):
         if "__init__" in vars(cls):  # not in `Value`, a base
@@ -38,11 +38,12 @@ class Record:
         """Store the fields from `values`, `__init__`'s locals; other names are ignored."""
         vars(self).update({name: values[name] for name in self._fields})
 
-    def _key(self) -> tuple:
-        return tuple(map(vars(self).__getitem__, self._fields))
-
     def _asdict(self) -> dict:
-        return dict(zip(self._fields, self._key()))
+        return dict(zip(self._fields, map(vars(self).__getitem__, self._fields)))
+
+    def _key(self) -> tuple:
+        return tuple((v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in self._asdict().values())
 
     def __eq__(self, other):
         return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented

@@ -76,6 +76,9 @@ def _no_stray_keys(what: str, given: dict, read: tuple) -> None:
 
 # -- objectives -----------------------------------------------------------------
 
+# kind -> the keys after "kind" that its constructor reads and its `to_dict` writes
+_KEYS = {"least_squares": ("A", "b"), "quadratic": ("Q", "q", "c")}
+
 
 class QuadraticObjective:
     """Convex quadratic of kind "least_squares" or "quadratic", built from `to_dict`'s keywords.
@@ -106,8 +109,7 @@ class QuadraticObjective:
             self._H = self.Q + self.Q.T
         else:
             raise ValueError(f"unknown objective kind {kind!r}")
-        _no_stray_keys(f"{kind} objective", data,
-                       ("A", "b") if kind == "least_squares" else ("Q", "q", "c"))
+        _no_stray_keys(f"{kind} objective", data, _KEYS[kind])
 
     @classmethod
     def least_squares(cls, A, b) -> "QuadraticObjective":
@@ -141,9 +143,8 @@ class QuadraticObjective:
         return self.Q + self.Q.T
 
     def to_dict(self) -> dict:
-        if self.kind == "least_squares":
-            return {"kind": "least_squares", "A": self.A.tolist(), "b": self.b.tolist()}
-        return {"kind": "quadratic", "Q": self.Q.tolist(), "q": self.q.tolist(), "c": self.c}
+        return {"kind": self.kind, **{key: np.asarray(getattr(self, key)).tolist()
+                                      for key in _KEYS[self.kind]}}
 
 
 class ObjectiveGroup(Value):
@@ -321,12 +322,7 @@ class OracleResult(Record):
         self.kkt_residual = float(kkt_residual)
 
     def to_dict(self) -> dict:
-        return {
-            "x_star": self.x_star.tolist(),
-            "f_star": self.f_star,
-            "local_values": list(self.local_values),
-            "kkt_residual": self.kkt_residual,
-        }
+        return {**self._asdict(), "x_star": self.x_star.tolist()}
 
 
 class ProblemInstance(Record):

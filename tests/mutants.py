@@ -100,6 +100,8 @@ FAULTS = [
           "a problem file's x_star stays a list"),
     Fault("problem.py", "    if stray:\n", "    if False:\n",
           "a problem file's objective and set take keys that their kinds do not read"),
+    Fault("problem.py", '"quadratic": ("Q", "q", "c")', '"quadratic": ("Q", "q")',
+          "a quadratic's constant c is neither written nor read"),
     Fault("problem.py", "inst.optimum = inst._checked_optimum(OracleResult(**doc[\"optimum\"]))",
           "inst.optimum = OracleResult(**doc[\"optimum\"])",
           "a problem file's optimum is taken unchecked"),
@@ -122,6 +124,8 @@ FAULTS = [
     # -- value classes (numerics.py) --
     Fault("numerics.py", 'raise AttributeError(f"cannot assign to field {name!r}")',
           "object.__setattr__(self, name, value)", "a frozen value takes an assignment"),
+    Fault("numerics.py", "(v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v",
+          "v", "records with array fields compare their arrays elementwise: == raises"),
     # -- metrics and outputs (metrics.py, cli.py) --
     Fault("metrics.py", "mean = np.add.reduce(dist, axis=-1) / n",
           "mean = np.add.reduce(dist, axis=-1) / (n + 1)", "the consensus error's mean"),
@@ -134,6 +138,9 @@ FAULTS = [
     Fault("cli.py", '    _require(seed is None or which != "speedup", "--seed", '
           '"reproduce speedup runs seeds 0..9")\n', "",
           "reproduce speedup ignores a --seed"),
+    Fault("cli.py", "level_init=alg.level_init,\n" + " " * 41 + "eta_cap=alg.eta_cap)",
+          "level_init=alg.level_init)",
+          "the speedup manifest's algorithm block leaves out eta_cap"),
 ]
 
 EQUIVALENT = [

@@ -4,9 +4,10 @@ import os
 
 import pytest
 
+from dpsla import cli
 from dpsla.cli import (AlgorithmConfig, ConfigError, RunConfig, build_algorithm,
                        build_instance, cmd_reproduce, main, parse_config)
-from dpsla.engine import Dgd, Dpsla, NaivePolyak
+from dpsla.engine import Dgd, Dpsla, NaivePolyak, SweepResult, sweep_algorithm
 from dpsla.stepsize import StepsizeConfig
 
 from .util import parse_csv
@@ -76,6 +77,17 @@ class TestParseConfig:
         again = parse_config(json.dumps(cfg.to_dict()))
         assert again == cfg
         assert again.config_hash() == cfg.config_hash()
+
+    def test_parsed_config_is_an_immutable_value(self):
+        cfg = parse_config('{"algorithm":{"eta_cap": 8}}')
+        for target, name in [(cfg, "algorithm"), (cfg.algorithm, "eta_cap"),
+                             (cfg.problem, "seed"), (cfg.run, "iterations"),
+                             (cfg.output, "directory")]:
+            with pytest.raises(AttributeError):
+                setattr(target, name, None)
+        assert cfg == parse_config('{"algorithm":{"eta_cap": 8}}')
+        assert hash(cfg) == hash(parse_config('{"algorithm":{"eta_cap": 8}}'))
+        assert parse_config("{}") == RunConfig()
 
 
 class TestAlgorithmBounds:
@@ -346,22 +358,58 @@ class TestReproduce:
         assert main(["reproduce", "main", "--seed", "3020090", "--out", str(tmp_path)]) == 0
 
     def test_speedup_outputs(self, tmp_path, monkeypatch):
-        # stub the sweep itself; the full grid is exercised by the acceptance suite
-        from dpsla.engine import SweepResult
-
+        # stub the sweep itself; the full grid is exercised by the acceptance suite;
+        # n = 32 has a diverged seed, whose infinite gap and mean are clipped alike
         def fake_sweep(counts, T, seeds, alg=None):
-            rows = [(n, s, 1.0 / n) for n in counts for s in seeds]
-            return SweepResult(rows=rows, means={n: 1.0 / n for n in counts})
+            gap = {n: math.inf if n == 32 else 1.0 / n for n in counts}
+            rows = [(n, s, gap[n] if s == 9 else 1.0 / n) for n in counts for s in seeds]
+            return SweepResult(rows=rows, means=gap)
 
         monkeypatch.setattr("dpsla.cli.run_speedup_sweep", fake_sweep)
         assert cmd_reproduce("speedup", str(tmp_path), None) == 0
         rows = parse_csv(tmp_path / "speedup.csv")
         assert set(rows) == {"n", "seed", "gap"}
         assert len(rows["n"]) == 4 * 10  # one row per (n, seed)
+        assert rows["gap"][-1] == 1e12
         means = (tmp_path / "speedup_mean.csv").read_text().splitlines()
-        assert means[0] == "n,mean_gap" and len(means) == 5
+        assert means == ["n,mean_gap", "4,0.25", "8,0.125", "16,0.0625", "32,1000000000000"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["agent_counts"] == [4, 8, 16, 32]
+
+    @pytest.mark.parametrize("argv, algorithm", [
+        (["run"], {"alpha0": 0.5, "c_kind": "constant", "eta_cap": 8, "level_init": -50.0}),
+        (["run"], {"name": "dgd", "dgd_scale": 3.0}),
+        (["run"], {"name": "naive_polyak", "naive_target": "oracle_fi_star"}),
+        (["reproduce", "main", "--seed", "3"], None), (["reproduce", "divergence"], None),
+        (["reproduce", "speedup"], None)])
+    def test_manifest_algorithm_rebuilds_the_specs_that_ran(self, tmp_path, monkeypatch,
+                                                              argv, algorithm):
+        # every spec that ran is the manifest's algorithm block, read as a config's
+        # algorithm section, with `name` set to the spec's kind
+        ran, real_run = [], cli.run
+
+        def recorded_run(inst, alg, *args, **kwargs):
+            ran.append(alg)
+            return real_run(inst, alg, *args, **kwargs)
+
+        def fake_sweep(counts, T, seeds, alg):
+            ran.append(alg)
+            return SweepResult(rows=[(n, 0, 1.0) for n in counts], means={n: 1.0 for n in counts})
+
+        monkeypatch.setattr("dpsla.cli.run", recorded_run)
+        monkeypatch.setattr("dpsla.cli.run_speedup_sweep", fake_sweep)
+        if algorithm is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"algorithm": algorithm, "run": {"iterations": 5}}))
+            argv = [*argv, "--config", str(cfg)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        block = manifest["config"]["algorithm"] if "config" in manifest else manifest["algorithm"]
+        if argv[-1] == "speedup":
+            assert ran == [sweep_algorithm()]
+        names = {Dpsla: "dpsla", Dgd: "dgd", NaivePolyak: "naive_polyak"}
+        assert ran and all(build_algorithm(parse_config(json.dumps(
+            {"algorithm": {**block, "name": names[type(alg)]}}))) == alg for alg in ran)
 
     @pytest.mark.parametrize("command", ["reproduce main", "reproduce divergence", "run"])
     def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys, monkeypatch, command):

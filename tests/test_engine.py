@@ -89,10 +89,11 @@ class TestDpslaRuns:
         assert tr.records[0].level == (-10.0, -20.0, -30.0)
 
     def test_level_init_array_runs_like_the_scalar(self, paper0):
-        # a numpy array is stored as a tuple of floats, which the rule and describe() read
+        # a numpy array is stored as a tuple of floats, an int as a float
         alg = Dpsla(level_init=np.full(4, -500.0))
-        assert alg.level_init == (-500.0,) * 4 and alg.describe()["level_init"] == [-500.0] * 4
-        assert Dpsla(level_init=-500).describe() == Dpsla().describe()
+        assert alg.level_init == (-500.0,) * 4 and type(alg.level_init[0]) is float
+        assert Dpsla(level_init=-500) == Dpsla()
+        assert type(Dpsla(level_init=-500).level_init) is float
         assert run(paper0, alg, 20).records == run(paper0, Dpsla(), 20).records
         with pytest.raises(ValueError, match="level_init must be finite and at most 1-D"):
             Dpsla(level_init=np.full((4, 1), -500.0))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,68 @@ class TestHighsAgreement:
             checked += 1
             feasible += verdict.feasible
         assert checked >= 50 and 10 <= feasible <= checked - 10
+
+
+def _exact(values) -> list:
+    return [Fraction(float(v)) for v in values]
+
+
+class TestTriangleVerdictAudit:
+    """Every LP verdict of the triangle under `Dpsla()` at T=500, certified in
+    exact rational arithmetic on the rows, box and witness the LP saw.
+
+    A feasible verdict: its witness lies in the box and breaks no row by more
+    than EPS_FEAS. An infeasible one: HiGHS's duals y >= 0 of the unit-scaled
+    Phase-I LP give weights w_t = y_t / |a_t| >= 0 with
+    min over the box of (sum w_t a_t).x - sum w_t b_t > EPS_FEAS sum w_t, so at
+    every point of the box some row is broken by more than EPS_FEAS. Any
+    nonnegative weights make a valid certificate, so w need not be exact."""
+
+    @staticmethod
+    def verdicts(monkeypatch, eta_cap) -> list:
+        """(A, b, bounds, verdict, dump) of each check_feasible call of the run."""
+        seen, check = [], InequalitySystem.check_feasible
+
+        def recorded(system):
+            verdict = check(system)
+            seen.append((system._A.copy(), system._b.copy(), system.bounds, verdict,
+                         system.dump()))
+            return verdict
+
+        monkeypatch.setattr(InequalitySystem, "check_feasible", recorded)
+        run(gen_triangle_demo(), Dpsla(eta_cap=eta_cap), 500, seed=0)
+        return seen
+
+    @staticmethod
+    def certified(linprog, A, b, bounds, verdict) -> bool:
+        lo, hi = _exact(bounds[0]), _exact(bounds[1])
+        rows, rhs, eps = [_exact(a) for a in A], _exact(b), Fraction(EPS_FEAS)
+        if verdict.feasible:
+            x = _exact(verdict.point)
+            return (all(l <= xj <= h for l, xj, h in zip(lo, x, hi))
+                    and max(sum(map(Fraction.__mul__, a, x)) - b_t
+                            for a, b_t in zip(rows, rhs)) <= eps)
+        m, dim = A.shape
+        norms = np.linalg.norm(A, axis=1)
+        lp = linprog(np.r_[np.zeros(dim), 1.0],
+                     A_ub=np.hstack([A / norms[:, None], -np.ones((m, 1))]), b_ub=b / norms,
+                     bounds=[*zip(*bounds), (None, None)], method="highs")
+        assert lp.status == 0, lp.message
+        w = [max(Fraction(float(-y)), Fraction(0)) / Fraction(float(nrm))
+             for y, nrm in zip(lp.ineqlin.marginals, norms)]
+        g = [sum(w_t * a[j] for w_t, a in zip(w, rows)) for j in range(dim)]
+        low = sum(gj * (l if gj > 0 else h) for gj, l, h in zip(g, lo, hi))
+        return low - sum(map(Fraction.__mul__, w, rhs)) > eps * sum(w)
+
+    @pytest.mark.parametrize("eta_cap, checks, infeasible", [(None, 17, 12), (3, 17, 12),
+                                                             (1, 0, 0)])
+    def test_every_verdict_is_certified(self, monkeypatch, eta_cap, checks, infeasible):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        seen = self.verdicts(monkeypatch, eta_cap)
+        assert (len(seen), sum(not v.feasible for *_, v, _ in seen)) == (checks, infeasible)
+        for number, (A, b, bounds, verdict, dump) in enumerate(seen):
+            assert self.certified(linprog, A, b, bounds, verdict), \
+                f"check {number}, feasible={verdict.feasible}:\n{dump}"
 
 
 class TestMonotonicity:

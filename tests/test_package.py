@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import dpsla
-from dpsla import Dgd, Dpsla, Graph, HalfSpace, NaivePolyak, StepsizeConfig
-from dpsla.problem import ObjectiveGroup
+from dpsla import Dgd, Dpsla, Graph, HalfSpace, NaivePolyak, StepsizeConfig, run
+from dpsla.cli import AlgorithmConfig, OutputSection, ProblemConfig, RunConfig, RunSection
+from dpsla.feasibility import InequalitySystem
+from dpsla.problem import ObjectiveGroup, OracleResult, gen_triangle_demo
 
 
 def test_every_export_resolves():
@@ -232,23 +234,31 @@ def test_every_text_write_ends_lines_with_newline():
 
 _ROW, _AGENTS, _M = np.array([1.0, -2.0]), np.arange(2), np.ones((2, 3, 2))
 
-# (class, keywords of one instance); an array keyword is the same object in
-# both instances that a test builds, as a field holds it
+# (class, keywords of one instance); the last two hold arrays
 VALUES = [
     (StepsizeConfig, {"gamma": 0.5, "alpha0": 0.05, "c_kind": "constant"}),
     (Dpsla, {"stepsize": StepsizeConfig(alpha0=0.05), "level_init": (-1.0, -2.0), "eta_cap": 64}),
     (Dgd, {"scale": 3.0}),
     (NaivePolyak, {"target": "oracle_fi_star"}),
     (Graph, {"n_agents": 3, "edges": [(0, 1), (1, 2)]}),
+    (ProblemConfig, {"type": "triangle", "seed": 3}),
+    (AlgorithmConfig, {"name": "dgd", "eta_cap": 8, "level_init": -1.0}),
+    (RunSection, {"iterations": 5}),
+    (OutputSection, {"directory": "out_x"}),
+    (RunConfig, {"problem": ProblemConfig(seed=3), "run": RunSection(iterations=5)}),
     (HalfSpace, {"a": _ROW, "b": 1.5}),
     (ObjectiveGroup, {"agents": _AGENTS, "kind": "least_squares", "M": _M,
                       "MT": _M.transpose(0, 2, 1), "v": np.ones((2, 3))}),
 ]
-HASHABLE = tuple(cls for cls, _ in VALUES[:5])
-NAMESPACE = {cls.__name__: cls for cls in HASHABLE}
+PLAIN, ARRAYS = VALUES[:-2], VALUES[-2:]
+NAMESPACE = {cls.__name__: cls for cls, _ in PLAIN}
 
 
-@pytest.mark.parametrize("cls, kw", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
+def _ids(values) -> list:
+    return [cls.__name__ for cls, _ in values]
+
+
+@pytest.mark.parametrize("cls, kw", VALUES, ids=_ids(VALUES))
 class TestValueClasses:
     def test_refuses_assignment_and_deletion(self, cls, kw):
         value = cls(**kw)
@@ -261,12 +271,47 @@ class TestValueClasses:
 
     def test_equal_from_equal_keywords(self, cls, kw):
         assert cls(**kw) == cls(**kw)
-        if cls in HASHABLE:
-            assert hash(cls(**kw)) == hash(cls(**kw))
+        assert hash(cls(**kw)) == hash(cls(**kw))
 
 
-# the other two hold arrays, whose repr does not evaluate back to them
-@pytest.mark.parametrize("cls, kw", VALUES[:5], ids=[cls.__name__ for cls in HASHABLE])
+@pytest.mark.parametrize("cls, kw", ARRAYS, ids=_ids(ARRAYS))
+class TestArrayFields:
+    """An array field compares by its dtype, shape and bytes: bit for bit."""
+
+    def test_equal_but_distinct_arrays(self, cls, kw):
+        copied = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in kw.items()}
+        value, other = cls(**kw), cls(**copied)
+        assert all(other._asdict()[k] is not v for k, v in value._asdict().items()
+                   if isinstance(v, np.ndarray))
+        assert value == other and hash(value) == hash(other)
+
+    def test_one_changed_bit(self, cls, kw):
+        for name, v in kw.items():
+            if isinstance(v, np.ndarray):
+                flipped = v.copy()
+                flipped.view(np.uint64).flat[-1] ^= 1
+                assert cls(**{**kw, name: flipped}) != cls(**kw), name
+
+
+def _verdict():
+    system = InequalitySystem(2)
+    system.add_constraint(HalfSpace([1.0, 0.0], 1.0))
+    return system.check_feasible()
+
+
+def test_records_with_array_fields_compare_to_a_bool():
+    # each pair holds equal but distinct arrays
+    inst = gen_triangle_demo()
+    optimum = inst.ensure_optimum()
+    pairs = [(_verdict(), _verdict()),
+             (optimum, OracleResult(**{**optimum._asdict(), "x_star": optimum.x_star.copy()})),
+             (run(inst, Dpsla(), 60, seed=0), run(inst, Dpsla(), 60, seed=0))]
+    for first, second in pairs:
+        assert (first == second) is True and (first != second) is False
+    assert (pairs[2][0] == run(inst, Dpsla(), 60, seed=0, x0="uniform")) is False
+
+
+@pytest.mark.parametrize("cls, kw", PLAIN, ids=_ids(PLAIN))
 def test_repr_evaluates_back(cls, kw):
     value = cls(**kw)
     assert repr(value).startswith(f"{cls.__name__}({next(iter(kw))}=")
@@ -277,6 +322,7 @@ def test_repr_evaluates_back(cls, kw):
     (StepsizeConfig, {}, {"gamma_bar": 1.25}), (Dpsla, {}, {"eta_cap": 8}),
     (Dpsla, {}, {"stepsize": StepsizeConfig(alpha0=1.0)}), (Dgd, {}, {"scale": 1.0}),
     (NaivePolyak, {}, {"target": "oracle_fi_star"}),
-    (Graph, {"n_agents": 3, "edges": [(0, 1), (1, 2)]}, {"edges": [(0, 1), (0, 2)]})])
+    (Graph, {"n_agents": 3, "edges": [(0, 1), (1, 2)]}, {"edges": [(0, 1), (0, 2)]}),
+    (AlgorithmConfig, {}, {"eta_cap": 8}), (RunConfig, {}, {"run": RunSection(iterations=5)})])
 def test_values_differ_by_one_field(cls, kw, other):
     assert cls(**kw) != cls(**{**kw, **other})
