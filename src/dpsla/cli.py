@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .engine import (Dgd, Dpsla, NaivePolyak, first_violations, run, run_speedup_sweep,
                      sweep_algorithm)
-from .metrics import write_csv, write_level_gap_csv, write_means_csv, write_sweep_csv
+from .metrics import _write_lines, write_csv, write_level_gap_csv, write_means_csv, write_sweep_csv
 from .numerics import Rng, Value
 from .problem import ORACLE_TOL, ProblemInstance, gen_paper_instance, gen_triangle_demo
 from .stepsize import StepsizeConfig
@@ -223,7 +223,7 @@ def _trace_invariants(trace) -> dict:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
+    _write_lines(path, [json.dumps(doc, sort_keys=True, indent=2)])
 
 
 def _write_manifest(out: Path, cfg: RunConfig, inst: ProblemInstance,

@@ -51,9 +51,6 @@ class HalfSpace(Value):
             raise ValueError("right-hand side must be finite")
         self._init(locals())
 
-    def violation(self, x: np.ndarray) -> float:
-        return float(self.a @ x - self.b)
-
 
 class FeasibilityVerdict(Record):
     def __init__(self, feasible: bool, point: np.ndarray | None, phase1_value: float):
@@ -79,11 +76,6 @@ class InequalitySystem:
     @property
     def size(self) -> int:
         return self._b.size
-
-    @property
-    def constraints(self) -> list[HalfSpace]:
-        """The stored rows, oldest first, as half-spaces."""
-        return [HalfSpace(a=a, b=float(b)) for a, b in zip(self._A, self._b)]
 
     def add_constraint(self, h: HalfSpace) -> None:
         """Append a constraint of this system's dimension through `load`."""

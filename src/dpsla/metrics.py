@@ -71,14 +71,14 @@ def _cell_texts(table: np.ndarray) -> list[list[str]]:
 
 
 def _lines(heads, table: np.ndarray, tails=None) -> list[str]:
-    """One CSV line per row of `table` (m, c), c >= 1: the row's int from
-    `heads`, its floats clipped to +/-CLIP and printed with 17 significant
-    digits (`%.17g` prints NaN of either sign as `nan`), then its int from
-    `tails`, if given."""
+    """One CSV line per row of `table` (m, c), c >= 1: the row's head from
+    `heads` as `%s` prints it, its floats clipped to +/-CLIP and printed with
+    17 significant digits (`%.17g` prints NaN of either sign as `nan`), then
+    its int from `tails`, if given."""
     rows = map(",".join, _cell_texts(table))
     if tails is None:
-        return ["%d,%s" % kr for kr in zip(heads, rows)]
-    return ["%d,%s,%d" % krd for krd in zip(heads, rows, tails)]
+        return ["%s,%s" % kr for kr in zip(heads, rows)]
+    return ["%s,%s,%d" % krd for krd in zip(heads, rows, tails)]
 
 
 def csv_header(n_agents: int) -> str:
@@ -119,6 +119,5 @@ def write_means_csv(means: dict, path) -> None:
 
 def write_sweep_csv(rows, path) -> None:
     """Summary rows (n, seed, gap), one line each."""
-    gaps = np.clip(np.array([gap for *_, gap in rows], dtype=float), -CLIP, CLIP).tolist()
-    _write_lines(path, ["n,seed,gap"] + ["%s,%s,%.17g" % (n, seed, gap)
-                                         for (n, seed, _), gap in zip(rows, gaps)])
+    heads = ["%s,%s" % (n, seed) for n, seed, _ in rows]
+    _write_lines(path, ["n,seed,gap"] + _lines(heads, np.array([[gap] for *_, gap in rows])))

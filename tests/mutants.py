@@ -132,9 +132,12 @@ FAULTS = [
     Fault("metrics.py", "ks = sorted({*range(0, rows, record_every), rows - 1})",
           "ks = sorted(range(0, rows, record_every))", "the final row is not always written"),
     Fault("metrics.py", "CLIP = 1e12", "CLIP = 1e11", "the CSV clip bound"),
-    Fault("cli.py", 'indent=2) + "\\n", encoding="utf-8", newline="\\n")',
-          'indent=2) + "\\n", encoding="utf-8")',
-          "manifest.json gets the platform's line ends"),
+    Fault("metrics.py", 'open(path, "w", encoding="utf-8", newline="\\n")',
+          'open(path, "w", encoding="utf-8")',
+          "every CSV and manifest.json gets the platform's line ends"),
+    Fault("metrics.py", "_lines(heads, np.array([[gap] for *_, gap in rows]))",
+          '["%s,%.17g" % (h, gap) for h, (*_, gap) in zip(heads, rows)]',
+          "the sweep gap printed without the clip: a diverged seed's gap prints inf"),
     Fault("cli.py", '    _require(seed is None or which != "speedup", "--seed", '
           '"reproduce speedup runs seeds 0..9")\n', "",
           "reproduce speedup ignores a --seed"),

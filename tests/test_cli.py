@@ -353,8 +353,11 @@ class TestReproduce:
         assert gaps["gap_0"][-1] < gaps["gap_0"][0]
 
     def test_main_nearly_parallel_window(self, tmp_path):
-        # this seed's window holds six nearly parallel rows in dim 6 at round 98;
-        # the solver once stalled there and the command exited 1
+        # the two-phase simplex that the Phase-I LP replaced stalled on this
+        # seed's window of six nearly parallel rows in dim 6 at round 98, and the
+        # command exited 1. The box test now decides all 178 level updates of the
+        # run, which settles at row 161 without calling the LP; the window itself
+        # is pinned at the LP by test_feasibility.TestNearlyParallelWindow
         assert main(["reproduce", "main", "--seed", "3020090", "--out", str(tmp_path)]) == 0
 
     def test_speedup_outputs(self, tmp_path, monkeypatch):

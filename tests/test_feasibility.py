@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,11 @@ class TestHalfSpace:
             hs([0.0, 0.0], 1.0)
 
     def test_violation(self):
-        h = hs([1.0, 0.0], 2.0)
-        assert h.violation(np.array([3.0, 0.0])) == 1.0
+        # the system keeps the half-space's a and b as given: its raw violation
+        # a.x - b reads off the stored arrays
+        sys = InequalitySystem(2)
+        sys.add_constraint(hs([1.0, 0.0], 2.0))
+        assert (sys._A @ np.array([3.0, 0.0]) - sys._b).tolist() == [1.0]
 
 
 class TestAddConstraint:
@@ -81,7 +85,7 @@ class TestCheckFeasible:
                 sys.add_constraint(h)
             v = sys.check_feasible()
             if v.feasible:
-                assert max(h.violation(v.point) for h in sys.constraints) <= EPS_FEAS
+                assert np.max(sys._A @ v.point - sys._b) <= EPS_FEAS
 
     def test_tiny_normals_feasible(self):
         # a slack slope of |a| per unit of x sits below the simplex tolerances
@@ -316,30 +320,96 @@ class TestTwoRowWindow:
         system.load(self.A, self.b)
         assert system.check_feasible().feasible
 
-    def test_random_windows_met_at_the_box_minimizer_are_feasible(self):
-        # 500 windows in dim 1-200: row 0 from `one_row_windows`, row 1 holding
-        # on the whole box by 1e-12 to 1. A window whose row-0 box minimizer
-        # passes the verdict's own test max(A x - b) <= EPS_FEAS is feasible.
-        # The windows are classified by that test, not by the exact margin:
-        # at |g| near 1e4 rounding alone puts some margin-0 rows at a few 1e-9.
-        # Unweighted costs against 1e-9 give 34 false verdicts here, weighted
-        # costs against 1e-9 give 12
+    @staticmethod
+    @functools.cache
+    def random_windows() -> list:
+        """(A, b, bounds, met, verdict) of 500 windows in dim 1-200: row 0 from
+        `one_row_windows`, row 1 holding on the whole box by 1e-12 to 1; `met`
+        says whether row 0's box minimizer passes the verdict's own test
+        max(A x - b) <= EPS_FEAS. Solved once for the tests that read them."""
         rng = np.random.default_rng(0)
-        met = 0
+        windows = []
         for _ in range(500):
             dim = int(rng.integers(1, 201))
             G, b, lo, hi = one_row_windows(rng, 1, dim)
             g = rng.normal(size=dim) * 10.0 ** rng.uniform(-4.0, 4.0)
             A = np.vstack([G, g])
             b = np.append(b, np.maximum(g * lo, g * hi).sum() + 10.0 ** rng.uniform(-12.0, 0.0))
-            if np.max(A @ np.where(G[0] < 0, hi, lo) - b) > EPS_FEAS:
-                continue
+            met = np.max(A @ np.where(G[0] < 0, hi, lo) - b) <= EPS_FEAS
             system = InequalitySystem(dim, bounds=(lo, hi))
             system.load(A, b)
-            verdict = system.check_feasible()
-            assert verdict.feasible, f"dim {dim}, phase-1 value {verdict.phase1_value}"
-            met += 1
+            windows.append((A, b, (lo, hi), met, system.check_feasible()))
+        return windows
+
+    def test_random_windows_met_at_the_box_minimizer_are_feasible(self):
+        # A window whose row-0 box minimizer passes the verdict's own test is
+        # feasible. The windows are classified by that test, not by the exact
+        # margin: at |g| near 1e4 rounding alone puts some margin-0 rows at a
+        # few 1e-9. Unweighted costs against 1e-9 give 34 false verdicts here,
+        # weighted costs against 1e-9 give 12
+        met = 0
+        for A, _, _, is_met, verdict in self.random_windows():
+            if is_met:
+                assert verdict.feasible, f"dim {A.shape[1]}, phase-1 value {verdict.phase1_value}"
+                met += 1
         assert met >= 300  # 318 with numpy 2.4
+
+    def test_random_window_verdicts_are_certified(self):
+        # every feasible verdict and every ninth infeasible one, certified in
+        # exact arithmetic; an infeasible one costs a HiGHS solve, and all 182
+        # certify too (318 feasible and 182 infeasible with numpy 2.4)
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        windows = self.random_windows()
+        feasible = [w for w in windows if w[-1].feasible]
+        infeasible = [w for w in windows if not w[-1].feasible]
+        assert len(feasible) >= 300 and len(infeasible) >= 150
+        for A, b, bounds, _, verdict in feasible + infeasible[::9]:
+            assert TestTriangleVerdictAudit.certified(linprog, A, b, bounds, verdict), \
+                f"dim {A.shape[1]}, feasible={verdict.feasible}, phase-1 value {verdict.phase1_value}"
+
+
+class TestNearlyParallelWindow:
+    """The window of `reproduce main --seed 3020090` that stalled the two-phase
+    simplex this LP replaced: six rows in dim 6 with norms 0.7389-0.7399, two
+    of them parallel to within 1 - |cos| = 2e-9, in a box of side 10. The
+    window is feasible: at the corner lo every row holds by 0.0137 or more."""
+
+    A = np.array([
+        [0.198475024207231, 0.33130973210269277, 0.17069631656796877, 0.34123579689476224,
+         0.15521957779391715, 0.4781493581132339],
+        [0.19839542644691008, 0.3312288868542066, 0.17062563008127, 0.34111322626759966,
+         0.1551858056437111, 0.4780450032311525],
+        [0.19831655670596168, 0.3311487810545592, 0.17055559010854915, 0.3409917767049008,
+         0.15515234239209483, 0.4779416028357762],
+        [0.19823867885859772, 0.3310696830219803, 0.170486430969073, 0.34087185462472963,
+         0.15511930016584216, 0.4778395033918041],
+        [0.19816188952672434, 0.3309916910226138, 0.17041823846198798, 0.3407536088484438,
+         0.15508672003132395, 0.477738831791554],
+        [0.19809344263794776, 0.3309219829575683, 0.17035746253915587, 0.34064815744436616,
+         0.15505757587573013, 0.477648779408923]])
+    b = np.array([28.650281043548596, 28.642296323021654, 28.634387621848383,
+                  28.626581339296774, 28.618887059734124, 28.61200881027635])
+    lo = np.array([-19.162415458244304, 100.75990620234693, 100.86325469136138,
+                   -76.68020962634316, -18.021903646893286, 22.575619358632384])
+    hi = np.array([-9.162415458244302, 110.75990620234693, 110.86325469136138,
+                   -66.68020962634316, -8.021903646893286, 32.57561935863238])
+
+    def test_phase1_lp_finds_the_window_feasible_in_the_box(self):
+        U = self.A / np.linalg.norm(self.A, axis=1)[:, None]
+        assert np.max(np.abs((U @ U.T)[~np.eye(6, dtype=bool)])) > 1.0 - 1e-8
+        s, x = _phase1_lp(self.A, self.b, self.lo, self.hi)
+        assert s == np.max(self.A @ x - self.b)
+        assert s < -0.01  # -0.01367; HiGHS's unit-scaled optimum is -0.0185
+        assert np.all(self.lo <= x) and np.all(x <= self.hi)
+
+    def test_check_verdict_is_certified(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        system = InequalitySystem(6, bounds=(self.lo, self.hi))
+        system.load(self.A, self.b)
+        verdict = system.check_feasible()
+        assert verdict.feasible
+        assert TestTriangleVerdictAudit.certified(linprog, self.A, self.b, (self.lo, self.hi),
+                                                  verdict)
 
 
 class TestReset:

@@ -189,28 +189,30 @@ def test_no_module_imports_dataclasses():
 # Windows a write without it gives CRLF where the goldens hold LF.
 
 
-def _unpinned_text_writes(tree) -> list:
-    """Lines of the `.write_text(` calls, and of the `open(` calls in a writing
-    text mode, that do not pass `newline="\n"`."""
-    lines = []
+def _text_writes(tree) -> list:
+    """The `.write_text(` calls, and the `open(` calls in a writing text mode."""
+    calls = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         name = getattr(node.func, "attr", getattr(node.func, "id", None))
         if name == "write_text":
-            writes = True
+            calls.append(node)
         elif name == "open":  # the mode is open's second argument, Path.open's first
             at = 1 if isinstance(node.func, ast.Name) else 0
             modes = node.args[at:at + 1] + [k.value for k in node.keywords if k.arg == "mode"]
             mode = modes[0] if modes else ast.Constant("r")
-            writes = not isinstance(mode, ast.Constant) or (
-                "b" not in mode.value and any(c in mode.value for c in "wax+"))
-        else:
-            writes = False
-        if writes and not any(k.arg == "newline" and isinstance(k.value, ast.Constant)
-                              and k.value.value == "\n" for k in node.keywords):
-            lines.append(node.lineno)
-    return lines
+            if not isinstance(mode, ast.Constant) or (
+                    "b" not in mode.value and any(c in mode.value for c in "wax+")):
+                calls.append(node)
+    return calls
+
+
+def _unpinned_text_writes(tree) -> list:
+    """Lines of the text writes that do not pass `newline="\n"`."""
+    return [node.lineno for node in _text_writes(tree)
+            if not any(k.arg == "newline" and isinstance(k.value, ast.Constant)
+                       and k.value.value == "\n" for k in node.keywords)]
 
 
 def test_every_text_write_ends_lines_with_newline():
@@ -228,6 +230,62 @@ def test_every_text_write_ends_lines_with_newline():
                         'p.write_text(s, encoding="utf-8", newline="\\n")\n'
                         'open(p)\nopen(p, "r")\nopen(p, "wb")\np.open()\n')
     assert _unpinned_text_writes(planted) == [1, 2, 3, 4, 5]
+
+
+# -- one writer and one float formatter ----------------------------------------------
+
+# Every text file goes through `metrics._write_lines`, and every float that a
+# CSV prints goes through `metrics._cell_texts`, so the line ends, the clip and
+# the 17 digits have one implementation each.
+
+
+def _enclosing_functions(tree) -> dict:
+    """The name of the innermost function around each node, keyed by id(node);
+    "<module>" outside every function."""
+    where = {id(node): "<module>" for node in ast.walk(tree)}
+    for fn in ast.walk(tree):  # breadth first: an inner function overwrites its outer one
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where.update({id(node): fn.name for node in ast.walk(fn)})
+    return where
+
+
+def _seventeen_digit_formats(tree) -> list:
+    """The `%` format strings that hold `%.17g`, and the f-string fields formatted `.17g`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) \
+                and isinstance(node.left, ast.Constant) and "%.17g" in str(node.left.value):
+            found.append(node)
+        elif isinstance(node, ast.FormattedValue) and node.format_spec is not None \
+                and ".17g" in ast.unparse(node.format_spec):
+            found.append(node)
+    return found
+
+
+def _sites(find) -> list:
+    """(module, enclosing function) of each node that `find` returns, per module."""
+    sites = []
+    for module, tree in _module_trees().items():
+        where = _enclosing_functions(tree)
+        sites += [(module, where[id(node)]) for node in find(tree)]
+    return sites
+
+
+def test_one_float_formatter_and_one_text_writer():
+    assert _sites(_seventeen_digit_formats) == [("metrics.py", "_cell_texts")]
+    assert _sites(_text_writes) == [("metrics.py", "_write_lines")]
+    # the guards themselves: the writes count wherever they sit, and a 17-digit
+    # format counts in a `%` string or an f-string field but not in other text
+    planted = ast.parse('def f(p):\n'
+                        '    def g():\n'
+                        '        p.write_text("%.17g" % 1.0)\n'
+                        '    open(p, "a").write(f"{1.0:.17g}")\n'
+                        'open(p, "wb")\n'
+                        '"%.17g"\n'
+                        '"%.12g" % 1.0\n')
+    where = _enclosing_functions(planted)
+    for find in (_text_writes, _seventeen_digit_formats):
+        assert sorted((n.lineno, where[id(n)]) for n in find(planted)) == [(3, "g"), (4, "f")]
 
 
 # -- the immutable value classes ---------------------------------------------------
