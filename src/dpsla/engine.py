@@ -235,8 +235,7 @@ def _dpsla_rule(alg: Dpsla, inst: ProblemInstance, rounds: int):
     level = alg.level_init if isinstance(alg.level_init, tuple) else (alg.level_init,) * n
     if len(level) != n:
         raise ValueError("per-agent level_init needs one value per agent")
-    windows = LevelWindows(level, inst.dim, bounds=inst.constraint.bounding_box(),
-                           eta_cap=alg.eta_cap)
+    windows = LevelWindows(level, inst.constraint, eta_cap=alg.eta_cap)
     cap, c = np.full(n, cfg.c0 * cfg.alpha0), cfg.c_value(np.arange(rounds))
     # the config's numbers that a round reads, taken once; the floats as 0-d float64
     # arrays, which an array operation takes faster than a Python float, same bits

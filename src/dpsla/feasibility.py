@@ -14,13 +14,11 @@ the box satisfies is therefore infeasible without a separate test.
 
 Every `check_feasible` solves the LP; `witness` is only the point of the last
 feasible verdict, until the rows change. `add_constraint` is the validating
-entry point. The level windows (`stepsize.LevelWindows`) keep their rows in
-their own round-indexed arrays and test their witnesses themselves. They test
-a fallen window's new row at its minimizer over the box, which decides a
-window whose row misses the box and every one-row window; only a longer window
-goes to one reused system, as arrays through `load`, which skips the
-`HalfSpace` checks: their rows are gradients with norm above eps_grad at
-finite iterates.
+entry point. The level windows (`stepsize.LevelWindows`) keep their rows and
+their box themselves and decide most windows without a system; each window
+that reaches the LP is loaded into a system built for that check, as arrays
+through `load`, which skips the `HalfSpace` checks: their rows are gradients
+with norm above eps_grad at finite iterates.
 """
 
 from __future__ import annotations

@@ -30,7 +30,8 @@ reads c_k from a table built once. `decide_alpha` gives all stepsizes and
 Polyak values under one mask of the nonzero-gradient rows: a masked row skips
 the divide, which leaves gamma (F - level), the bits of dividing it by 1, and
 takes the lower clamp, so no sentinel marks it and no division by zero warns.
-`LevelWindows` keeps each round's rows as one row of four arrays shared by all
+`LevelWindows` takes the constraint set and keeps its bounding box as `lo`,
+`hi`. It keeps each round's rows as one row of four arrays shared by all
 windows, a row count per agent and an (n, dim) array of witness points, the
 last slice of a (3, n, dim) operand: the engine's rule writes G and Z into the
 other two and takes G.G, G.Z and G.witness in one `np.vecdot` pass.
@@ -42,13 +43,13 @@ its offset there by more than EPS_FEAS makes the window infeasible; otherwise
 a window of one row is feasible and takes the minimizer as its witness, which
 satisfies the row by the dot product the witness test takes (the stacked pass
 gives the bits of a separate `np.vecdot` call). The only Python loop runs over
-the windows of two rows or more whose new row meets the box: each is read
-with one index, loaded into `InequalitySystem` and checked by its LP. On the
-paper's workloads no window reaches that loop, so every level update there is
-decided by the box test. The levels of all infeasible windows are
-then raised at once. A window of one row is the row just stored, so its
-smallest f-value is that row's F; only the windows of two rows or more are
-read, in one masked minimum over the stored rows. On `reproduce main` 96% of
+the windows of two rows or more whose new row meets the box: each is read with
+one index into an `InequalitySystem` on the box, built for that check, and
+decided by its LP. On the paper's workloads no window reaches that loop, so
+every level update there is decided by the box test. The levels of all
+infeasible windows are then raised at once. A window of one row is the row
+just stored, so its smallest f-value is that row's F; only the windows of two
+rows or more are read, in one masked minimum over the stored rows. On `reproduce main` 96% of
 the updates reset a window of one row. A round in which some witness fell
 works on (n,) masks over all agents, not on index arrays: the new witnesses,
 levels and counts are masked writes (`np.copyto(..., where=)`), and every
@@ -64,6 +65,7 @@ import numpy as np
 
 from .feasibility import EPS_FEAS, InequalitySystem, SolverStallError
 from .numerics import Value, _count, is_int, require_positive
+from .problem import ConstraintSet
 
 WINDOW_ROWS = 64  # rounds the level windows' arrays hold at first
 # 0-d float64: an array operation takes it faster than the Python float, with the same bits
@@ -134,24 +136,22 @@ class LevelWindows:
     Round t's G (n, dim), b, F and active (n,) are row t of four arrays, whose
     first `rows` rows are in use. Agent i's window is its last `count[i]` active
     rows, oldest first; the cap keeps at most `eta_cap` of them, and a level
-    update resets the window to zero rows. Every window lies in the finite box
-    `bounds`. While `count[i] > 0`, `witness[i]` satisfies every row of agent
-    i's window within EPS_FEAS (and lies in the box); `witness` is the last
-    slice of `operand` (3, n, dim), whose first two a caller may fill with G
-    and Z to take every dot product of G in one pass. `quiet` says whether every
-    witness held in the last round `record_step` took; a quiet round changes no
-    level, no witness and no verdict, so a round that repeats its inputs
-    repeats it.
+    update resets the window to zero rows. Every window lies in the bounding box
+    `lo`, `hi` of the constraint set. While `count[i] > 0`, `witness[i]`
+    satisfies every row of agent i's window within EPS_FEAS (and lies in the
+    box); `witness` is the last slice of `operand` (3, n, dim), whose first two
+    a caller may fill with G and Z to take every dot product of G in one pass.
+    `quiet` says whether every witness held in the last round `record_step`
+    took; a quiet round changes no level, no witness and no verdict, so a round
+    that repeats its inputs repeats it.
     """
 
-    def __init__(self, level0, dim: int, bounds: tuple[np.ndarray, np.ndarray],
-                 eta_cap: int | None = None):
+    def __init__(self, level0, constraint: ConstraintSet, eta_cap: int | None = None):
         if not (eta_cap is None or (is_int(eta_cap) and eta_cap >= 1)):
             raise ValueError(f"eta_cap must be None or an integer >= 1, got {eta_cap!r}")
-        if bounds is None:
-            raise ValueError("level windows need a box")
         self.level = np.array(level0, dtype=float)
-        n = self.level.size
+        n, dim = self.level.size, constraint.dim
+        self.lo, self.hi = constraint.bounding_box()
         self.eta_cap = None if eta_cap is None else np.array(eta_cap)  # 0-d, as `_EPS_FEAS`
         self.count = np.zeros(n, dtype=np.int64)  # rows in each window
         self.operand = np.zeros((3, n, dim))
@@ -160,7 +160,6 @@ class LevelWindows:
         self.quiet = False  # no witness fell in the last recorded round
         self.G, self.active = np.empty((WINDOW_ROWS, n, dim)), np.empty((WINDOW_ROWS, n), bool)
         self.b, self.F = np.empty((WINDOW_ROWS, n)), np.empty((WINDOW_ROWS, n))
-        self.system = InequalitySystem(dim, bounds=bounds)  # reused for every check
 
     def _in_window(self, agents) -> np.ndarray:
         """Mask (rows,) + shape of `agents` of the stored rows in each agent's
@@ -205,9 +204,9 @@ def record_step(win: LevelWindows, keep: float, G: np.ndarray, b: np.ndarray,
     so a new row that misses the box, tested at its minimizer over the box,
     makes the window infeasible with no check. A window of one row that meets
     the box is feasible, and that minimizer becomes its witness. Only the
-    other windows, of two rows or more, are read and go to
-    `win.system.check_feasible`; on the paper's workloads there are none, and
-    every level update is box-decided.
+    other windows, of two rows or more, are read, each into an
+    `InequalitySystem` on the box built for its check; on the paper's
+    workloads there are none, and every level update is box-decided.
     Every infeasible window raises its level to the convex combination
     keep * level + (1 - keep) * (the window's smallest f-value), with the
     weight keep = gamma / gamma_bar, and is cleared. The smallest f-value of a
@@ -230,11 +229,9 @@ def record_step(win: LevelWindows, keep: float, G: np.ndarray, b: np.ndarray,
     win.quiet = not _count(updated)
     if win.quiet:
         return updated
-    system = win.system
-    lo, hi = system.bounds
     # each new row's minimizer over the box: a window whose row it misses is
     # infeasible, and a one-row window whose row it meets takes it as witness
-    X = np.where(G < 0, hi, lo)
+    X = np.where(G < 0, win.hi, win.lo)
     meets = updated & (np.vecdot(G, X) - b <= _EPS_FEAS)
     one = meets & (win.count == 1)
     np.copyto(win.witness, X, where=one[:, None])
@@ -243,6 +240,7 @@ def record_step(win: LevelWindows, keep: float, G: np.ndarray, b: np.ndarray,
     if _count(lp):
         for i in lp.nonzero()[0].tolist():
             G_i, b_i, _ = win.window(i)
+            system = InequalitySystem(win.lo.size, bounds=(win.lo, win.hi))
             system.load(G_i, b_i)
             try:
                 verdict = system.check_feasible()

@@ -56,6 +56,10 @@ FAULTS = [
           "the level update's weight: every raised level moves"),
     Fault("stepsize.py", "np.vecdot(G, X) - b <= _EPS_FEAS", "np.vecdot(G, X) - b <= 0.0",
           "the box test without EPS_FEAS: a row that meets the box within it is called infeasible"),
+    Fault("stepsize.py", "np.where(G < 0, win.hi, win.lo)", "np.where(G < 0, win.lo, win.hi)",
+          "the box test reads lo and hi swapped: it tests each new row at its maximizer"),
+    Fault("stepsize.py", "bounds=(win.lo, win.hi))", "bounds=None)",
+          "the LP check's system is built without the box: longer windows solved unbounded"),
     Fault("stepsize.py", "updated ^= one", "updated |= one",
           "one-row windows that meet the box still raise their levels"),
     Fault("stepsize.py", "lp = meets ^ one", "lp = meets",

@@ -676,15 +676,38 @@ class TestSimplexCalls:
         monkeypatch.setattr(feasibility, "_phase1_lp", counted)
         return rows
 
-    def test_paper_shapes_never_reach_the_lp(self, lp_rows):
+    @pytest.fixture
+    def systems(self, monkeypatch):
+        """Every `InequalitySystem` built from now on, and (system, its witness is
+        None) of every `check_feasible` call."""
+        built, checks, cls = [], [], feasibility.InequalitySystem
+        init, check = cls.__init__, cls.check_feasible
+
+        def counted_init(system, *args, **kwargs):
+            built.append(system)
+            init(system, *args, **kwargs)
+
+        def counted_check(system):
+            checks.append((system, system.witness is None))
+            return check(system)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+        monkeypatch.setattr(cls, "check_feasible", counted_check)
+        return built, checks
+
+    def test_paper_shapes_never_reach_the_lp(self, lp_rows, systems):
         inst, alg = _main_instance()
         run(inst, alg, 300)
         run_speedup_sweep([8], 600, [0], alg=sweep_algorithm())
-        assert lp_rows == []
+        assert lp_rows == [] and systems == ([], [])
 
-    def test_triangle_reaches_the_lp_with_longer_windows(self, lp_rows, triangle):
+    def test_triangle_reaches_the_lp_with_longer_windows(self, lp_rows, systems, triangle):
+        # each window that reaches the LP is loaded into a system built for its check
         run(triangle, Dpsla(), 500)
         assert len(lp_rows) >= 10 and min(lp_rows) >= 2
+        built, checks = systems
+        assert len(built) == len(checks) == len(lp_rows) == 17
+        assert all(a is b and fresh for a, (b, fresh) in zip(built, checks))
 
 
 _COLUMNS = ("alpha", "level", "level_updated", "diverged", "residual", "consensus_error", "states")

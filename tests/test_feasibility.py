@@ -239,6 +239,40 @@ class TestTriangleVerdictAudit:
                 f"check {number}, feasible={verdict.feasible}:\n{dump}"
 
 
+def boxed_windows(count: int = 60) -> list:
+    """(A, b, bounds) of the first `count` boxed draws of `random_window` from
+    the seed of `TestHighsAgreement`, scaled as it scales them."""
+    gen, windows = np.random.default_rng(11), []
+    while len(windows) < count:
+        A, b, bounds, scale = random_window(gen)
+        if bounds is not None:
+            windows.append((scale * A, scale * b, bounds))
+    return windows
+
+
+class TestBoxedWindowAudit:
+    """The LP's verdicts on boxed `random_window` draws (dim 2-32, up to 500
+    rows, nearly parallel rows, scales 1e-5 to 1e2), certified in exact
+    arithmetic with no window skipped. Tier-1 certifies every third
+    of the 60 draws; `python tests/window_audit.py` certifies all of them."""
+
+    @staticmethod
+    def verdict(A, b, bounds):
+        system = InequalitySystem(A.shape[1], bounds=bounds)
+        system.load(A, b)
+        return system.check_feasible()
+
+    def test_every_third_draw_is_certified(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        feasible = []
+        for A, b, bounds in boxed_windows()[::3]:
+            verdict = self.verdict(A, b, bounds)
+            assert TestTriangleVerdictAudit.certified(linprog, A, b, bounds, verdict), \
+                f"shape {A.shape}, feasible={verdict.feasible}, phase-1 value {verdict.phase1_value}"
+            feasible.append(verdict.feasible)
+        assert 5 <= sum(feasible) <= len(feasible) - 5  # 10 feasible, 10 infeasible
+
+
 class TestMonotonicity:
     def test_adding_never_unbreaks_infeasibility(self):
         gen = np.random.default_rng(3)

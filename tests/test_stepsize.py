@@ -307,7 +307,7 @@ class TestRecordStep:
     @staticmethod
     def _fresh(level=-500.0, eta_cap=None):
         """One agent's windows in dim 1, on a box wide enough to decide nothing."""
-        return LevelWindows([level], 1, (np.array([-100.0]), np.array([100.0])), eta_cap=eta_cap)
+        return LevelWindows([level], ConstraintSet.box([-100.0], [100.0]), eta_cap=eta_cap)
 
     def test_first_constraint_kept(self):
         cfg = cfg_unit()
@@ -385,7 +385,7 @@ class TestRecordStep:
         # round and the level climbs to the constrained value from below.
         cfg = StepsizeConfig()
         f_star = 1.0
-        win = LevelWindows([-500.0], 1, bounds=(np.array([-2.0]), np.array([2.0])))
+        win = LevelWindows([-500.0], ConstraintSet.box([-2.0], [2.0]))
         z = np.array([-2.0])
         for k in range(200):
             f_val = float((z[0] + 3.0) ** 2)
@@ -400,7 +400,7 @@ class TestRecordStep:
         # remains inside the box, so after a burst of early updates the window
         # stays feasible and the level freezes strictly below the optimum.
         cfg = StepsizeConfig()
-        win = LevelWindows([-500.0], 1, bounds=(np.array([-2.0]), np.array([2.0])))
+        win = LevelWindows([-500.0], ConstraintSet.box([-2.0], [2.0]))
         z = np.array([2.0])
         levels = []
         for k in range(100):
@@ -419,7 +419,7 @@ class TestRecordStep:
         # x >= 0.2, which only its witness misses
         checked = count_checks(monkeypatch)
         cfg = cfg_unit()
-        win = LevelWindows([-5.0, -5.0], 1, bounds=(np.array([-1.0]), np.array([1.0])))
+        win = LevelWindows([-5.0, -5.0], ConstraintSet.box([-1.0], [1.0]))
         active = np.array([True, True])
         updated = record(win, cfg, np.array([[1.0], [1.0]]), np.array([0.5, 0.5]),
                               np.array([1.0, 2.0]), active)
@@ -445,7 +445,7 @@ class TestRecordStep:
         checked = count_checks(monkeypatch)
         cfg = cfg_unit()
         keep = cfg.gamma / cfg.gamma_bar
-        win = LevelWindows([-5.0, -5.0], 1, bounds=(np.array([-1.0]), np.array([1.0])))
+        win = LevelWindows([-5.0, -5.0], ConstraintSet.box([-1.0], [1.0]))
         rounds = [([1.0, 1.0], [-5.0, 0.5], [1.0, 1.0], [True, True]),
                   ([0.0, 1.0], [np.nan, 0.6], [-100.0, 5.0], [False, True]),
                   ([1.0, -1.0], [-5.0, -0.7], [7.0, 9.0], [True, True])]
@@ -463,7 +463,7 @@ class TestRecordStep:
         # level is not enough: a fresh window and a window the LP keeps feasible
         # update none, yet a witness fell in both
         cfg = cfg_unit()
-        win = LevelWindows([-5.0, -5.0], 1, bounds=(np.array([-1.0]), np.array([1.0])))
+        win = LevelWindows([-5.0, -5.0], ConstraintSet.box([-1.0], [1.0]))
         active, G, F = np.array([True, True]), np.array([[1.0], [1.0]]), np.array([1.0, 2.0])
         rounds = [(G, [0.5, 0.5], active), (G, [0.5, 0.5], active),
                   (np.array([[1.0], [-1.0]]), [0.5, -0.2], active),
@@ -484,7 +484,7 @@ class TestRecordStep:
         G, b, lo, hi = one_row_windows(rng, n, dim)
         level, F = rng.uniform(-5.0, 0.0, n), rng.uniform(-1.0, 3.0, n)
         active = rng.random(n) > 0.1
-        win = LevelWindows(level, dim, bounds=(lo, hi))
+        win = LevelWindows(level, ConstraintSet.box(lo, hi))
         checked = count_checks(monkeypatch)
         updated = record(win, cfg, G, b, F, active)
         assert checked == []
@@ -508,7 +508,7 @@ class TestRecordStep:
         # g = (1, -5e-10) on [0, 1000]^2: the box point (0, 1000) satisfies
         # g.x <= -1e-7 by 4e-7, so the window must keep its level, although the
         # second component lies above the LP's reduced-cost cut-off of -1e-9
-        win = LevelWindows([-5.0], 2, bounds=(np.zeros(2), np.full(2, 1000.0)))
+        win = LevelWindows([-5.0], ConstraintSet.box(np.zeros(2), np.full(2, 1000.0)))
         updated = record(win, cfg_unit(), np.array([[1.0, -5e-10]]), np.array([-1e-7]),
                               np.array([3.0]), np.array([True]))
         assert updated.tolist() == [False]
@@ -521,7 +521,7 @@ class TestRecordStep:
         # which that witness misses by 5e-9, more than EPS_FEAS. The window stays
         # feasible, and its witness must satisfy both rows within EPS_FEAS
         cfg = cfg_unit()
-        win = LevelWindows([-5.0], 2, bounds=(np.full(2, -1.0), np.ones(2)))
+        win = LevelWindows([-5.0], ConstraintSet.box(np.full(2, -1.0), np.ones(2)))
         active, F = np.array([True]), np.array([1.0])
         record(win, cfg, np.array([[1.0, 1.0]]), np.array([0.0]), F, active)
         assert win.witness.tolist() == [[-1.0, -1.0]]
@@ -537,9 +537,22 @@ class TestRecordStep:
             with pytest.raises(ValueError, match="eta_cap must be None or an integer >= 1"):
                 self._fresh(eta_cap=eta_cap)
 
-    def test_box_required(self):
-        with pytest.raises(ValueError, match="level windows need a box"):
-            LevelWindows([0.0], 1, None)
+    def test_windows_on_a_ball_hold_its_bounding_box(self, monkeypatch):
+        # the ball of radius 3 about (1, -2) has the box [-2, 4] x [-5, 1]: agent
+        # 0's x <= -3 misses it and agent 1's x + y <= 0 meets it at its box
+        # minimizer lo, both decided without an LP check
+        checked = count_checks(monkeypatch)
+        cfg = cfg_unit()
+        c = np.array([1.0, -2.0])
+        win = LevelWindows([-5.0, -5.0], ConstraintSet.ball(c, 3.0))
+        assert (win.lo.tolist(), win.hi.tolist()) == ((c - 3.0).tolist(), (c + 3.0).tolist())
+        updated = record(win, cfg, np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([-3.0, 0.0]),
+                         np.array([4.0, 2.0]), np.array([True, True]))
+        assert updated.tolist() == [True, False] and checked == []
+        keep = cfg.gamma / cfg.gamma_bar
+        assert win.level.tolist() == [keep * -5.0 + (1.0 - keep) * 4.0, -5.0]
+        assert win.count.tolist() == [0, 1]
+        assert win.witness[1].tolist() == (c - 3.0).tolist()
 
 
 class TestWindowReplay:
@@ -577,7 +590,7 @@ class TestWindowReplay:
         cfg = cfg_unit()
         keep = cfg.gamma / cfg.gamma_bar
         level = rng.uniform(-5.0, 0.0, n)
-        win = LevelWindows(level, dim, bounds=box, eta_cap=eta_cap)
+        win = LevelWindows(level, ConstraintSet.box(*box), eta_cap=eta_cap)
         windows = [[] for _ in range(n)]  # (round, g, b, f) rows, oldest first
         for k in range(rounds):
             G = rng.normal(size=(n, dim))
