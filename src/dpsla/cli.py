@@ -26,7 +26,7 @@ from pathlib import Path
 from .engine import (Dgd, Dpsla, NaivePolyak, first_violations, run, run_speedup_sweep,
                      sweep_algorithm)
 from .metrics import _write_lines, write_csv, write_level_gap_csv, write_means_csv, write_sweep_csv
-from .numerics import Rng, Value
+from .numerics import Rng, Value, require_seed
 from .problem import ORACLE_TOL, ProblemInstance, gen_paper_instance, gen_triangle_demo
 from .stepsize import StepsizeConfig
 from .topology import GRAPH_KINDS
@@ -42,8 +42,22 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-# The config and its sections are immutable values. A section's keys are its
-# constructor's parameters; `parse_config` reads their annotations, e.g. "int | None".
+# The config and its sections are immutable values; each section checks its fields when
+# built. Its keys are its constructor's parameters, whose annotations `parse_config` reads.
+
+
+def _require(cond: bool, field_name: str, msg: str) -> None:
+    if not cond:
+        raise ConfigError(f"{field_name}: {msg}")
+
+
+@contextmanager
+def _field(field_name: str):
+    """Report a constructor's ValueError as a ConfigError on `field_name`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{field_name}: {exc}") from exc
 
 
 class ProblemConfig(Value):
@@ -52,11 +66,25 @@ class ProblemConfig(Value):
     def __init__(self, type: str = "paper", path: str | None = None, n_agents: int = 4,
                  dim: int = 6, rows_per_agent: int = 2, seed: int = 0,
                  graph_kind: str = "random", edge_prob: float = 0.5, x0: str = "center"):
+        _require(type in ("paper", "triangle", "custom_file"), "problem.type",
+                 "must be paper, triangle, or custom_file")
+        _require(type != "custom_file" or bool(path), "problem.path",
+                 "required for custom_file problems")
+        _require(n_agents >= 2, "problem.n_agents", "must be >= 2")
+        _require(dim >= 1, "problem.dim", "must be >= 1")
+        _require(rows_per_agent >= 1, "problem.rows_per_agent", "must be >= 1")
+        with _field("problem.seed"):
+            require_seed(seed)
+        _require(graph_kind in GRAPH_KINDS, "problem.graph_kind", "unknown graph kind")
+        _require(type != "paper" or graph_kind != "triangle" or n_agents == 3,
+                 "problem.graph_kind", f"triangle needs problem.n_agents == 3, got {n_agents}")
+        _require(0.0 < edge_prob <= 1.0, "problem.edge_prob", "must be in (0, 1]")
+        _require(x0 in ("center", "uniform"), "problem.x0", "must be center or uniform")
         self._init(locals())
 
 
 class AlgorithmConfig(Value):
-    """The `algorithm` section; `name` is dpsla, dgd or naive_polyak."""
+    """The `algorithm` section; `name` is dpsla, dgd or naive_polyak, and all three are built."""
 
     def __init__(self, name: str = "dpsla", gamma: float = 1.0, gamma_bar: float = 1.5,
                  alpha0: float = 2.0, c_kind: str = "sqrt", c_scale: float = 0.5,
@@ -64,15 +92,27 @@ class AlgorithmConfig(Value):
                  constraint_beta: str = "raw", eps_grad: float = 1e-12, dgd_scale: float = 2.0,
                  naive_target: str = "local_min"):
         self._init(locals())
+        with _field("algorithm"):  # these constructors' messages name the parameter
+            step = StepsizeConfig(**{n: getattr(self, n) for n in StepsizeConfig._fields})
+            specs = {"dpsla": Dpsla(stepsize=step, level_init=level_init, eta_cap=eta_cap)}
+        with _field("algorithm.dgd_scale"):
+            specs["dgd"] = Dgd(scale=dgd_scale)
+        with _field("algorithm.naive_target"):
+            specs["naive_polyak"] = NaivePolyak(target=naive_target)
+        _require(name in specs, "algorithm.name", "must be dpsla, dgd, or naive_polyak")
+        vars(self)["specs"] = specs  # name -> spec, not a field
 
 
 class RunSection(Value):
     def __init__(self, iterations: int = 300, record_every: int = 1):
+        _require(iterations >= 1, "run.iterations", "must be >= 1")
+        _require(record_every >= 1, "run.record_every", "must be >= 1")
         self._init(locals())
 
 
 class OutputSection(Value):
     def __init__(self, directory: str = "out"):
+        _require(bool(directory), "output.directory", "must be nonempty")
         self._init(locals())
 
 
@@ -95,7 +135,7 @@ _JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a JSON config; unknown keys are rejected."""
+    """Parse a JSON config: its JSON types are checked here, its values by the sections."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -122,23 +162,7 @@ def parse_config(text: str) -> RunConfig:
             _require(not isinstance(value, float) or math.isfinite(value),
                      f"{section}.{key}", f"must be finite, got {value}")
         sections[section] = cls(**sub)
-    cfg = RunConfig(**sections)
-    _validate(cfg)
-    return cfg
-
-
-def _require(cond: bool, field_name: str, msg: str) -> None:
-    if not cond:
-        raise ConfigError(f"{field_name}: {msg}")
-
-
-@contextmanager
-def _field(field_name: str):
-    """Report a constructor's ValueError as a ConfigError on `field_name`."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{field_name}: {exc}") from exc
+    return RunConfig(**sections)
 
 
 def _load_config(path: str) -> RunConfig:
@@ -147,30 +171,6 @@ def _load_config(path: str) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"--config: cannot read {path} ({type(exc).__name__}: {exc})") from exc
     return parse_config(text)
-
-
-def _validate(cfg: RunConfig) -> None:
-    p, r = cfg.problem, cfg.run
-    _require(p.type in ("paper", "triangle", "custom_file"), "problem.type",
-             "must be paper, triangle, or custom_file")
-    if p.type == "custom_file":
-        _require(bool(p.path), "problem.path", "required for custom_file problems")
-    _require(p.n_agents >= 2, "problem.n_agents", "must be >= 2")
-    _require(p.dim >= 1, "problem.dim", "must be >= 1")
-    _require(p.rows_per_agent >= 1, "problem.rows_per_agent", "must be >= 1")
-    with _field("problem.seed"):
-        Rng(p.seed)
-    _require(p.graph_kind in GRAPH_KINDS, "problem.graph_kind", "unknown graph kind")
-    _require(p.type != "paper" or p.graph_kind != "triangle" or p.n_agents == 3,
-             "problem.graph_kind", f"triangle needs problem.n_agents == 3, got {p.n_agents}")
-    _require(0.0 < p.edge_prob <= 1.0, "problem.edge_prob", "must be in (0, 1]")
-    _require(p.x0 in ("center", "uniform"), "problem.x0", "must be center or uniform")
-
-    build_algorithm(cfg)  # its constructors check every algorithm field
-
-    _require(r.iterations >= 1, "run.iterations", "must be >= 1")
-    _require(r.record_every >= 1, "run.record_every", "must be >= 1")
-    _require(bool(cfg.output.directory), "output.directory", "must be nonempty")
 
 
 def build_instance(cfg: RunConfig) -> ProblemInstance:
@@ -189,17 +189,8 @@ def build_instance(cfg: RunConfig) -> ProblemInstance:
 
 
 def build_algorithm(cfg: RunConfig):
-    """The spec named by `algorithm.name`; all three are built, so a bad unused field fails too."""
-    a = cfg.algorithm
-    with _field("algorithm"):  # these constructors' messages name the parameter
-        step = StepsizeConfig(**{name: getattr(a, name) for name in StepsizeConfig._fields})
-        specs = {"dpsla": Dpsla(stepsize=step, level_init=a.level_init, eta_cap=a.eta_cap)}
-    with _field("algorithm.dgd_scale"):
-        specs["dgd"] = Dgd(scale=a.dgd_scale)
-    with _field("algorithm.naive_target"):
-        specs["naive_polyak"] = NaivePolyak(target=a.naive_target)
-    _require(a.name in specs, "algorithm.name", "must be dpsla, dgd, or naive_polyak")
-    return specs[a.name]
+    """The spec named by `algorithm.name`, as the section built it."""
+    return cfg.algorithm.specs[cfg.algorithm.name]
 
 
 def _out_dir(cfg_dir: str, override: str | None) -> Path:
@@ -278,7 +269,7 @@ def cmd_reproduce(which: str, out_override: str | None, seed: int | None) -> int
     _require(seed is None or which != "speedup", "--seed", "reproduce speedup runs seeds 0..9")
     seed = 0 if seed is None else seed
     with _field("problem.seed"):
-        Rng(seed)
+        require_seed(seed)
     if which == "divergence":  # the config's problem.seed stays 0; the runs use `seed`
         cfg = RunConfig(ProblemConfig(type="triangle"), run=RunSection(iterations=500),
                         output=OutputSection("out_divergence"))

@@ -82,6 +82,12 @@ def require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def require_seed(seed) -> None:
+    """ValueError unless `seed` is a 64-bit unsigned integer, the seeds `Rng` takes."""
+    if not (is_int(seed) and 0 <= seed < 2 ** 64):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 def as_vec(x, dim: int | None = None) -> np.ndarray:
     """Validate and convert `x` to a finite 1-D float64 array."""
     v = np.asarray(x, dtype=float)
@@ -147,8 +153,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        if not (is_int(seed) and 0 <= seed < 2 ** 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        require_seed(seed)
         self.seed = int(seed)
         self._gen = np.random.default_rng(self.seed)
 

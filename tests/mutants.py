@@ -148,6 +148,27 @@ FAULTS = [
     Fault("cli.py", "level_init=alg.level_init,\n" + " " * 41 + "eta_cap=alg.eta_cap)",
           "level_init=alg.level_init)",
           "the speedup manifest's algorithm block leaves out eta_cap"),
+    # -- the run config (cli.py) --
+    Fault("cli.py", """        with _field("algorithm"):  # these constructors' messages name the parameter
+            step = StepsizeConfig(**{n: getattr(self, n) for n in StepsizeConfig._fields})
+            specs = {"dpsla": Dpsla(stepsize=step, level_init=level_init, eta_cap=eta_cap)}
+        with _field("algorithm.dgd_scale"):
+            specs["dgd"] = Dgd(scale=dgd_scale)
+        with _field("algorithm.naive_target"):
+            specs["naive_polyak"] = NaivePolyak(target=naive_target)
+""", """        make = {"dpsla": lambda: Dpsla(stepsize=StepsizeConfig(
+                    **{n: getattr(self, n) for n in StepsizeConfig._fields}),
+                    level_init=level_init, eta_cap=eta_cap),
+                "dgd": lambda: Dgd(scale=dgd_scale),
+                "naive_polyak": lambda: NaivePolyak(target=naive_target)}
+        with _field("algorithm"):
+            specs = {name: make[name]()} if name in make else {}
+""", "the algorithm section builds only the spec it names: a bad unused field passes"),
+    Fault("cli.py", """        _require(type != "paper" or graph_kind != "triangle" or n_agents == 3,
+                 "problem.graph_kind", f"triangle needs problem.n_agents == 3, got {n_agents}")
+""", "", "a paper problem on the triangle graph takes any n_agents"),
+    Fault("cli.py", '        _require(iterations >= 1, "run.iterations", "must be >= 1")\n', "",
+          "the run section takes iterations < 1"),
 ]
 
 EQUIVALENT = [

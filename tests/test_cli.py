@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -90,6 +92,42 @@ class TestParseConfig:
         assert parse_config("{}") == RunConfig()
 
 
+class TestSectionChecks:
+    """Each section checks its fields when it is built, so a section built in code
+    fails as the same value does in a parsed config."""
+
+    @pytest.mark.parametrize("section, fields", [
+        ("problem", {"type": "grid"}), ("problem", {"type": "custom_file"}),
+        ("problem", {"n_agents": 1}), ("problem", {"dim": 0}),
+        ("problem", {"rows_per_agent": 0}), ("problem", {"seed": -1}),
+        ("problem", {"seed": 2 ** 64}), ("problem", {"graph_kind": "star"}),
+        ("problem", {"graph_kind": "triangle"}), ("problem", {"edge_prob": 0.0}),
+        ("problem", {"edge_prob": 1.5}), ("problem", {"x0": "zero"}),
+        ("algorithm", {"gamma": 0.0}), ("algorithm", {"eta_cap": 0}),
+        ("algorithm", {"dgd_scale": 0.0}), ("algorithm", {"naive_target": "mean"}),
+        ("algorithm", {"name": "sgd"}), ("run", {"iterations": 0}),
+        ("run", {"record_every": 0}), ("output", {"directory": ""})])
+    def test_built_in_code_fails_as_parsed(self, section, fields):
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(json.dumps({section: fields}))
+        with pytest.raises(ConfigError) as built:
+            cli._SECTIONS[section](**fields)
+        assert str(built.value) == str(parsed.value)
+        assert str(built.value).startswith(section)
+
+    def test_import_and_parse_load_no_random_generator(self):
+        # the default sections are built at import; a seed check that built an Rng
+        # would load numpy.random (about 10 ms) into every import of the CLI
+        code = ("import sys; from dpsla.cli import parse_config; "
+                "print('numpy.random' in sys.modules); parse_config('{}'); "
+                "print('numpy.random' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["False", "False"]
+
+
 class TestAlgorithmBounds:
     """Each algorithm bound is the constructor's; the CLI reports it under the field."""
 
@@ -134,6 +172,11 @@ class TestBuilders:
         ('{"algorithm":{"name":"naive_polyak"}}', NaivePolyak())])
     def test_defaults_are_the_constructors_defaults(self, text, default):
         assert build_algorithm(parse_config(text)) == default
+
+    @pytest.mark.parametrize("name", ["dpsla", "dgd", "naive_polyak"])
+    def test_the_section_keeps_the_specs_it_built(self, name):
+        cfg = parse_config(json.dumps({"algorithm": {"name": name}}))
+        assert build_algorithm(cfg) is build_algorithm(cfg) is cfg.algorithm.specs[name]
 
     def test_stepsize_fields_are_algorithm_fields(self):
         # build_algorithm passes the StepsizeConfig fields by name

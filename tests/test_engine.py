@@ -254,6 +254,15 @@ class TestInitialStates:
         with pytest.raises(ValueError, match="unknown x0 policy 'bogus'"):
             run(triangle, Dgd(), 5, x0="bogus")
 
+    @pytest.mark.parametrize("outside", [[4.5, 0.0], [0.0, -1e3], [3.0, 3.0]])
+    def test_infeasible_start_rejected(self, triangle, monkeypatch, outside):
+        # both policies start inside the set, so the check is reached through a patch;
+        # the triangle's set is the ball of radius 4 about the origin
+        monkeypatch.setattr(engine, "_initial_states",
+                            lambda inst, policy, rng: np.array([[0.0, 0.0], outside, [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="^initial states must be feasible$"):
+            run(triangle, Dpsla(), 5)
+
     def test_set_up_needs_no_per_point_kernel(self, monkeypatch):
         """Instance generation, a uniform start and loading a file optimum take
         only the batched paths; the per-point kernels are the solvers' alone."""

@@ -1,4 +1,6 @@
 import functools
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,18 @@ from .util import brute_force_margin, one_row_windows, random_halfspace_system
 
 def hs(a, b):
     return HalfSpace(a=np.asarray(a, dtype=float), b=float(b))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: hs([1.0, 0.0], math.inf), "right-hand side must be finite", id="b-inf"),
+    pytest.param(lambda: hs([1.0, 0.0], math.nan), "right-hand side must be finite", id="b-nan"),
+    pytest.param(lambda: InequalitySystem(0), "dim must be >= 1", id="dim-0"),
+    pytest.param(lambda: InequalitySystem(2, bounds=([0.0, 1.0], [1.0, 1.0])),
+                 "bounds must satisfy lo < hi componentwise", id="flat-box"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
 
 
 class TestHalfSpace:
@@ -168,13 +182,15 @@ class TestHighsAgreement:
                 if bounds is not None:
                     assert np.all(verdict.point >= bounds[0] - EPS_FEAS)
                     assert np.all(verdict.point <= bounds[1] + EPS_FEAS)
-            if abs(ref.fun) < 1e-6 or abs(scale * ref.fun) < 10 * EPS_FEAS:
-                continue  # marginal
+            # a marginal draw would make the reference's verdict moot; none of the 60
+            # is (the smallest |optimum| is 1.15e-3), and a new one fails here
+            assert abs(ref.fun) >= 1e-6 and abs(scale * ref.fun) >= 10 * EPS_FEAS, \
+                f"marginal draw: highs={ref.fun}, scale={scale}, shape={A.shape}"
             assert verdict.feasible == (ref.fun < 0), \
                 f"highs={ref.fun}, scale={scale}, lp={verdict.phase1_value}, shape={A.shape}"
             checked += 1
             feasible += verdict.feasible
-        assert checked >= 50 and 10 <= feasible <= checked - 10
+        assert checked == 60 and 10 <= feasible <= checked - 10
 
 
 def _exact(values) -> list:

@@ -139,6 +139,11 @@ class TestConsensusError:
         xs = [np.zeros(2), np.array([1e-14, 0.0])]
         assert consensus_error(xs) > 0.0
 
+    @pytest.mark.parametrize("xs", [np.empty((0, 2)), np.empty((3, 0, 2)), [1.0, 2.0], 1.0])
+    def test_no_state_rejected(self, xs):
+        with pytest.raises(ValueError, match="^consensus_error needs at least one state$"):
+            consensus_error(xs)
+
 
 class TestCsv:
     def test_row_count_and_header(self, tmp_path, triangle):

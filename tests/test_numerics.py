@@ -1,9 +1,31 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dpsla.numerics import Rng, SingularMatrixError, solve_spd
+from dpsla.numerics import Rng, SingularMatrixError, as_mat, as_vec, solve_spd
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: as_vec([[1.0, 2.0]]), "expected a nonempty 1-D vector, got shape (1, 2)",
+                 id="as_vec-shape"),
+    pytest.param(lambda: as_vec([]), "expected a nonempty 1-D vector, got shape (0,)",
+                 id="as_vec-empty"),
+    pytest.param(lambda: as_vec([1.0, math.nan]), "vector entries must be finite",
+                 id="as_vec-nan"),
+    pytest.param(lambda: as_mat([1.0, 2.0]), "expected a nonempty 2-D matrix, got shape (2,)",
+                 id="as_mat-shape"),
+    pytest.param(lambda: as_mat([[1.0, math.inf]]), "matrix entries must be finite",
+                 id="as_mat-inf"),
+    pytest.param(lambda: solve_spd([[1.0, 0.0]], [1.0]), "matrix must be square, got shape (1, 2)",
+                 id="solve_spd-not-square"),
+    pytest.param(lambda: Rng(0).integer(3, 3), "need lo < hi, got lo=3, hi=3",
+                 id="integer-empty-range"),
+])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
 
 
 class TestSolveSpd:

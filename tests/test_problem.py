@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,33 @@ def _fd_grad(obj, x, h=1e-5):
         e[j] = h
         g[j] = (obj.eval(x + e) - obj.eval(x - e)) / (2 * h)
     return g
+
+
+def _singular(*args):
+    raise numerics.SingularMatrixError("pivot 0.000e+00 at column 0 below 1e-12")
+
+
+@pytest.mark.parametrize("patch, call, error, message", [
+    pytest.param({}, lambda: gen_paper_instance(n=1, rng=Rng(0)), ValueError,
+                 "need n >= 2, dim >= 1, rows_per_agent >= 1", id="n"),
+    pytest.param({}, lambda: gen_paper_instance(dim=0, rng=Rng(0)), ValueError,
+                 "need n >= 2, dim >= 1, rows_per_agent >= 1", id="dim"),
+    pytest.param({}, lambda: gen_paper_instance(rows_per_agent=0, rng=Rng(0)), ValueError,
+                 "need n >= 2, dim >= 1, rows_per_agent >= 1", id="rows"),
+    # no paper draw makes the normal system singular: its 1e-10 ridge keeps it SPD
+    pytest.param({"solve_spd": _singular}, lambda: gen_paper_instance(rng=Rng(0)),
+                 problem.GenerationError, "aggregate normal system is singular: pivot "
+                 "0.000e+00 at column 0 below 1e-12", id="singular"),
+    # the oracle converges well within ORACLE_MAX_ITER on every instance here
+    pytest.param({"ORACLE_MAX_ITER": 1}, lambda: solve_reference(gen_triangle_demo(), 1e-11),
+                 problem.OracleConvergenceError,
+                 "projected gradient did not reach tol 1e-11 within 1 iterations", id="oracle"),
+])
+def test_input_and_failure_checks(monkeypatch, patch, call, error, message):
+    for name, value in patch.items():
+        monkeypatch.setattr(problem, name, value)
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
+        call()
 
 
 class TestObjective:

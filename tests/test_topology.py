@@ -132,6 +132,16 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph("triangle", 4)
 
+    @pytest.mark.parametrize("kind, kwargs, message", [
+        ("random", {"edge_prob": 0.0, "rng": Rng(0)}, "edge_prob must be in (0, 1]"),
+        ("random", {"edge_prob": 1.5, "rng": Rng(0)}, "edge_prob must be in (0, 1]"),
+        ("random", {}, "random graphs need an Rng"),
+        ("star", {}, "unknown graph kind 'star'"),
+    ])
+    def test_bad_arguments_named(self, kind, kwargs, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            build_graph(kind, 4, **kwargs)
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             Graph(n_agents=4, edges=frozenset({(0, 1), (2, 3)}))

@@ -37,10 +37,6 @@ def brute_force_margin(halfspaces: list[HalfSpace], grid_lim: float = 50.0,
     return float(violations.max(axis=0).min())
 
 
-def brute_force_feasible(halfspaces: list[HalfSpace]) -> bool:
-    return brute_force_margin(halfspaces) <= 1e-6
-
-
 def random_halfspace_system(rng: np.random.Generator, n_constraints: int) -> list[HalfSpace]:
     """Random 2-D systems whose interesting geometry stays near the origin."""
     out = []
